@@ -1,9 +1,10 @@
 """Circuit compilation: frame-free text diagrams to parameterised circuits.
 
 Each wire gets a fixed number of qubits; noun states and boxes become
-ansatz blocks (IQP or a hardware-efficient Rx/Rz/CRx pattern), wire
-permutations become SWAP networks, spider copies and merges become CX
-pairs with postselection.  Parameters are named "<box>__<arity>__<idx>"
+ansatz blocks (IQP or a hardware-efficient Rx/Rz/CRx pattern), spider
+copies and merges become CX pairs with postselection.  Gates find a wire's
+qubits by its id, so wire permutations are relabellings and compile to no
+gates.  Parameters are named "<box>__<arity>__<idx>"
 so boxes of the same word and width share weights.
 """
 
@@ -167,17 +168,7 @@ def compile(td: TextDiagram, cfg: AnsatzConfig,
             for sub in el.elements:
                 visit(sub)
             return
-        if isinstance(el, Identity) or el is None:
-            return
-        if isinstance(el, Perm):
-            # adjacent transpositions exchange the two wires' registers
-            for i, j in zip(el.mapping, range(len(el.mapping))):
-                if i > j:
-                    a, b = el.wires[j], el.wires[i]
-                    for qa, qb in zip(qubits_of[a], qubits_of[b]):
-                        circuit.gates.append(Gate("SWAP", (qa, qb)))
-                    # track where each wire's state now lives
-                    qubits_of[a], qubits_of[b] = qubits_of[b], qubits_of[a]
+        if isinstance(el, (Identity, Perm)) or el is None:
             return
         if isinstance(el, Spider):
             if el.dagger:  # copy: CX onto fresh zeroed registers

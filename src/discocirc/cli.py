@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -204,8 +203,7 @@ def circuit(input_path, lexicon_path, rewrites, min_noun_frequency,
 
         if batch:
             paths = sorted(Path(batch).glob("*.json"))
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                artifacts = list(pool.map(one, paths))
+            artifacts = [one(path) for path in paths]
             for path, text in zip(paths, artifacts):
                 target = Path(out or batch) / (path.stem + ".circuit.json")
                 target.write_text(text + "\n", encoding="utf-8")
@@ -224,7 +222,8 @@ def circuit(input_path, lexicon_path, rewrites, min_noun_frequency,
 @click.option("--batch-size", type=int, default=10)
 @click.option("--learning-rate", type=float, default=0.01)
 @click.option("--gradient", type=click.Choice(
-    ["parameter_shift", "finite_diff"]), default="parameter_shift")
+    ["parameter_shift", "adjoint", "finite_diff"]),
+    default="parameter_shift")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), default=None,
               help="History CSV path (default stdout).")

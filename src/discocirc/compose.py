@@ -1,11 +1,14 @@
 """Stitch sentence diagrams into one document-level text diagram.
 
 Sentences compose along wires carrying the same coreference chain.  Each
-sentence contributes: a permutation routing the shared chains next to the
-new ones, spider copies for chains mentioned twice within the sentence,
-the sentence body, then the daggered spiders and permutation restoring
-the global wire order.  Wire ids are chain ids; within-sentence duplicate
-mentions use (chain_id, k) copy ids.
+sentence contributes: one permutation moving its chains after the
+untouched ones (only when that changes the order), spider copies for
+chains mentioned twice within the sentence, the sentence body, then the
+daggered spiders and the inverse permutation restoring the global wire
+order.  Every element addresses wires by id, so a permutation is a
+relabelling of the wire order and the body needs no identity padding.
+Wire ids are chain ids; within-sentence duplicate mentions use
+(chain_id, k) copy ids.
 """
 
 from __future__ import annotations
@@ -46,38 +49,6 @@ class TextDiagram:
         return len(self.states)
 
 
-@dataclass
-class PermSpec:
-    """A wire permutation plus within-sentence duplication spiders."""
-
-    mapping: dict[int, int]  # source position -> target position
-    spiders: list[tuple[int, int]] = field(default_factory=list)
-    wires: tuple = ()
-
-
-def permutation_to_layers(p: PermSpec) -> list:
-    """Decompose a permutation into adjacent transpositions (bubble sort),
-    followed by the requested spider copies."""
-    order = list(p.wires) if p.wires else list(range(len(p.mapping)))
-    target = [p.mapping[i] for i in range(len(order))]
-    layers = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(target) - 1):
-            if target[i] > target[i + 1]:
-                target[i], target[i + 1] = target[i + 1], target[i]
-                mapping = list(range(len(order)))
-                mapping[i], mapping[i + 1] = i + 1, i
-                layers.append(Perm(tuple(order), tuple(mapping)))
-                order[i], order[i + 1] = order[i + 1], order[i]
-                changed = True
-    for chain_id, multiplicity in p.spiders:
-        copies = tuple((chain_id, k) for k in range(1, multiplicity))
-        layers.append(Spider((chain_id,) + copies, chain_id, dagger=True))
-    return layers
-
-
 def apply_layer(order: list, layer) -> list:
     """Wire order after a layer (permutations reorder, spiders change
     multiplicity, everything else is width-preserving)."""
@@ -90,7 +61,6 @@ def apply_layer(order: list, layer) -> list:
         if layer.dagger:
             pos = order.index(layer.out_wire)
             return order[:pos] + list(layer.in_wires) + order[pos + 1:]
-        pos = order.index(layer.in_wires[0])
         out = [w for w in order if w not in layer.in_wires[1:]]
         out[out.index(layer.in_wires[0])] = layer.out_wire
         return out
@@ -98,7 +68,6 @@ def apply_layer(order: list, layer) -> list:
 
 
 def wire_order(td: TextDiagram) -> list:
-    order = [s.chain_id for s in td.states]
     # states are appended over time; replay introductions with the layers
     order = []
     introduced = 0
@@ -153,12 +122,12 @@ def compose_document(sentences: list[SentenceDiagram | None],
         shared = [cid for cid in local_unique if cid in known]
 
         for noun, cid in local:
-            if cid in new and all(s.chain_id != cid for s in states):
+            if cid not in known:  # a new chain's state is its first mention
+                known.add(cid)
                 states.append(
                     NounState(noun.word, noun.sentence_index,
                               noun.token_index, cid))
         order += new
-        known.update(new)
 
         # wire ids for the body: first mention of a chain keeps the chain
         # id, further mentions get copy ids
@@ -170,43 +139,23 @@ def compose_document(sentences: list[SentenceDiagram | None],
             token_to_wire[noun.token_index] = cid if k == 0 else (cid, k)
         body = map_wires(sd.body, lambda t: token_to_wire[t])
 
-        spiders = [(cid, counts[cid]) for cid in local_unique
-                   if counts[cid] > 1]
-        if shared or spiders:
-            # route: untouched chains first, then this sentence's chains
-            # in local order
-            target_order = ([c for c in order if c not in local_unique]
-                            + local_unique)
-            mapping = {i: target_order.index(c) for i, c in enumerate(order)}
-            spec = PermSpec(mapping, spiders, tuple(order))
-            pi_layers = permutation_to_layers(spec)
-            fwd = [l for l in pi_layers if isinstance(l, Perm)]
-            copy_layers = [l for l in pi_layers if isinstance(l, Spider)]
-        else:
-            fwd, copy_layers = [], []
-
-        cur = list(order)
-        for layer in fwd + copy_layers:
-            layers.append(layer)
-            cur = apply_layer(cur, layer)
-
-        body_wires = element_wires(body)
-        rest = tuple(w for w in cur if w not in body_wires)
-        layers.append(Par((body, Identity(rest))) if rest else body)
-
-        for cid, m in reversed(spiders):
-            merge = Spider(
-                (cid,) + tuple((cid, k) for k in range(1, m)), cid,
-                dagger=False)
-            layers.append(merge)
-            cur = apply_layer(cur, merge)
-        for layer in reversed(fwd):
-            inverse = Perm(tuple(cur), layer.mapping)
-            layers.append(inverse)
-            cur = apply_layer(cur, inverse)
-        if cur != order:
-            raise ChainMismatch(
-                f"wire order {cur} not restored to {order}")
+        # route: untouched chains first, then this sentence's chains in
+        # local order; new chains already sit at the end in that order
+        target = ([c for c in order if c not in local_unique]
+                  + local_unique) if shared else order
+        routed = target != order
+        if routed:
+            at = {c: i for i, c in enumerate(order)}
+            layers.append(Perm(tuple(order), tuple(at[c] for c in target)))
+        copies = [Spider((cid,) + tuple((cid, k) for k in range(1, n)), cid,
+                         dagger=True)
+                  for cid, n in counts.items() if n > 1]
+        layers += copies
+        layers.append(body)
+        layers += [Spider(c.in_wires, c.out_wire) for c in reversed(copies)]
+        if routed:
+            at = {c: i for i, c in enumerate(target)}
+            layers.append(Perm(tuple(target), tuple(at[c] for c in order)))
 
     td = TextDiagram(states, layers,
                      {cid: i for i, cid in enumerate(order)})

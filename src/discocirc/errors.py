@@ -49,7 +49,3 @@ class ZeroNorm(DiscocircError):
 
 class UnboundSymbol(DiscocircError):
     """A circuit symbol has no value bound at simulation time."""
-
-
-class UntracedWire(DiscocircError):
-    """A frame wire could not be traced back to a source noun."""

@@ -10,8 +10,8 @@ sentence wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import InvalidDiagram
 

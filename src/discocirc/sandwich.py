@@ -1,23 +1,19 @@
 """Frame elimination: every frame becomes pairs of parameterised boxes.
 
 A frame over wires W with components c1..cm expands, per component, into a
-bottom box on W, swaps routing the component's wires together, the
-(recursively expanded) component beside identities, the inverse swaps, and
-a top box on W.  In shared mode every layer of one frame reuses a single
-top/bottom pair; foliated mode gives each layer its own pair.
+bottom box on W, the (recursively expanded) component, and a top box on W.
+Boxes address their wires by id, so no component needs routing or padding.
+In shared mode every layer of one frame reuses a single top/bottom pair;
+foliated mode gives each layer its own pair.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import UnexpandedFrame, UntracedWire
-from .frames import Box, Frame, Identity, Par, Perm, Seq, Spider
-from .compose import PermSpec, TextDiagram, apply_layer, permutation_to_layers
-from .trees import PregroupTreeNode, compound_type
-
-log = logging.getLogger(__name__)
+from .compose import TextDiagram
+from .errors import UnexpandedFrame
+from .frames import Box, Frame, Identity, Par, Seq
 
 
 @dataclass(frozen=True)
@@ -29,87 +25,8 @@ class SandwichConfig:
             raise ValueError(f"unknown sandwich mode {self.mode!r}")
 
 
-@dataclass
-class FrameIO:
-    """A frame's wire interface: inputs == outputs (frames preserve their
-    noun wires), plus the wires each component occupies."""
-
-    inputs: list[int]
-    outputs: list[int]
-    component_wires: list[list[int]]
-    untraced: list[int] = field(default_factory=list)
-
-
-def _subtree_nouns(node: PregroupTreeNode, noun_tokens) -> list[int]:
-    return sorted(n.token_index for n in node.walk()
-                  if n.is_leaf() and n.token_index in noun_tokens)
-
-
-def frame_io_wires(frame_node: PregroupTreeNode, tree: PregroupTreeNode,
-                   diagram, noun_tokens=None) -> FrameIO:
-    """Recover a frame's wiring from the pregroup tree.
-
-    The frame's full type is rebuilt with compound_type; each argument
-    factor traces through the tree (equivalently, through the diagram's
-    cups) to the nouns of the corresponding child subtree.  A child left
-    without nouns — its path ended at a removed loop cup — falls back to
-    the nearest noun of the whole frame and is flagged.
-    """
-    if noun_tokens is None:
-        noun_tokens = frozenset(
-            ti for ti, (w, ty) in enumerate(diagram.tokens)
-            if len(ty) == 1 and ty.factors[0].base == "n"
-            and ty.factors[0].z == 0)
-    compound_type(frame_node)  # validates the node's type is recoverable
-    inputs = _subtree_nouns(frame_node, noun_tokens)
-    untraced = []
-    if not inputs:
-        # every noun path out of this frame ended at a removed cup
-        pool = _subtree_nouns(tree, noun_tokens)
-        if not pool:
-            raise UntracedWire(
-                f"no noun reachable from {frame_node.word!r}")
-        inputs = [min(pool,
-                      key=lambda t: abs(t - frame_node.token_index))]
-        log.warning("frame %r has no nouns of its own; falling back to "
-                    "noun %d", frame_node.word, inputs[0])
-        untraced.append(frame_node.token_index)
-    component_wires = []
-    for child in frame_node.children:
-        if child.is_leaf() and child.token_index in noun_tokens:
-            continue  # a plain noun argument, not a component
-        wires = _subtree_nouns(child, noun_tokens)
-        if not wires:
-            nearest = min(inputs,
-                          key=lambda t: abs(t - child.token_index))
-            log.warning(
-                "wires of %r under %r lost to a removed cup; "
-                "falling back to noun %d", child.word, frame_node.word,
-                nearest)
-            wires = [nearest]
-            untraced.append(child.token_index)
-        component_wires.append(wires)
-    return FrameIO(inputs, list(inputs), component_wires, untraced)
-
-
-def _route_component(order: list, comp_wires: tuple) -> list:
-    """Perm layers bringing ``comp_wires`` adjacent, in component order,
-    at the position of their leftmost member."""
-    present = [w for w in order if w in comp_wires]
-    if present == list(comp_wires):
-        start = order.index(present[0])
-        if order[start:start + len(present)] == present:
-            return []
-    anchor = min(order.index(w) for w in comp_wires)
-    target = (order[:anchor]
-              + list(comp_wires)
-              + [w for w in order[anchor:] if w not in comp_wires])
-    mapping = {i: target.index(w) for i, w in enumerate(order)}
-    return permutation_to_layers(PermSpec(mapping, [], tuple(order)))
-
-
-def _expand_element(el, order: list, cfg: SandwichConfig) -> list:
-    """Full-width layers replacing one element of a body layer."""
+def _expand_element(el, cfg: SandwichConfig) -> list:
+    """Layers replacing one element of a body layer."""
     if isinstance(el, Frame):
         layers = []
         for i, comp in enumerate(el.components, start=1):
@@ -117,39 +34,18 @@ def _expand_element(el, order: list, cfg: SandwichConfig) -> list:
                 bot_name, top_name = f"{el.name}_bot", f"{el.name}_top"
             else:
                 bot_name, top_name = f"{el.name}_bot_{i}", f"{el.name}_top_{i}"
-            layers.append(_full(Box(bot_name, el.wires), order))
-            comp_wires = _wires_of(comp)
-            sigma = _route_component(order, comp_wires) if comp_wires else []
-            cur = list(order)
-            for p in sigma:
-                layers.append(p)
-                cur = apply_layer(cur, p)
-            layers += _expand_element(comp, cur, cfg)
-            for p in reversed(sigma):
-                inverse = Perm(tuple(cur), p.mapping)
-                layers.append(inverse)
-                cur = apply_layer(cur, inverse)
-            assert cur == order
-            layers.append(_full(Box(top_name, el.wires), order))
+            layers.append(Box(bot_name, el.wires))
+            layers += _expand_element(comp, cfg)
+            layers.append(Box(top_name, el.wires))
         return layers
     if isinstance(el, (Seq, Par)):
         layers = []
         for sub in el.elements:
-            layers += _expand_element(sub, order, cfg)
+            layers += _expand_element(sub, cfg)
         return layers
     if isinstance(el, Identity):
         return []
-    return [_full(el, order)]
-
-
-def _wires_of(el) -> tuple:
-    from .frames import element_wires
-    return element_wires(el)
-
-
-def _full(el, order: list):
-    rest = tuple(w for w in order if w not in _wires_of(el))
-    return Par((el, Identity(rest))) if rest else el
+    return [el]
 
 
 def _has_frame(el) -> bool:
@@ -167,20 +63,11 @@ def expand_frames(td: TextDiagram, cfg: SandwichConfig) -> TextDiagram:
     Frame elements.
     """
     new_layers = []
-    order: list = []
-    introduced = 0
     for layer in td.layers:
-        needed = set()
-        for w in _wires_of(layer):
-            needed.add(w[0] if isinstance(w, tuple) else w)
-        while introduced < len(td.states) and not needed <= set(order):
-            order.append(td.states[introduced].chain_id)
-            introduced += 1
         if _has_frame(layer):
-            new_layers += _expand_element(layer, order, cfg)
+            new_layers += _expand_element(layer, cfg)
         else:
             new_layers.append(layer)
-        order = apply_layer(order, layer)
     result = TextDiagram(td.states, new_layers, dict(td.chain_order))
     for layer in result.layers:
         if _has_frame(layer):

@@ -13,18 +13,16 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
-from .ansatz import Circuit, Gate, circuit_from_json
+from .ansatz import QUBIT_CAP, Circuit, Gate, circuit_from_json
 from .errors import CapExceeded, UnboundSymbol, ZeroNorm
 
 log = logging.getLogger(__name__)
-
-QUBIT_CAP = 14
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -287,7 +285,6 @@ class TrainConfig:
     loss: str = "bce"
     gradient: str = "parameter_shift"
     seed: int = 0
-    workers: int = 4
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -362,40 +359,36 @@ def train(dataset: list[tuple[Circuit, int]],
     step = 0
     history = History()
 
-    pool = ThreadPoolExecutor(max_workers=cfg.workers)
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            batch_order = rng.permutation(len(train_set))
-            losses, corrects = [], 0
-            for start in range(0, len(train_set), cfg.batch_size):
-                batch = [train_set[i]
-                         for i in batch_order[start:start + cfg.batch_size]]
-                results = list(pool.map(
-                    lambda s: _evaluate(s, params, cfg.gradient), batch))
-                grad_sum = {s: 0.0 for s in params}
-                for loss, correct, grads in results:
-                    losses.append(loss)
-                    corrects += correct
-                    for sym, g in grads.items():
-                        grad_sum[sym] += g
-                step += 1
-                for sym in params:
-                    g = grad_sum[sym] / len(batch)
-                    m[sym] = beta1 * m[sym] + (1 - beta1) * g
-                    v[sym] = beta2 * v[sym] + (1 - beta2) * g * g
-                    m_hat = m[sym] / (1 - beta1 ** step)
-                    v_hat = v[sym] / (1 - beta2 ** step)
-                    params[sym] -= (cfg.learning_rate * m_hat
-                                    / (np.sqrt(v_hat) + eps))
-            train_loss = float(np.mean(losses)) if losses else 0.0
-            train_acc = corrects / max(len(train_set), 1)
-            test_acc = evaluate_accuracy(test_set, params) if test_set \
-                else float("nan")
-            history.rows.append((epoch, train_loss, train_acc, test_acc))
-            log.info("epoch %d: loss %.4f train_acc %.3f test_acc %.3f",
-                     epoch, train_loss, train_acc, test_acc)
-    finally:
-        pool.shutdown()
+    for epoch in range(1, cfg.epochs + 1):
+        batch_order = rng.permutation(len(train_set))
+        losses, corrects = [], 0
+        for start in range(0, len(train_set), cfg.batch_size):
+            batch = [train_set[i]
+                     for i in batch_order[start:start + cfg.batch_size]]
+            grad_sum = {s: 0.0 for s in params}
+            for sample in batch:
+                loss, correct, grads = _evaluate(sample, params,
+                                                 cfg.gradient)
+                losses.append(loss)
+                corrects += correct
+                for sym, g in grads.items():
+                    grad_sum[sym] += g
+            step += 1
+            for sym in params:
+                g = grad_sum[sym] / len(batch)
+                m[sym] = beta1 * m[sym] + (1 - beta1) * g
+                v[sym] = beta2 * v[sym] + (1 - beta2) * g * g
+                m_hat = m[sym] / (1 - beta1 ** step)
+                v_hat = v[sym] / (1 - beta2 ** step)
+                params[sym] -= (cfg.learning_rate * m_hat
+                                / (np.sqrt(v_hat) + eps))
+        train_loss = float(np.mean(losses)) if losses else 0.0
+        train_acc = corrects / max(len(train_set), 1)
+        test_acc = evaluate_accuracy(test_set, params) if test_set \
+            else float("nan")
+        history.rows.append((epoch, train_loss, train_acc, test_acc))
+        log.info("epoch %d: loss %.4f train_acc %.3f test_acc %.3f",
+                 epoch, train_loss, train_acc, test_acc)
     return params, history
 
 
@@ -413,8 +406,6 @@ def load_dataset(path) -> list[tuple[Circuit, int]]:
     """JSON-lines dataset: {"text_id", "label", "circuit" or
     "circuit_path"} per line."""
     out = []
-    base = None
-    from pathlib import Path
     base = Path(path).parent
     with open(path, encoding="utf-8") as f:
         for line in f:

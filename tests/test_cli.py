@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -143,8 +144,8 @@ def test_cap_exit_code(runner):
     assert result.exit_code == 4
 
 
-def test_train_command(runner, tmp_path):
-    # build a tiny dataset through the circuit stage first
+def write_dataset(runner, tmp_path):
+    """A tiny JSON-lines dataset built through the circuit stage."""
     circuit_json = runner.invoke(main, [
         "circuit", "--input", f"{FIXTURES}/reading.json",
         "--ansatz", "sim4"]).output
@@ -153,6 +154,11 @@ def test_train_command(runner, tmp_path):
         for i in range(5):
             f.write(json.dumps({"text_id": f"t{i}", "label": i % 2,
                                 "circuit": json.loads(circuit_json)}) + "\n")
+    return dataset
+
+
+def test_train_command(runner, tmp_path):
+    dataset = write_dataset(runner, tmp_path)
     out = tmp_path / "history.csv"
     result = runner.invoke(main, ["train", "--input", str(dataset),
                                   "--epochs", "2", "--batch-size", "2",
@@ -161,3 +167,20 @@ def test_train_command(runner, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,train_acc,test_acc"
     assert len(lines) == 3
+
+
+def test_train_command_adjoint_matches_parameter_shift(runner, tmp_path):
+    dataset = write_dataset(runner, tmp_path)
+    histories = {}
+    for method in ("adjoint", "parameter_shift"):
+        out = tmp_path / f"{method}.csv"
+        result = runner.invoke(main, ["train", "--input", str(dataset),
+                                      "--epochs", "2", "--batch-size", "2",
+                                      "--gradient", method,
+                                      "--out", str(out)])
+        assert result.exit_code == 0
+        histories[method] = [[float(x) for x in line.split(",")]
+                             for line in out.read_text().split()[1:]]
+    # both gradients are exact, so the training runs agree
+    assert np.allclose(histories["adjoint"], histories["parameter_shift"],
+                       atol=1e-6)

@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from discocirc.compose import (PermSpec, TextDiagram, apply_layer,
-                               compose_document, permutation_to_layers,
+from discocirc.compose import (apply_layer, compose_document,
                                text_diagram_to_dot, text_diagram_to_json,
                                wire_box_sequences, wire_order)
 from discocirc.errors import ChainMismatch
-from discocirc.frames import (Box, NounState, Par, Perm, SentenceDiagram,
-                              Spider, sentence_diagram)
-from discocirc.ingest import CorefMap, Lexicon, load_document
+from discocirc.frames import (Box, Identity, NounState, Par, Perm,
+                              SentenceDiagram, Spider, element_wires,
+                              sentence_diagram)
+from discocirc.ingest import CorefMap, Lexicon, load_document, parse_text
+from discocirc.pipeline import PipelineConfig, diagrams, treeize
 from discocirc.trees import build_trees
 
 FIXTURES = "tests/fixtures"
@@ -96,24 +97,36 @@ def test_empty_document():
     assert td.states == [] and td.layers == []
 
 
-def test_permutation_decomposes_into_adjacent_transpositions():
+def test_routing_is_one_perm_pair_per_sentence(lex):
     rng = random.Random(3)
-    for _ in range(50):
-        n = rng.randint(2, 7)
-        wires = list(range(100, 100 + n))
-        target = list(range(n))
-        rng.shuffle(target)
-        spec = PermSpec({i: target[i] for i in range(n)}, [], tuple(wires))
-        layers = permutation_to_layers(spec)
-        order = wires
-        for layer in layers:
-            assert isinstance(layer, Perm)
-            moved = [i for i, m in enumerate(layer.mapping) if m != i]
-            assert moved == [] or (len(moved) == 2
-                                   and moved[1] == moved[0] + 1)
-            order = apply_layer(order, layer)
-        # wire at source position i ends at target position target[i]
-        assert [order[target[i]] for i in range(n)] == wires
+    verbs = ["reads", "loves", "likes", "bought", "found"]
+    objects = ["books", "map", "music", "bread", "code", "story"]
+    cfg = PipelineConfig(lexicon=lex)
+    for _ in range(20):
+        n = rng.randint(2, 9)
+        sentences = [["Alice", "reads", "the", "books"]] + [
+            ["She", rng.choice(verbs), "the", rng.choice(objects)]
+            for _ in range(n - 1)]
+        doc = parse_text(sentences, lex)
+        td = diagrams(doc, treeize(doc, cfg), cfg)
+        assert not any(isinstance(el, Identity) for layer in td.layers
+                       if isinstance(layer, Par) for el in layer.elements)
+        at = [i for i, layer in enumerate(td.layers)
+              if isinstance(layer, Perm)]
+        assert at and len(at) % 2 == 0 and len(at) <= 2 * n
+        for i, j in zip(at[0::2], at[1::2]):
+            fwd, inv = td.layers[i], td.layers[j]
+            routed = apply_layer(list(fwd.wires), fwd)
+            assert list(inv.wires) == routed
+            assert apply_layer(routed, inv) == list(fwd.wires)
+            # one sentence body between the pair, on the routed tail
+            bodies = [layer for layer in td.layers[i + 1:j]
+                      if not isinstance(layer, Spider)]
+            assert len(bodies) == 1
+            chains = {w[0] if isinstance(w, tuple) else w
+                      for w in element_wires(bodies[0])}
+            assert set(routed[-len(chains):]) == chains
+        assert wire_order(td) == [s.chain_id for s in td.states]
 
 
 def test_apply_layer_rejects_wrong_domain():

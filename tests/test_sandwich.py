@@ -1,20 +1,11 @@
 import pytest
 
+from discocirc.ansatz import AnsatzConfig, append_merge_box, compile
 from discocirc.compose import compose_document, wire_order
 from discocirc.frames import (Box, Frame, NounState, Perm,
                               SentenceDiagram, iter_boxes)
-from discocirc.ingest import CorefMap, Lexicon, load_document
-from discocirc.sandwich import (FrameIO, SandwichConfig, count_frames,
-                                expand_frames, frame_io_wires)
-from discocirc.trees import build_trees
-from discocirc.frames import sentence_diagram
-
-FIXTURES = "tests/fixtures"
-
-
-@pytest.fixture(scope="module")
-def lex():
-    return Lexicon.builtin()
+from discocirc.ingest import CorefMap
+from discocirc.sandwich import SandwichConfig, count_frames, expand_frames
 
 
 def two_component_frame():
@@ -87,37 +78,19 @@ def test_nested_frames_expand_inside_out():
                      "inner_top", "outer_top"]
 
 
-def test_swaps_cancel_around_components(lex):
-    # a component on non-adjacent wires forces swap layers that undo
+def test_gapped_component_needs_no_routing():
+    # a component on non-adjacent wires keeps its wires, with no routing
     body = Frame("f", (0, 1, 2), (Box("g", (0, 2)),))
     sd = SentenceDiagram(
         [NounState(w, 0, i) for i, w in enumerate("abc")], body)
     td = compose_document([sd], CorefMap([[(0, 0)], [(0, 1)], [(0, 2)]]))
     out = expand_frames(td, SandwichConfig("shared"))
-    perms = [l for l in out.layers if isinstance(l, Perm)]
-    assert perms  # routing happened
+    assert not any(isinstance(l, Perm) for l in out.layers)
+    assert [b.wires for l in out.layers for b in iter_boxes(l)
+            if b.name == "g"] == [(0, 2)]
     assert wire_order(out) == [0, 1, 2]
-
-
-def test_frame_io_on_modified_noun(lex):
-    doc = load_document(f"{FIXTURES}/bike_rewrites.json")
-    d = doc.sentences[0]  # Alice bought a blue bike
-    [root] = build_trees(d).forest
-    io = frame_io_wires(root, root, d)
-    assert io.inputs == [0, 4] and io.outputs == [0, 4]
-    assert io.component_wires == [[4]]
-    assert io.untraced == []
-
-
-def test_frame_io_flags_lost_wires(lex):
-    doc = load_document(f"{FIXTURES}/hard_reading.json")
-    d = doc.sentences[0]
-    [root] = build_trees(d).forest
-    # "hard" lost its noun path when the loop cup was removed
-    hard = next(n for n in root.walk() if n.word == "hard")
-    io = frame_io_wires(hard, root, d)
-    assert io.untraced  # fell back to the nearest noun
-    assert io.inputs == io.outputs
+    c = compile(append_merge_box(out), AnsatzConfig())
+    assert "SWAP" not in {g.name for g in c.gates}
 
 
 def test_bad_mode_rejected():
