@@ -12,7 +12,7 @@ import click
 from .ansatz import AnsatzConfig, circuit_to_json, dump_circuit
 from .compose import text_diagram_to_dot, text_diagram_to_json
 from .errors import (CapExceeded, DiscocircError, FormatError, NoParse,
-                     ZeroNorm)
+                     UnboundSymbol, ZeroNorm)
 from .ingest import Lexicon, document_to_json, lexicon_parse
 from .pipeline import PipelineConfig, resolve_rewrites, run
 from .sandwich import SandwichConfig
@@ -34,7 +34,7 @@ def _exit_code(exc: Exception) -> int:
         return EXIT_NO_PARSE
     if isinstance(exc, CapExceeded):
         return EXIT_CAP
-    if isinstance(exc, ZeroNorm):
+    if isinstance(exc, (ZeroNorm, UnboundSymbol)):
         return EXIT_TRAIN
     return 1
 

@@ -264,34 +264,23 @@ def resolve_pronouns(doc: Document, lex: Lexicon) -> CorefMap:
     are logged and left as fresh singletons.
     """
     chains: list[list[Mention]] = []
-    chain_of_noun: dict[Mention, int] = {}
-    noun_tokens: list[Mention] = []  # in document order
+    antecedents: list[tuple[dict, int]] = []  # (features, chain) of nouns
     for si, sent in enumerate(doc.sentences):
         for ti, (word, ty) in enumerate(sent.tokens):
             mention = (si, ti)
             if word in lex.pronouns:
                 feats = lex.features.get(word, {})
-                antecedent = None
-                for cand in reversed(noun_tokens):
-                    cand_word = doc.sentences[cand[0]].words[cand[1]]
-                    if cand_word in lex.pronouns:
-                        continue
-                    if _compatible(feats, lex.features.get(cand_word, {})):
-                        antecedent = cand
+                for cand_feats, ci in reversed(antecedents):
+                    if _compatible(feats, cand_feats):
+                        chains[ci].append(mention)
                         break
-                if antecedent is None:
+                else:
                     log.warning("unresolved pronoun %r at %s", word, mention)
                     chains.append([mention])
-                    chain_of_noun[mention] = len(chains) - 1
-                else:
-                    ci = chain_of_noun[antecedent]
-                    chains[ci].append(mention)
-                    chain_of_noun[mention] = ci
-                noun_tokens.append(mention)
             elif word in lex.nouns:
                 chains.append([mention])
-                chain_of_noun[mention] = len(chains) - 1
-                noun_tokens.append(mention)
+                antecedents.append((lex.features.get(word, {}),
+                                    len(chains) - 1))
     return CorefMap(chains)
 
 

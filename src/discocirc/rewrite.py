@@ -9,13 +9,12 @@ subject and linking the copies through the coreference map.
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import FormatError
 from .grammar import PregroupDiagram, PregroupType, SimpleType
-from .ingest import CorefMap, Document, Mention
+from .ingest import CorefMap, Mention
 from .trees import PregroupTreeNode
 
 WORD_MERGERS = ("merge", "first", "last")
@@ -55,7 +54,8 @@ class RewriteReport:
 
 
 def rewrite_tree(root: PregroupTreeNode, rule: RewriteRule) -> RewriteReport:
-    """Apply one rule bottom-up; non-matching trees pass through unchanged.
+    """Apply one rule bottom-up into fresh nodes, leaving ``root`` as it
+    was; non-matching trees pass through unchanged.
 
     A node is contracted with its single child when the node matches the
     rule's type and words, the child carries the same output type, and
@@ -73,7 +73,8 @@ def rewrite_tree(root: PregroupTreeNode, rule: RewriteRule) -> RewriteReport:
             new_child, merges = visit(child)
             new_children.append(new_child)
             chain_merges = merges  # only a single child can chain upward
-        node = replace_children(node, new_children)
+        node = PregroupTreeNode(node.word, node.token_index, node.out_type,
+                                new_children)
         if (len(node.children) == 1
                 and node.out_type in rule.match_types
                 and node.children[0].out_type == node.out_type
@@ -92,14 +93,8 @@ def rewrite_tree(root: PregroupTreeNode, rule: RewriteRule) -> RewriteReport:
             return merged, chain_merges + 1
         return node, 0
 
-    tree, _ = visit(copy.deepcopy(root))
+    tree, _ = visit(root)
     return RewriteReport(tree, total)
-
-
-def replace_children(node: PregroupTreeNode,
-                     children: list[PregroupTreeNode]) -> PregroupTreeNode:
-    node.children = children
-    return node
 
 
 _N = PregroupType([SimpleType("n")])

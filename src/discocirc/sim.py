@@ -2,10 +2,16 @@
 
 Gates act on a 2^n amplitude vector; postselected qubits are projected
 out and the remainder renormalized, with the pre-normalization success
-probability reported.  Gradients come either from central finite
-differences or from exact two-term parameter shifts (every parameterised
-gate here is generated by an involution up to global phase, so the
-+-pi/2 rule is exact); normalization is handled by the quotient rule.
+probability reported.  The output qubits default to every qubit that is
+not postselected, and one outcome map says which amplitudes count toward
+which outcome, for the readout and for both exact gradients.
+
+Gradients come from three methods: central finite differences; exact
+two-term parameter shifts (every parameterised gate here is generated by
+an involution up to global phase, so the +-pi/2 rule is exact); and the
+adjoint method, one reverse sweep through the circuit.  The exact methods
+fold the renormalization's quotient rule into the weights of a single
+diagonal observable.
 """
 
 from __future__ import annotations
@@ -14,12 +20,11 @@ import csv
 import json
 import logging
 from dataclasses import dataclass, field
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from .ansatz import QUBIT_CAP, Circuit, Gate, circuit_from_json
+from .ansatz import QUBIT_CAP, Circuit, circuit_from_json
 from .errors import CapExceeded, UnboundSymbol, ZeroNorm
 
 log = logging.getLogger(__name__)
@@ -65,49 +70,62 @@ def _apply(state: np.ndarray, matrix: np.ndarray, qubits: tuple,
     return psi.reshape(-1)
 
 
-def _angle(gate: Gate, params: dict, shifts: dict | None) -> float:
-    if isinstance(gate.param, str):
-        if gate.param not in params:
-            raise UnboundSymbol(f"symbol {gate.param!r} has no value")
-        theta = params[gate.param]
-    else:
-        theta = float(gate.param)
-    if shifts:
-        theta += shifts.get(id(gate), 0.0)
-    return theta
-
-
-def _unnormalized(c: Circuit, params: dict,
-                  shifts: dict | None = None) -> tuple[np.ndarray, float]:
-    """Unnormalized Born distribution over output qubits plus success
-    probability (norm^2 surviving postselection)."""
+def _thetas(c: Circuit, params: dict) -> list:
+    """One angle per gate (None for the fixed ones)."""
     if c.n_qubits > QUBIT_CAP:
         raise CapExceeded(
             f"{c.n_qubits} qubits exceed the simulator cap of {QUBIT_CAP}")
-    state = np.zeros(2 ** max(c.n_qubits, 1), dtype=complex)
-    state[0] = 1.0
+    thetas = []
     for gate in c.gates:
-        theta = (_angle(gate, params, shifts)
-                 if gate.param is not None else None)
-        state = _apply(state, gate_matrix(gate.name, theta), gate.qubits,
-                       max(c.n_qubits, 1))
+        if isinstance(gate.param, str):
+            if gate.param not in params:
+                raise UnboundSymbol(f"symbol {gate.param!r} has no value")
+            thetas.append(params[gate.param])
+        else:
+            thetas.append(None if gate.param is None else float(gate.param))
+    return thetas
+
+
+def _run(c: Circuit, thetas: list) -> np.ndarray:
+    """The final statevector from |0...0>."""
     n = max(c.n_qubits, 1)
-    psi = state.reshape([2] * n)
-    # project postselected qubits via an index selector
-    index = [slice(None)] * n
+    state = np.zeros(2 ** n, dtype=complex)
+    state[0] = 1.0
+    for gate, theta in zip(c.gates, thetas):
+        state = _apply(state, gate_matrix(gate.name, theta), gate.qubits, n)
+    return state
+
+
+def _outcomes(c: Circuit) -> tuple[np.ndarray, np.ndarray, int]:
+    """Which amplitudes count toward which outcome.
+
+    Returns the basis states that survive postselection, the outcome of
+    each (output qubits read most significant first; with no outputs
+    given, every qubit that is not postselected) and the outcome count.
+    """
+    n = max(c.n_qubits, 1)
+    basis = np.arange(2 ** n)
+    keep = np.ones(2 ** n, dtype=bool)
     for qubit, bit in c.postselect:
-        index[qubit] = bit
-    psi = psi[tuple(index)]
-    success = float(np.sum(np.abs(psi) ** 2))
-    # remaining axes correspond to non-postselected qubits ascending
-    kept = [qb for qb in range(n) if all(qb != p for p, _ in c.postselect)]
-    outputs = c.outputs if c.outputs else kept
-    axis_of = {qb: i for i, qb in enumerate(kept)}
-    out_axes = [axis_of[qb] for qb in outputs]
-    other = [i for i in range(len(kept)) if i not in out_axes]
-    psi = np.transpose(psi, out_axes + other)
-    probs = np.abs(psi.reshape(2 ** len(outputs), -1)) ** 2
-    return probs.sum(axis=1), success
+        keep &= (basis >> (n - 1 - qubit)) & 1 == bit
+    post = {qubit for qubit, _ in c.postselect}
+    outputs = c.outputs or [qb for qb in range(n) if qb not in post]
+    outcome = np.zeros(2 ** n, dtype=np.intp)
+    for qubit in outputs:
+        outcome = 2 * outcome + ((basis >> (n - 1 - qubit)) & 1)
+    kept = np.flatnonzero(keep)
+    return kept, outcome[kept], 2 ** len(outputs)
+
+
+def _readout(state: np.ndarray, outcomes: tuple) -> tuple[np.ndarray, float]:
+    """Unnormalized outcome distribution and success probability (norm^2
+    surviving postselection); raises ZeroNorm when that is ~0."""
+    kept, outcome, size = outcomes
+    probs = np.abs(state[kept]) ** 2
+    success = float(np.sum(probs))
+    if success < 1e-30:
+        raise ZeroNorm(f"postselection probability {success} below 1e-30")
+    return np.bincount(outcome, weights=probs, minlength=size), success
 
 
 def simulate(c: Circuit, params: dict) -> tuple[np.ndarray, float]:
@@ -116,140 +134,41 @@ def simulate(c: Circuit, params: dict) -> tuple[np.ndarray, float]:
     Raises ZeroNorm when the postselected branch carries (numerically)
     no amplitude.
     """
-    raw, success = _unnormalized(c, params)
-    if success < 1e-30:
-        raise ZeroNorm(f"postselection probability {success} below 1e-30")
+    raw, success = _readout(_run(c, _thetas(c, params)), _outcomes(c))
     return raw / success, success
-
-
-def circuit_unitary(c: Circuit, params: dict) -> np.ndarray:
-    """The circuit's full 2^n matrix (ignoring postselection); the dense
-    oracle for unitarity checks."""
-    n = max(c.n_qubits, 1)
-    U = np.eye(2 ** n, dtype=complex)
-    for gate in c.gates:
-        theta = _angle(gate, params, None) if gate.param is not None else None
-        m = gate_matrix(gate.name, theta)
-        full = _embed(m, gate.qubits, n)
-        U = full @ U
-    return U
-
-
-def _embed(matrix: np.ndarray, qubits: tuple, n: int) -> np.ndarray:
-    """Promote a k-qubit gate to the full 2^n space."""
-    k = len(qubits)
-    dims = [2] * (2 * n)
-    ident = reduce(np.kron, [np.eye(2, dtype=complex)] * (n - k),
-                   np.eye(1, dtype=complex))
-    big = np.kron(matrix, ident).reshape(dims)
-    order = list(qubits) + [qb for qb in range(n) if qb not in qubits]
-    inverse = np.argsort(order)
-    big = np.transpose(big, list(inverse) + [n + i for i in inverse])
-    return big.reshape(2 ** n, 2 ** n)
 
 
 # --- gradients --------------------------------------------------------------
 
 FD_STEP = 1e-6
 
-
-def _gate_derivative(name: str, theta: float) -> np.ndarray:
-    """d/dtheta of a parameterised gate's matrix."""
-    if name == "Rx":
-        return -0.5j * _X @ gate_matrix("Rx", theta)
-    if name == "Ry":
-        y = np.array([[0, -1j], [1j, 0]])
-        return -0.5j * y @ gate_matrix("Ry", theta)
-    if name == "Rz":
-        z = np.diag([1.0, -1.0]).astype(complex)
-        return -0.5j * z @ gate_matrix("Rz", theta)
-    if name == "CRz":
-        return np.diag([0, 0, 0, 1j * np.exp(1j * theta)]).astype(complex)
-    if name == "CRx":
-        ih = np.kron(np.eye(2), _H)
-        return ih @ _gate_derivative("CRz", theta) @ ih
-    raise ValueError(f"gate {name!r} is not parameterised")
-
-
-def _adjoint_dist_grads(c: Circuit, params: dict) -> dict[str, np.ndarray]:
-    """d(unnormalized dist)/d sym for every symbol in one reverse sweep.
-
-    The unnormalized probability of each outcome is the expectation of a
-    diagonal projector, so each outcome gets one backward pass and every
-    parameterised gate contributes 2*Re<lam|dG|psi>.
-    """
-    n = max(c.n_qubits, 1)
-    states = [None] * (len(c.gates) + 1)
-    state = np.zeros(2 ** n, dtype=complex)
-    state[0] = 1.0
-    states[0] = state
-    thetas = []
-    for i, gate in enumerate(c.gates):
-        theta = (_angle(gate, params, None)
-                 if gate.param is not None else None)
-        thetas.append(theta)
-        state = _apply(state, gate_matrix(gate.name, theta), gate.qubits, n)
-        states[i + 1] = state
-
-    # diagonal projector masks, one per output outcome
-    post_bits = dict(c.postselect)
-    outcomes = 2 ** len(c.outputs)
-    idx = np.arange(2 ** n)
-    bit = {qb: (idx >> (n - 1 - qb)) & 1 for qb in range(n)}
-    post_mask = np.ones(2 ** n, dtype=bool)
-    for qb, b in post_bits.items():
-        post_mask &= bit[qb] == b
-    grads = {g.param: np.zeros(outcomes)
-             for g in c.gates if isinstance(g.param, str)}
-    for o in range(outcomes):
-        mask = post_mask.copy()
-        for k, qb in enumerate(c.outputs):
-            mask &= bit[qb] == (o >> (len(c.outputs) - 1 - k)) & 1
-        lam = states[-1] * mask
-        for i in range(len(c.gates) - 1, -1, -1):
-            gate = c.gates[i]
-            m = gate_matrix(gate.name, thetas[i])
-            if isinstance(gate.param, str):
-                d = _gate_derivative(gate.name, thetas[i])
-                dpsi = _apply(states[i], d, gate.qubits, n)
-                grads[gate.param][o] += 2 * float(
-                    np.real(np.vdot(lam, dpsi)))
-            lam = _apply(lam, m.conj().T, gate.qubits, n)
-    return grads
-
-
-def _dist_grad_shift(c: Circuit, params: dict, sym: str) -> tuple:
-    """d(unnormalized dist)/d sym and d(success)/d sym by two-term
-    shifts, one per gate occurrence."""
-    d_raw = None
-    d_success = 0.0
-    for gate in c.gates:
-        if gate.param != sym:
-            continue
-        plus, s_plus = _unnormalized(c, params, {id(gate): np.pi / 2})
-        minus, s_minus = _unnormalized(c, params, {id(gate): -np.pi / 2})
-        term = (plus - minus) / 2
-        d_raw = term if d_raw is None else d_raw + term
-        d_success += (s_plus - s_minus) / 2
-    if d_raw is None:
-        d_raw = np.zeros(2 ** len(c.outputs))
-    return d_raw, d_success
+# G(theta) = exp(-i theta P / 2), so dG/dtheta = -i/2 P G
+_GENERATORS = {
+    "Rx": _X,
+    "Ry": np.array([[0, -1j], [1j, 0]]),
+    "Rz": np.diag([1, -1]).astype(complex),
+    "CRz": np.diag([0, 0, 0, -2]).astype(complex),
+    "CRx": np.kron(np.diag([0, 1]), _X - np.eye(2)),
+}
 
 
 def gradient(c: Circuit, params: dict, dloss_ddist: np.ndarray,
              method: str = "parameter_shift") -> dict[str, float]:
     """Gradient of a loss with known distribution-sensitivity.
 
-    ``dloss_ddist`` is dL/d(normalized distribution); the quotient rule
-    carries derivatives through the postselection renormalization.
+    ``dloss_ddist`` is dL/d(normalized distribution) w.  With raw outcome
+    probabilities r and success s = sum(r), dL = sum_o c_o dr_o where
+    c_o = w_o/s - (w.r)/s^2: the renormalization's quotient rule folds
+    into one diagonal observable, differentiated either by shifting one
+    gate angle at a time or by one adjoint sweep.
     """
     syms = sorted({g.param for g in c.gates if isinstance(g.param, str)})
-    grad = {}
     if method == "finite_diff":
         def loss_at(p):
             dist, _ = simulate(c, p)
             return float(np.dot(dloss_ddist, dist))
 
+        grad = {}
         for sym in syms:
             up = dict(params, **{sym: params[sym] + FD_STEP})
             down = dict(params, **{sym: params[sym] - FD_STEP})
@@ -258,21 +177,39 @@ def gradient(c: Circuit, params: dict, dloss_ddist: np.ndarray,
     if method not in ("parameter_shift", "adjoint"):
         raise ValueError(f"unknown gradient method {method!r}")
 
-    raw, success = _unnormalized(c, params)
-    if success < 1e-30:
-        raise ZeroNorm(f"postselection probability {success} below 1e-30")
-    adjoint_grads = (_adjoint_dist_grads(c, params)
-                     if method == "adjoint" else None)
-    for sym in syms:
-        if adjoint_grads is not None:
-            d_raw = adjoint_grads[sym]
-            d_success = float(d_raw.sum())
-        else:
-            d_raw, d_success = _dist_grad_shift(c, params, sym)
-        d_dist = (d_raw * success - raw * d_success) / success ** 2
-        grad[sym] = float(np.dot(dloss_ddist, d_dist))
-    return grad
+    thetas = _thetas(c, params)
+    outcomes = _outcomes(c)
+    kept, outcome, _ = outcomes
+    state = _run(c, thetas)
+    raw, success = _readout(state, outcomes)
+    w = np.asarray(dloss_ddist, dtype=float)
+    observable = np.zeros(len(state))
+    observable[kept] = (w / success - np.dot(w, raw) / success ** 2)[outcome]
+    grad = dict.fromkeys(syms, 0.0)
+    if method == "parameter_shift":
+        def shifted(i, shift):
+            angles = list(thetas)
+            angles[i] += shift
+            return np.dot(observable, np.abs(_run(c, angles)) ** 2)
 
+        for i, gate in enumerate(c.gates):
+            if isinstance(gate.param, str):
+                grad[gate.param] += float(
+                    shifted(i, np.pi / 2) - shifted(i, -np.pi / 2)) / 2
+        return grad
+
+    # reverse sweep: uncompute psi and carry lam = (later gates)^dag M psi;
+    # each gate adds 2 Re<lam|dG|psi_before> = Im<lam|P|psi_after>
+    n = max(c.n_qubits, 1)
+    lam = observable * state
+    for gate, theta in zip(reversed(c.gates), reversed(thetas)):
+        if isinstance(gate.param, str):
+            moved = _apply(state, _GENERATORS[gate.name], gate.qubits, n)
+            grad[gate.param] += float(np.imag(np.vdot(lam, moved)))
+        undo = gate_matrix(gate.name, theta).conj().T
+        state = _apply(state, undo, gate.qubits, n)
+        lam = _apply(lam, undo, gate.qubits, n)
+    return grad
 
 # --- training ---------------------------------------------------------------
 

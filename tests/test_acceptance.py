@@ -24,9 +24,9 @@ from discocirc.ingest import CorefMap, Lexicon, load_document, parse_text
 from discocirc.pipeline import PipelineConfig, diagrams, treeize
 from discocirc.rewrite import builtin_rule, rewrite_tree
 from discocirc.sandwich import SandwichConfig, count_frames, expand_frames
-from discocirc.sim import TrainConfig, circuit_unitary, gradient, train
+from discocirc.sim import TrainConfig, gradient, train
 from discocirc.trees import build_trees, compound_type
-from util import classification_dataset, random_diagram
+from util import circuit_unitary, classification_dataset, random_diagram
 
 FIXTURES = "tests/fixtures"
 

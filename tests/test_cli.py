@@ -169,6 +169,19 @@ def test_train_command(runner, tmp_path):
     assert len(lines) == 3
 
 
+def test_train_unbound_symbol_exit_code(runner, tmp_path):
+    dataset = write_dataset(runner, tmp_path)
+    records = [json.loads(line) for line in dataset.read_text().splitlines()]
+    for record in records:
+        record["circuit"]["symbols"].popitem()
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records),
+                       encoding="utf-8")
+    result = runner.invoke(main, ["train", "--input", str(dataset),
+                                  "--epochs", "1"])
+    assert result.exit_code == 5
+    assert "UnboundSymbol" in result.output
+
+
 def test_train_command_adjoint_matches_parameter_shift(runner, tmp_path):
     dataset = write_dataset(runner, tmp_path)
     histories = {}

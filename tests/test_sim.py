@@ -7,9 +7,10 @@ from discocirc.compose import compose_document
 from discocirc.errors import CapExceeded, UnboundSymbol, ZeroNorm
 from discocirc.frames import Box, NounState, SentenceDiagram
 from discocirc.ingest import CorefMap
-from discocirc.sim import (TrainConfig, bce, circuit_unitary,
-                           evaluate_accuracy, gate_matrix, gradient,
-                           load_dataset, simulate, train)
+from discocirc.pipeline import PipelineConfig, run
+from discocirc.sim import (TrainConfig, bce, evaluate_accuracy, gate_matrix,
+                           gradient, load_dataset, simulate, train)
+from util import circuit_unitary
 
 rng = np.random.default_rng(42)
 
@@ -161,6 +162,30 @@ def test_shift_and_finite_diff_agree(kind):
     fd = gradient(c, c.symbols, dl, "finite_diff")
     for sym in shift:
         assert shift[sym] == pytest.approx(fd[sym], abs=1e-4)
+
+
+def test_adjoint_reads_the_same_outcomes_as_the_shift_rule():
+    # no outputs given: every qubit is kept and read, as in simulate
+    bare = Circuit(n_qubits=2,
+                   gates=[Gate("Rx", (0,), "t"), Gate("Ry", (1,), "u"),
+                          Gate("CX", (0, 1))],
+                   symbols={"t": 0.4, "u": 1.1})
+    # a reflexive pronoun: a spider copy and postselection
+    story = run({"tokens": [["Alice", "reads", "books"],
+                            ["She", "saw", "herself"]]}, PipelineConfig())
+    assert story.postselect
+    local = np.random.default_rng(12)
+    for c in (bare, story):
+        dl = local.normal(size=len(simulate(c, c.symbols)[0]))
+        shift = gradient(c, c.symbols, dl, "parameter_shift")
+        adj = gradient(c, c.symbols, dl, "adjoint")
+        assert max(map(abs, shift.values())) > 1e-3
+        for sym in shift:
+            assert adj[sym] == pytest.approx(shift[sym], abs=1e-10)
+        if c is bare:
+            fd = gradient(c, c.symbols, dl, "finite_diff")
+            for sym in shift:
+                assert fd[sym] == pytest.approx(shift[sym], abs=1e-4)
 
 
 def test_unknown_gradient_method():

@@ -4,14 +4,19 @@ Diagrams are generated inversely: draw a random projective tree over the
 tokens, assign random output types, then lay the tokens' compound types
 out as wires and connect child outputs to parent argument slots.  The
 result is valid and non-crossing by construction, which makes it an
-independent oracle for tree building and type recovery.
+independent oracle for tree building and type recovery.  The dense
+``circuit_unitary`` is the matching oracle for the simulator.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
+
+import numpy as np
 
 from discocirc.grammar import PregroupDiagram, PregroupType, SimpleType
+from discocirc.sim import gate_matrix
 from discocirc.trees import PregroupTreeNode, compound_type
 
 
@@ -149,3 +154,28 @@ def classification_dataset(n_texts: int, seed: int = 0):
         td = diagrams(doc, treeize(doc, cfg), cfg)
         dataset.append((circuit(td, cfg), label))
     return dataset
+
+
+def circuit_unitary(c, params: dict) -> np.ndarray:
+    """The circuit's full 2^n matrix (ignoring postselection); the dense
+    oracle for unitarity checks."""
+    n = max(c.n_qubits, 1)
+    U = np.eye(2 ** n, dtype=complex)
+    for gate in c.gates:
+        theta = params[gate.param] if isinstance(gate.param, str) \
+            else gate.param
+        U = _embed(gate_matrix(gate.name, theta), gate.qubits, n) @ U
+    return U
+
+
+def _embed(matrix: np.ndarray, qubits: tuple, n: int) -> np.ndarray:
+    """Promote a k-qubit gate to the full 2^n space."""
+    k = len(qubits)
+    dims = [2] * (2 * n)
+    ident = reduce(np.kron, [np.eye(2, dtype=complex)] * (n - k),
+                   np.eye(1, dtype=complex))
+    big = np.kron(matrix, ident).reshape(dims)
+    order = list(qubits) + [qb for qb in range(n) if qb not in qubits]
+    inverse = np.argsort(order)
+    big = np.transpose(big, list(inverse) + [n + i for i in inverse])
+    return big.reshape(2 ** n, 2 ** n)
