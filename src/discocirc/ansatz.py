@@ -14,13 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceeded, UnexpandedFrame
+from .errors import CapExceeded, FormatError, UnexpandedFrame
 from .frames import Box, Frame, Identity, Par, Perm, Seq, Spider
 from .compose import TextDiagram
 
 QUBIT_CAP = 14
 
 PARAMETRIC_GATES = ("Rx", "Ry", "Rz", "CRz", "CRx")
+GATE_ARITY = {"H": 1, "Rx": 1, "Ry": 1, "Rz": 1,
+              "CX": 2, "SWAP": 2, "CRz": 2, "CRx": 2}
 
 
 @dataclass(frozen=True)
@@ -221,14 +223,50 @@ def circuit_to_json(c: Circuit) -> dict:
 
 
 def circuit_from_json(data: dict) -> Circuit:
-    return Circuit(
-        n_qubits=int(data["n_qubits"]),
-        gates=[Gate(g["name"], tuple(g["qubits"]), g.get("param"))
-               for g in data["gates"]],
-        postselect=[tuple(p) for p in data.get("postselect", [])],
-        symbols=dict(data.get("symbols", {})),
-        outputs=list(data.get("outputs", [])),
-    )
+    """Read a circuit written by ``circuit_to_json``.
+
+    Raises FormatError for a missing field, an unknown gate, the wrong
+    number of qubits for a gate, a parameterised gate without a parameter,
+    and a gate, postselect or output qubit that is out of range or, within
+    one gate, repeated.
+    """
+    try:
+        c = Circuit(
+            n_qubits=int(data["n_qubits"]),
+            gates=[Gate(g["name"], tuple(g["qubits"]), g.get("param"))
+                   for g in data["gates"]],
+            postselect=[tuple(p) for p in data.get("postselect", [])],
+            symbols=dict(data.get("symbols", {})),
+            outputs=list(data.get("outputs", [])),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed circuit: {exc!r}") from exc
+
+    def check_qubits(qubits, where):
+        for qb in qubits:
+            if not isinstance(qb, int) or not 0 <= qb < c.n_qubits:
+                raise FormatError(
+                    f"qubit {qb!r} outside 0..{c.n_qubits - 1}", where)
+
+    for i, g in enumerate(c.gates):
+        where = f"gates[{i}]"
+        if g.name not in GATE_ARITY:
+            raise FormatError(f"unknown gate {g.name!r}", where)
+        if len(g.qubits) != GATE_ARITY[g.name]:
+            raise FormatError(f"{g.name} acts on {GATE_ARITY[g.name]} "
+                              f"qubit(s), got {list(g.qubits)}", where)
+        check_qubits(g.qubits, where)
+        if len(set(g.qubits)) != len(g.qubits):
+            raise FormatError(f"repeated qubit in {list(g.qubits)}", where)
+        if g.name in PARAMETRIC_GATES and g.param is None:
+            raise FormatError(f"{g.name} needs a parameter", where)
+    for i, p in enumerate(c.postselect):
+        if len(p) != 2 or p[1] not in (0, 1):
+            raise FormatError(f"postselect entry {list(p)} is not "
+                              "[qubit, 0 or 1]", f"postselect[{i}]")
+        check_qubits(p[:1], f"postselect[{i}]")
+    check_qubits(c.outputs, "outputs")
+    return c
 
 
 def dump_circuit(c: Circuit) -> str:

@@ -27,7 +27,6 @@ from .frames import (
     Perm,
     SentenceDiagram,
     Spider,
-    element_wires,
     iter_boxes,
     map_wires,
 )
@@ -47,40 +46,6 @@ class TextDiagram:
     @property
     def wire_count(self) -> int:
         return len(self.states)
-
-
-def apply_layer(order: list, layer) -> list:
-    """Wire order after a layer (permutations reorder, spiders change
-    multiplicity, everything else is width-preserving)."""
-    if isinstance(layer, Perm):
-        if tuple(order) != layer.wires:
-            raise ChainMismatch(
-                f"permutation domain {layer.wires} != wire order {order}")
-        return [layer.wires[i] for i in layer.mapping]
-    if isinstance(layer, Spider):
-        if layer.dagger:
-            pos = order.index(layer.out_wire)
-            return order[:pos] + list(layer.in_wires) + order[pos + 1:]
-        out = [w for w in order if w not in layer.in_wires[1:]]
-        out[out.index(layer.in_wires[0])] = layer.out_wire
-        return out
-    return list(order)
-
-
-def wire_order(td: TextDiagram) -> list:
-    # states are appended over time; replay introductions with the layers
-    order = []
-    introduced = 0
-    for layer in td.layers:
-        needed = set()
-        for w in element_wires(layer):
-            needed.add(w[0] if isinstance(w, tuple) else w)
-        while introduced < len(td.states) and not needed <= set(order):
-            order.append(td.states[introduced].chain_id)
-            introduced += 1
-        order = apply_layer(order, layer)
-    order += [s.chain_id for s in td.states[introduced:]]
-    return order
 
 
 def compose_document(sentences: list[SentenceDiagram | None],

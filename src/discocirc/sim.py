@@ -1,17 +1,24 @@
 """Dense statevector simulation, gradients and a small trainer.
 
-Gates act on a 2^n amplitude vector; postselected qubits are projected
-out and the remainder renormalized, with the pre-normalization success
-probability reported.  The output qubits default to every qubit that is
-not postselected, and one outcome map says which amplitudes count toward
-which outcome, for the readout and for both exact gradients.
+Gates act on a 2^n amplitude vector, or on a stack of them, through one
+reshape kernel: a gate on qubit q views the state as (-1, 2, 2^(n-q-1)),
+a gate on qubits a < b as (-1, 2, 2^(b-a-1), 2, 2^(n-b-1)); the gate's
+axes of that view are transposed last and the gate is one 2-D matrix
+product.  Each call builds its gate matrices once, from one list of
+angles.  Postselected qubits are projected out and the remainder
+renormalized, with the pre-normalization success probability reported.
+The output qubits default to every qubit that is not postselected, and
+one outcome map says which amplitudes count toward which outcome, for the
+readout and for both exact gradients.
 
 Gradients come from three methods: central finite differences; exact
 two-term parameter shifts (every parameterised gate here is generated by
 an involution up to global phase, so the +-pi/2 rule is exact); and the
 adjoint method, one reverse sweep through the circuit.  The exact methods
 fold the renormalization's quotient rule into the weights of a single
-diagonal observable.
+diagonal observable.  The shift rule walks the circuit once: at each
+parameterised gate it shifts the state before that gate both ways and
+runs only the later gates on the pair.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,20 +62,36 @@ def gate_matrix(name: str, theta: float | None = None) -> np.ndarray:
     if name == "CRz":
         return np.diag([1, 1, 1, np.exp(1j * theta)]).astype(complex)
     if name == "CRx":
-        ih = np.kron(np.eye(2), _H)
-        return ih @ gate_matrix("CRz", theta) @ ih
+        # (I x H) CRz (I x H) = I + 1/2 [[1+e, 1-e], [1-e, 1+e]]
+        e = np.exp(1j * theta)
+        m = np.eye(4, dtype=complex)
+        m[2:, 2:] = [[(1 + e) / 2, (1 - e) / 2], [(1 - e) / 2, (1 + e) / 2]]
+        return m
     raise ValueError(f"unknown gate {name!r}")
 
 
-def _apply(state: np.ndarray, matrix: np.ndarray, qubits: tuple,
+def _apply(psi: np.ndarray, matrix: np.ndarray, qubits: tuple,
            n: int) -> np.ndarray:
-    """Apply a k-qubit gate to the statevector (qubit 0 = leftmost)."""
-    k = len(qubits)
-    psi = state.reshape([2] * n)
-    psi = np.moveaxis(psi, qubits, range(k))
-    psi = (matrix @ psi.reshape(2 ** k, -1)).reshape([2] * n)
-    psi = np.moveaxis(psi, range(k), qubits)
-    return psi.reshape(-1)
+    """Apply a 1- or 2-qubit gate to a state of shape (2^n,) or a stack of
+    states (k, 2^n); qubit 0 is the most significant bit.
+
+    The gate's axes of the state's view go last, so the gate is one 2-D
+    matrix product, whatever the distance between its qubits.
+    """
+    if len(qubits) == 1:
+        view = psi.reshape(-1, 2, 2 ** (n - qubits[0] - 1))
+        axes, back = (0, 2, 1), (0, 2, 1)
+    else:
+        a, b = qubits
+        if a > b:
+            a, b = b, a
+            matrix = matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2) \
+                .reshape(4, 4)
+        view = psi.reshape(-1, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1))
+        axes, back = (0, 2, 4, 1, 3), (0, 3, 1, 4, 2)
+    moved = view.transpose(axes)
+    out = moved.reshape(-1, len(matrix)) @ matrix.T
+    return out.reshape(moved.shape).transpose(back).reshape(psi.shape)
 
 
 def _thetas(c: Circuit, params: dict) -> list:
@@ -84,16 +108,6 @@ def _thetas(c: Circuit, params: dict) -> list:
         else:
             thetas.append(None if gate.param is None else float(gate.param))
     return thetas
-
-
-def _run(c: Circuit, thetas: list) -> np.ndarray:
-    """The final statevector from |0...0>."""
-    n = max(c.n_qubits, 1)
-    state = np.zeros(2 ** n, dtype=complex)
-    state[0] = 1.0
-    for gate, theta in zip(c.gates, thetas):
-        state = _apply(state, gate_matrix(gate.name, theta), gate.qubits, n)
-    return state
 
 
 def _outcomes(c: Circuit) -> tuple[np.ndarray, np.ndarray, int]:
@@ -117,15 +131,36 @@ def _outcomes(c: Circuit) -> tuple[np.ndarray, np.ndarray, int]:
     return kept, outcome[kept], 2 ** len(outputs)
 
 
-def _readout(state: np.ndarray, outcomes: tuple) -> tuple[np.ndarray, float]:
-    """Unnormalized outcome distribution and success probability (norm^2
-    surviving postselection); raises ZeroNorm when that is ~0."""
+class _Forward(NamedTuple):
+    """One forward pass: the angles and matrices of every gate, the final
+    state, the outcome map, the raw outcome probabilities and the success
+    probability."""
+    thetas: list
+    matrices: list
+    state: np.ndarray
+    outcomes: tuple
+    raw: np.ndarray
+    success: float
+
+
+def _forward(c: Circuit, params: dict) -> _Forward:
+    """Run the circuit from |0...0> and read it out; raises ZeroNorm when
+    the postselected branch carries (numerically) no amplitude."""
+    thetas = _thetas(c, params)
+    matrices = [gate_matrix(g.name, t) for g, t in zip(c.gates, thetas)]
+    n = max(c.n_qubits, 1)
+    state = np.zeros(2 ** n, dtype=complex)
+    state[0] = 1.0
+    for gate, m in zip(c.gates, matrices):
+        state = _apply(state, m, gate.qubits, n)
+    outcomes = _outcomes(c)
     kept, outcome, size = outcomes
     probs = np.abs(state[kept]) ** 2
     success = float(np.sum(probs))
     if success < 1e-30:
         raise ZeroNorm(f"postselection probability {success} below 1e-30")
-    return np.bincount(outcome, weights=probs, minlength=size), success
+    raw = np.bincount(outcome, weights=probs, minlength=size)
+    return _Forward(thetas, matrices, state, outcomes, raw, success)
 
 
 def simulate(c: Circuit, params: dict) -> tuple[np.ndarray, float]:
@@ -134,8 +169,8 @@ def simulate(c: Circuit, params: dict) -> tuple[np.ndarray, float]:
     Raises ZeroNorm when the postselected branch carries (numerically)
     no amplitude.
     """
-    raw, success = _readout(_run(c, _thetas(c, params)), _outcomes(c))
-    return raw / success, success
+    fwd = _forward(c, params)
+    return fwd.raw / fwd.success, fwd.success
 
 
 # --- gradients --------------------------------------------------------------
@@ -162,6 +197,12 @@ def gradient(c: Circuit, params: dict, dloss_ddist: np.ndarray,
     into one diagonal observable, differentiated either by shifting one
     gate angle at a time or by one adjoint sweep.
     """
+    return _gradient(c, params, _forward(c, params), dloss_ddist, method)
+
+
+def _gradient(c: Circuit, params: dict, fwd: _Forward,
+              dloss_ddist: np.ndarray, method: str) -> dict[str, float]:
+    """``gradient`` from a forward pass already made at ``params``."""
     syms = sorted({g.param for g in c.gates if isinstance(g.param, str)})
     if method == "finite_diff":
         def loss_at(p):
@@ -177,38 +218,39 @@ def gradient(c: Circuit, params: dict, dloss_ddist: np.ndarray,
     if method not in ("parameter_shift", "adjoint"):
         raise ValueError(f"unknown gradient method {method!r}")
 
-    thetas = _thetas(c, params)
-    outcomes = _outcomes(c)
-    kept, outcome, _ = outcomes
-    state = _run(c, thetas)
-    raw, success = _readout(state, outcomes)
+    n = max(c.n_qubits, 1)
+    kept, outcome, _ = fwd.outcomes
     w = np.asarray(dloss_ddist, dtype=float)
-    observable = np.zeros(len(state))
-    observable[kept] = (w / success - np.dot(w, raw) / success ** 2)[outcome]
+    observable = np.zeros(2 ** n)
+    observable[kept] = (w / fwd.success
+                        - np.dot(w, fwd.raw) / fwd.success ** 2)[outcome]
     grad = dict.fromkeys(syms, 0.0)
     if method == "parameter_shift":
-        def shifted(i, shift):
-            angles = list(thetas)
-            angles[i] += shift
-            return np.dot(observable, np.abs(_run(c, angles)) ** 2)
-
-        for i, gate in enumerate(c.gates):
+        # psi is the state before gate i; only gates i+1... run on the pair
+        psi = np.zeros(2 ** n, dtype=complex)
+        psi[0] = 1.0
+        for i, (gate, theta) in enumerate(zip(c.gates, fwd.thetas)):
             if isinstance(gate.param, str):
-                grad[gate.param] += float(
-                    shifted(i, np.pi / 2) - shifted(i, -np.pi / 2)) / 2
+                pair = np.stack([
+                    _apply(psi, gate_matrix(gate.name, theta + shift),
+                           gate.qubits, n)
+                    for shift in (np.pi / 2, -np.pi / 2)])
+                for later, m in zip(c.gates[i + 1:], fwd.matrices[i + 1:]):
+                    pair = _apply(pair, m, later.qubits, n)
+                plus, minus = np.abs(pair) ** 2 @ observable
+                grad[gate.param] += float(plus - minus) / 2
+            psi = _apply(psi, fwd.matrices[i], gate.qubits, n)
         return grad
 
-    # reverse sweep: uncompute psi and carry lam = (later gates)^dag M psi;
-    # each gate adds 2 Re<lam|dG|psi_before> = Im<lam|P|psi_after>
-    n = max(c.n_qubits, 1)
-    lam = observable * state
-    for gate, theta in zip(reversed(c.gates), reversed(thetas)):
+    # reverse sweep: uncompute psi and carry lam = (later gates)^dag M psi,
+    # stacked as one pair; each gate adds
+    # 2 Re<lam|dG|psi_before> = Im<lam|P|psi_after>
+    pair = np.stack([fwd.state, observable * fwd.state])
+    for gate, m in zip(reversed(c.gates), reversed(fwd.matrices)):
         if isinstance(gate.param, str):
-            moved = _apply(state, _GENERATORS[gate.name], gate.qubits, n)
-            grad[gate.param] += float(np.imag(np.vdot(lam, moved)))
-        undo = gate_matrix(gate.name, theta).conj().T
-        state = _apply(state, undo, gate.qubits, n)
-        lam = _apply(lam, undo, gate.qubits, n)
+            moved = _apply(pair[0], _GENERATORS[gate.name], gate.qubits, n)
+            grad[gate.param] += float(np.imag(np.vdot(pair[1], moved)))
+        pair = _apply(pair, m.conj().T, gate.qubits, n)
     return grad
 
 # --- training ---------------------------------------------------------------
@@ -263,10 +305,12 @@ class History:
 
 def _evaluate(sample, params, grad_method):
     circuit, label = sample
-    dist, _ = simulate(circuit, params)
+    fwd = _forward(circuit, params)
+    dist = fwd.raw / fwd.success
     loss = bce(float(dist[1]), label)
     correct = int((dist[1] >= 0.5) == bool(label))
-    grads = gradient(circuit, params, _bce_ddist(dist, label), grad_method)
+    grads = _gradient(circuit, params, fwd, _bce_ddist(dist, label),
+                      grad_method)
     return loss, correct, grads
 
 

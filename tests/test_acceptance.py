@@ -26,7 +26,8 @@ from discocirc.rewrite import builtin_rule, rewrite_tree
 from discocirc.sandwich import SandwichConfig, count_frames, expand_frames
 from discocirc.sim import TrainConfig, gradient, train
 from discocirc.trees import build_trees, compound_type
-from util import circuit_unitary, classification_dataset, random_diagram
+from util import (circuit_unitary, classification_dataset, random_diagram,
+                  wire_order)
 
 FIXTURES = "tests/fixtures"
 
@@ -236,7 +237,6 @@ def test_11_long_document_composes_quickly(lex):
     assert count_frames(td) == 0
     # wire conservation: every chain keeps exactly one wire throughout
     assert len(td.states) == len(doc.corefs.chains)
-    from discocirc.compose import wire_order
     assert sorted(wire_order(td)) == sorted(s.chain_id for s in td.states)
     assert time.monotonic() - start < 60.0
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

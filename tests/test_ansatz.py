@@ -7,7 +7,7 @@ from discocirc.ansatz import (AnsatzConfig, Circuit, Gate, append_merge_box,
                               circuit_to_json, compile, dump_circuit,
                               iqp_block, sim4_block)
 from discocirc.compose import compose_document
-from discocirc.errors import CapExceeded, UnexpandedFrame
+from discocirc.errors import CapExceeded, FormatError, UnexpandedFrame
 from discocirc.frames import (Box, Frame, NounState, SentenceDiagram)
 from discocirc.ingest import CorefMap
 
@@ -151,6 +151,27 @@ def test_circuit_json_round_trip():
     c = compile(td, AnsatzConfig("sim4", 1, 2, seed=3))
     again = circuit_from_json(json.loads(json.dumps(circuit_to_json(c))))
     assert again == c
+
+
+@pytest.mark.parametrize("change", [
+    {"gates": [{"name": "Foo", "qubits": [0]}]},
+    {"gates": [{"name": "Rx", "qubits": [0, 1], "param": 1.0}]},
+    {"gates": [{"name": "CX", "qubits": [1]}]},
+    {"gates": [{"name": "Rx", "qubits": [-1], "param": 1.0}]},
+    {"gates": [{"name": "Rx", "qubits": [3], "param": 1.0}]},
+    {"gates": [{"name": "CX", "qubits": [1, 1]}]},
+    {"gates": [{"name": "Rz", "qubits": [0]}]},
+    {"postselect": [[5, 0]]},
+    {"postselect": [[0, 2]]},
+    {"outputs": [3]},
+    {"gates": [{"qubits": [0]}]},
+])
+def test_malformed_circuit_json_is_a_format_error(change):
+    data = {"n_qubits": 3, "gates": [{"name": "H", "qubits": [0]}],
+            "postselect": [[1, 0]], "outputs": [2]}
+    assert circuit_from_json(data).n_qubits == 3
+    with pytest.raises(FormatError):
+        circuit_from_json({**data, **change})
 
 
 def test_dump_circuit_lines():

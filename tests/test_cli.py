@@ -182,6 +182,19 @@ def test_train_unbound_symbol_exit_code(runner, tmp_path):
     assert "UnboundSymbol" in result.output
 
 
+def test_train_malformed_circuit_exit_code(runner, tmp_path):
+    dataset = write_dataset(runner, tmp_path)
+    records = [json.loads(line) for line in dataset.read_text().splitlines()]
+    # a negative qubit would otherwise wrap around to the last one
+    records[0]["circuit"]["gates"][0]["qubits"] = [-1]
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records),
+                       encoding="utf-8")
+    result = runner.invoke(main, ["train", "--input", str(dataset),
+                                  "--epochs", "1"])
+    assert result.exit_code == 2
+    assert "FormatError" in result.output
+
+
 def test_train_command_adjoint_matches_parameter_shift(runner, tmp_path):
     dataset = write_dataset(runner, tmp_path)
     histories = {}

@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from discocirc.compose import (apply_layer, compose_document,
-                               text_diagram_to_dot, text_diagram_to_json,
-                               wire_box_sequences, wire_order)
+from discocirc.compose import (compose_document, text_diagram_to_dot,
+                               text_diagram_to_json, wire_box_sequences)
 from discocirc.errors import ChainMismatch
 from discocirc.frames import (Box, Identity, NounState, Par, Perm,
                               SentenceDiagram, Spider, element_wires,
@@ -13,6 +12,7 @@ from discocirc.frames import (Box, Identity, NounState, Par, Perm,
 from discocirc.ingest import CorefMap, Lexicon, load_document, parse_text
 from discocirc.pipeline import PipelineConfig, diagrams, treeize
 from discocirc.trees import build_trees
+from util import apply_layer, wire_order
 
 FIXTURES = "tests/fixtures"
 

@@ -1,11 +1,12 @@
 import pytest
 
 from discocirc.ansatz import AnsatzConfig, append_merge_box, compile
-from discocirc.compose import compose_document, wire_order
+from discocirc.compose import compose_document
 from discocirc.frames import (Box, Frame, NounState, Perm,
                               SentenceDiagram, iter_boxes)
 from discocirc.ingest import CorefMap
 from discocirc.sandwich import SandwichConfig, count_frames, expand_frames
+from util import wire_order
 
 
 def two_component_frame():

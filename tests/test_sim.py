@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from discocirc.errors import CapExceeded, UnboundSymbol, ZeroNorm
 from discocirc.frames import Box, NounState, SentenceDiagram
 from discocirc.ingest import CorefMap
 from discocirc.pipeline import PipelineConfig, run
-from discocirc.sim import (TrainConfig, bce, evaluate_accuracy, gate_matrix,
-                           gradient, load_dataset, simulate, train)
+from discocirc.sim import (TrainConfig, _apply, bce, evaluate_accuracy,
+                           gate_matrix, gradient, load_dataset, simulate,
+                           train)
 from util import circuit_unitary
 
 rng = np.random.default_rng(42)
@@ -131,6 +134,32 @@ def test_circuit_unitary_oracle_agrees_with_simulation():
     assert np.allclose(dist, np.abs(amps) ** 2, atol=1e-12)
 
 
+def test_kernel_matches_dense_oracle_on_every_placement():
+    # every gate kind on every qubit and every ordered pair: control above
+    # and below the target, adjacent and not
+    local = np.random.default_rng(5)
+    for n in range(1, 6):
+        placements = [(q,) for q in range(n)]
+        placements += itertools.permutations(range(n), 2)
+        for qubits in placements:
+            names = ("H", "Rx", "Ry", "Rz") if len(qubits) == 1 \
+                else ("CX", "SWAP", "CRz", "CRx")
+            for name in names:
+                theta = None if name in ("H", "CX", "SWAP") \
+                    else float(local.uniform(0, 2 * np.pi))
+                U = circuit_unitary(Circuit(n, [Gate(name, qubits, theta)]),
+                                    {})
+                m = gate_matrix(name, theta)
+                states = local.normal(size=(2, 2 ** n)) \
+                    + 1j * local.normal(size=(2, 2 ** n))
+                stacked = _apply(states, m, qubits, n)
+                assert stacked.shape == states.shape
+                for row, state in zip(stacked, states):
+                    one = _apply(state, m, qubits, n)
+                    assert np.max(np.abs(one - U @ state)) < 1e-12
+                    assert np.max(np.abs(row - one)) < 1e-12
+
+
 # --- gradients --------------------------------------------------------------
 
 def test_gradient_zero_at_stationary_point():
@@ -186,6 +215,28 @@ def test_adjoint_reads_the_same_outcomes_as_the_shift_rule():
             fd = gradient(c, c.symbols, dl, "finite_diff")
             for sym in shift:
                 assert fd[sym] == pytest.approx(shift[sym], abs=1e-4)
+
+
+def test_shift_rule_and_adjoint_agree_on_a_wide_story():
+    story = run({"tokens": [["Alice", "reads", "books"],
+                            ["Bob", "loves", "music"],
+                            ["She", "bought", "bikes"],
+                            ["He", "found", "clues"],
+                            ["She", "plays", "piano"],
+                            ["She", "saw", "herself"]]},
+                PipelineConfig(ansatz=AnsatzConfig("sim4")))
+    assert story.n_qubits >= 8 and story.postselect
+    assert any(g.name == "CX" for g in story.gates)  # the spider copy
+    dl = np.random.default_rng(13).normal(
+        size=len(simulate(story, story.symbols)[0]))
+    shift = gradient(story, story.symbols, dl, "parameter_shift")
+    adj = gradient(story, story.symbols, dl, "adjoint")
+    fd = gradient(story, story.symbols, dl, "finite_diff")
+    assert max(map(abs, shift.values())) > 1e-2
+    for sym in shift:
+        assert adj[sym] == pytest.approx(shift[sym], abs=1e-10)
+        assert fd[sym] == pytest.approx(shift[sym], abs=1e-4)
+        assert fd[sym] == pytest.approx(adj[sym], abs=1e-4)
 
 
 def test_unknown_gradient_method():

@@ -5,7 +5,8 @@ tokens, assign random output types, then lay the tokens' compound types
 out as wires and connect child outputs to parent argument slots.  The
 result is valid and non-crossing by construction, which makes it an
 independent oracle for tree building and type recovery.  The dense
-``circuit_unitary`` is the matching oracle for the simulator.
+``circuit_unitary`` is the matching oracle for the simulator, and
+``wire_order`` replays a text diagram's layers to recover its wire order.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from functools import reduce
 
 import numpy as np
 
+from discocirc.compose import TextDiagram
+from discocirc.errors import ChainMismatch
+from discocirc.frames import Perm, Spider, element_wires
 from discocirc.grammar import PregroupDiagram, PregroupType, SimpleType
 from discocirc.sim import gate_matrix
 from discocirc.trees import PregroupTreeNode, compound_type
@@ -179,3 +183,39 @@ def _embed(matrix: np.ndarray, qubits: tuple, n: int) -> np.ndarray:
     inverse = np.argsort(order)
     big = np.transpose(big, list(inverse) + [n + i for i in inverse])
     return big.reshape(2 ** n, 2 ** n)
+
+
+# --- wire order of a text diagram -------------------------------------------
+
+def apply_layer(order: list, layer) -> list:
+    """Wire order after a layer (permutations reorder, spiders change
+    multiplicity, everything else is width-preserving)."""
+    if isinstance(layer, Perm):
+        if tuple(order) != layer.wires:
+            raise ChainMismatch(
+                f"permutation domain {layer.wires} != wire order {order}")
+        return [layer.wires[i] for i in layer.mapping]
+    if isinstance(layer, Spider):
+        if layer.dagger:
+            pos = order.index(layer.out_wire)
+            return order[:pos] + list(layer.in_wires) + order[pos + 1:]
+        out = [w for w in order if w not in layer.in_wires[1:]]
+        out[out.index(layer.in_wires[0])] = layer.out_wire
+        return out
+    return list(order)
+
+
+def wire_order(td: TextDiagram) -> list:
+    # states are appended over time; replay introductions with the layers
+    order = []
+    introduced = 0
+    for layer in td.layers:
+        needed = set()
+        for w in element_wires(layer):
+            needed.add(w[0] if isinstance(w, tuple) else w)
+        while introduced < len(td.states) and not needed <= set(order):
+            order.append(td.states[introduced].chain_id)
+            introduced += 1
+        order = apply_layer(order, layer)
+    order += [s.chain_id for s in td.states[introduced:]]
+    return order
