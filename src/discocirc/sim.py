@@ -1,24 +1,34 @@
 """Dense statevector simulation, gradients and a small trainer.
 
-Gates act on a 2^n amplitude vector, or on a stack of them, through one
-reshape kernel: a gate on qubit q views the state as (-1, 2, 2^(n-q-1)),
-a gate on qubits a < b as (-1, 2, 2^(b-a-1), 2, 2^(n-b-1)); the gate's
-axes of that view are transposed last and the gate is one 2-D matrix
-product.  Each call builds its gate matrices once, from one list of
-angles.  Postselected qubits are projected out and the remainder
-renormalized, with the pre-normalization success probability reported.
-The output qubits default to every qubit that is not postselected, and
-one outcome map says which amplitudes count toward which outcome, for the
-readout and for both exact gradients.
+Circuits with one gate skeleton (the same width, the same gates on the
+same qubits, symbols in the same places, the same postselection and
+outputs) run as one stacked state of shape (B, 2^n), one row per
+circuit: training evaluates each batch's groups this way, and a single
+circuit is a group of one.  Gates act through one reshape kernel: a gate
+on qubit q views the stack as (-1, 2, 2^(n-q-1)), a gate on qubits a < b
+as (-1, 2, 2^(b-a-1), 2, 2^(n-b-1)); the gate's axes of that view are
+transposed last and the gate is one matrix product on the view reshaped
+to (R, -1, d), whose leading axis is the row axis.  A fixed gate's (d, d)
+matrix is shared by every row (R = 1); a parameterised gate has a
+(B, d, d) stack of per-row matrices (R = B; a group of one needs no row
+axis), and each call builds the stacks of all gates of one kind at once
+from one (B, G) array of angles.
+Postselected qubits are projected out and the remainder renormalized,
+with the pre-normalization success probability reported.  The output
+qubits default to every qubit that is not postselected, and one outcome
+map says which amplitudes count toward which outcome, for the readout
+and for both exact gradients.
 
-Gradients come from three methods: central finite differences; exact
-two-term parameter shifts (every parameterised gate here is generated by
-an involution up to global phase, so the +-pi/2 rule is exact); and the
-adjoint method, one reverse sweep through the circuit.  The exact methods
-fold the renormalization's quotient rule into the weights of a single
-diagonal observable.  The shift rule walks the circuit once: at each
-parameterised gate it shifts the state before that gate both ways and
-runs only the later gates on the pair.
+Gradients come from three methods: central finite differences, circuit
+by circuit; exact two-term parameter shifts (every parameterised gate
+here is generated by an involution up to global phase, so the +-pi/2
+rule is exact); and the adjoint method, one reverse sweep through the
+circuit.  The exact methods fold the renormalization's quotient rule into
+the weights of a single diagonal observable and run on the whole group:
+the adjoint sweep carries each row's state and costate as a (B, 2, 2^n)
+stack, and the shift rule walks the circuit once, shifting the state
+before each parameterised gate both ways and running only the later
+gates on the (B, 2, 2^n) stack of shifted pairs.
 """
 
 from __future__ import annotations
@@ -32,8 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import QUBIT_CAP, Circuit, circuit_from_json
-from .errors import CapExceeded, UnboundSymbol, ZeroNorm
+from .ansatz import (PARAMETRIC_GATES, QUBIT_CAP, Circuit,
+                     circuit_from_json)
+from .errors import CapExceeded, FormatError, UnboundSymbol, ZeroNorm
 
 log = logging.getLogger(__name__)
 
@@ -43,29 +54,41 @@ _SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 _CX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 
 
-def gate_matrix(name: str, theta: float | None = None) -> np.ndarray:
-    """The dense matrix of one gate (2x2 or 4x4)."""
+def gate_matrix(name: str,
+                theta: float | np.ndarray | None = None) -> np.ndarray:
+    """The dense matrix of one gate (d = 2 or 4): (d, d) for a fixed gate
+    or one angle, one matrix per angle, shape theta.shape + (d, d), for an
+    array of angles."""
     if name == "H":
         return _H
     if name == "CX":
         return _CX
     if name == "SWAP":
         return _SWAP
-    if name == "Rx":
+    theta = np.asarray(theta, dtype=float)
+    if name in ("Rx", "Ry", "Rz"):
+        m = np.zeros(theta.shape + (2, 2), dtype=complex)
+        if name == "Rz":
+            m[..., 0, 0] = np.exp(-0.5j * theta)
+            m[..., 1, 1] = np.exp(0.5j * theta)
+            return m
         c, s = np.cos(theta / 2), np.sin(theta / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if name == "Ry":
-        c, s = np.cos(theta / 2), np.sin(theta / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if name == "Rz":
-        return np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
-    if name == "CRz":
-        return np.diag([1, 1, 1, np.exp(1j * theta)]).astype(complex)
-    if name == "CRx":
-        # (I x H) CRz (I x H) = I + 1/2 [[1+e, 1-e], [1-e, 1+e]]
+        m[..., 0, 0] = m[..., 1, 1] = c
+        if name == "Rx":
+            m[..., 0, 1] = m[..., 1, 0] = -1j * s
+        else:
+            m[..., 0, 1], m[..., 1, 0] = -s, s
+        return m
+    if name in ("CRz", "CRx"):
         e = np.exp(1j * theta)
-        m = np.eye(4, dtype=complex)
-        m[2:, 2:] = [[(1 + e) / 2, (1 - e) / 2], [(1 - e) / 2, (1 + e) / 2]]
+        m = np.zeros(theta.shape + (4, 4), dtype=complex)
+        m[..., 0, 0] = m[..., 1, 1] = 1
+        if name == "CRz":
+            m[..., 2, 2], m[..., 3, 3] = 1, e
+        else:
+            # (I x H) CRz (I x H) = I + 1/2 [[1+e, 1-e], [1-e, 1+e]]
+            m[..., 2, 2] = m[..., 3, 3] = (1 + e) / 2
+            m[..., 2, 3] = m[..., 3, 2] = (1 - e) / 2
         return m
     raise ValueError(f"unknown gate {name!r}")
 
@@ -73,41 +96,73 @@ def gate_matrix(name: str, theta: float | None = None) -> np.ndarray:
 def _apply(psi: np.ndarray, matrix: np.ndarray, qubits: tuple,
            n: int) -> np.ndarray:
     """Apply a 1- or 2-qubit gate to a state of shape (2^n,) or a stack of
-    states (k, 2^n); qubit 0 is the most significant bit.
+    states (..., 2^n); qubit 0 is the most significant bit.
 
-    The gate's axes of the state's view go last, so the gate is one 2-D
+    A (d, d) matrix acts on every state.  A (B, d, d) stack acts on a
+    stack whose leading axis has length B, matrix b on the states of row
+    b.  The gate's axes of the state's view go last, so the gate is one
     matrix product, whatever the distance between its qubits.
     """
     if len(qubits) == 1:
         view = psi.reshape(-1, 2, 2 ** (n - qubits[0] - 1))
-        axes, back = (0, 2, 1), (0, 2, 1)
+        axes = back = (0, 2, 1)
     else:
         a, b = qubits
         if a > b:
             a, b = b, a
-            matrix = matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2) \
-                .reshape(4, 4)
+            matrix = matrix.reshape(-1, 2, 2, 2, 2) \
+                .transpose(0, 2, 1, 4, 3).reshape(matrix.shape)
         view = psi.reshape(-1, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1))
         axes, back = (0, 2, 4, 1, 3), (0, 3, 1, 4, 2)
     moved = view.transpose(axes)
-    out = moved.reshape(-1, len(matrix)) @ matrix.T
+    # row b of a C-ordered stack is the b-th of B equal blocks of the
+    # view's leading axis
+    rows = len(matrix) if matrix.ndim == 3 else 1
+    out = moved.reshape(rows, -1, matrix.shape[-1]) @ matrix.mT
     return out.reshape(moved.shape).transpose(back).reshape(psi.shape)
 
 
-def _thetas(c: Circuit, params: dict) -> list:
-    """One angle per gate (None for the fixed ones)."""
-    if c.n_qubits > QUBIT_CAP:
+def _skeleton(c: Circuit) -> tuple:
+    """What circuits must share to run as one stacked state: the width,
+    each gate's name and qubits and whether it takes a symbol, the
+    postselection and the outputs."""
+    return (c.n_qubits,
+            tuple([(g.name, g.qubits, isinstance(g.param, str))
+                   for g in c.gates]),
+            tuple(c.postselect), tuple(c.outputs))
+
+
+def _thetas(circuits: list[Circuit], params: dict) -> np.ndarray:
+    """The angle of every gate, one row per circuit (NaN for the fixed
+    gates)."""
+    n_qubits = circuits[0].n_qubits
+    if n_qubits > QUBIT_CAP:
         raise CapExceeded(
-            f"{c.n_qubits} qubits exceed the simulator cap of {QUBIT_CAP}")
-    thetas = []
-    for gate in c.gates:
-        if isinstance(gate.param, str):
-            if gate.param not in params:
-                raise UnboundSymbol(f"symbol {gate.param!r} has no value")
-            thetas.append(params[gate.param])
-        else:
-            thetas.append(None if gate.param is None else float(gate.param))
-    return thetas
+            f"{n_qubits} qubits exceed the simulator cap of {QUBIT_CAP}")
+    try:
+        rows = [[params[g.param] if isinstance(g.param, str)
+                 else np.nan if g.param is None else float(g.param)
+                 for g in c.gates] for c in circuits]
+    except KeyError as exc:
+        raise UnboundSymbol(f"symbol {exc.args[0]!r} has no value") \
+            from None
+    return np.array(rows, dtype=float).reshape(len(circuits), -1)
+
+
+def _matrices(c: Circuit, thetas: np.ndarray) -> list[np.ndarray]:
+    """Every gate's matrix for a group: a fixed gate's (d, d) matrix,
+    shared by all rows, or a parameterised gate's (B, d, d) stack, built
+    in one step with every gate of its kind from the (B, G) angles.  A
+    group of one needs no row axis, so its matrices are all (d, d)."""
+    kinds: dict[str, list[int]] = {}
+    for i, gate in enumerate(c.gates):
+        if gate.name in PARAMETRIC_GATES:
+            kinds.setdefault(gate.name, []).append(i)
+    angles = thetas.T if len(thetas) > 1 else thetas[0]
+    stacks = {name: iter(gate_matrix(name, angles[idx]))
+              for name, idx in kinds.items()}
+    return [next(stacks[g.name]) if g.name in stacks else gate_matrix(g.name)
+            for g in c.gates]
 
 
 def _outcomes(c: Circuit) -> tuple[np.ndarray, np.ndarray, int]:
@@ -132,34 +187,40 @@ def _outcomes(c: Circuit) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 class _Forward(NamedTuple):
-    """One forward pass: the angles and matrices of every gate, the final
-    state, the outcome map, the raw outcome probabilities and the success
-    probability."""
-    thetas: list
+    """One forward pass of a group of circuits with one skeleton: the
+    angles (one row per circuit) and matrices of every gate, the final
+    states, the outcome map, and each row's raw outcome probabilities and
+    success probability."""
+    thetas: np.ndarray
     matrices: list
     state: np.ndarray
     outcomes: tuple
     raw: np.ndarray
-    success: float
+    success: np.ndarray
 
 
-def _forward(c: Circuit, params: dict) -> _Forward:
-    """Run the circuit from |0...0> and read it out; raises ZeroNorm when
-    the postselected branch carries (numerically) no amplitude."""
-    thetas = _thetas(c, params)
-    matrices = [gate_matrix(g.name, t) for g, t in zip(c.gates, thetas)]
+def _forward(circuits: list[Circuit], params: dict) -> _Forward:
+    """Run circuits of one skeleton from |0...0> as one stacked state and
+    read them out; raises ZeroNorm when a postselected branch carries
+    (numerically) no amplitude."""
+    c = circuits[0]
+    thetas = _thetas(circuits, params)
+    matrices = _matrices(c, thetas)
     n = max(c.n_qubits, 1)
-    state = np.zeros(2 ** n, dtype=complex)
-    state[0] = 1.0
+    state = np.zeros((len(circuits), 2 ** n), dtype=complex)
+    state[:, 0] = 1.0
     for gate, m in zip(c.gates, matrices):
         state = _apply(state, m, gate.qubits, n)
     outcomes = _outcomes(c)
     kept, outcome, size = outcomes
-    probs = np.abs(state[kept]) ** 2
-    success = float(np.sum(probs))
-    if success < 1e-30:
-        raise ZeroNorm(f"postselection probability {success} below 1e-30")
-    raw = np.bincount(outcome, weights=probs, minlength=size)
+    probs = np.abs(state[:, kept]) ** 2
+    success = np.sum(probs, axis=1)
+    if np.min(success) < 1e-30:
+        raise ZeroNorm(
+            f"postselection probability {np.min(success)} below 1e-30")
+    bins = np.arange(len(circuits))[:, None] * size + outcome
+    raw = np.bincount(bins.ravel(), weights=probs.ravel(),
+                      minlength=len(circuits) * size).reshape(-1, size)
     return _Forward(thetas, matrices, state, outcomes, raw, success)
 
 
@@ -169,13 +230,14 @@ def simulate(c: Circuit, params: dict) -> tuple[np.ndarray, float]:
     Raises ZeroNorm when the postselected branch carries (numerically)
     no amplitude.
     """
-    fwd = _forward(c, params)
-    return fwd.raw / fwd.success, fwd.success
+    fwd = _forward([c], params)
+    return fwd.raw[0] / fwd.success[0], float(fwd.success[0])
 
 
 # --- gradients --------------------------------------------------------------
 
 FD_STEP = 1e-6
+_SHIFTS = np.array([np.pi / 2, -np.pi / 2])
 
 # G(theta) = exp(-i theta P / 2), so dG/dtheta = -i/2 P G
 _GENERATORS = {
@@ -197,61 +259,81 @@ def gradient(c: Circuit, params: dict, dloss_ddist: np.ndarray,
     into one diagonal observable, differentiated either by shifting one
     gate angle at a time or by one adjoint sweep.
     """
-    return _gradient(c, params, _forward(c, params), dloss_ddist, method)
+    w = np.asarray(dloss_ddist, dtype=float)[None]
+    return _gradient([c], params, _forward([c], params), w, method)[0]
 
 
-def _gradient(c: Circuit, params: dict, fwd: _Forward,
-              dloss_ddist: np.ndarray, method: str) -> dict[str, float]:
-    """``gradient`` from a forward pass already made at ``params``."""
-    syms = sorted({g.param for g in c.gates if isinstance(g.param, str)})
+def _gradient(circuits: list[Circuit], params: dict, fwd: _Forward,
+              dloss_ddist: np.ndarray, method: str) -> list[dict]:
+    """``gradient`` of each circuit of a group, one row of ``dloss_ddist``
+    each, from the group's forward pass at ``params``."""
+    c = circuits[0]
+    symbolic = [i for i, g in enumerate(c.gates) if isinstance(g.param, str)]
+    symbols = [sorted({circuit.gates[i].param for i in symbolic})
+               for circuit in circuits]
     if method == "finite_diff":
-        def loss_at(p):
-            dist, _ = simulate(c, p)
-            return float(np.dot(dloss_ddist, dist))
-
-        grad = {}
-        for sym in syms:
-            up = dict(params, **{sym: params[sym] + FD_STEP})
-            down = dict(params, **{sym: params[sym] - FD_STEP})
-            grad[sym] = (loss_at(up) - loss_at(down)) / (2 * FD_STEP)
-        return grad
+        grads = []
+        for circuit, syms, w in zip(circuits, symbols, dloss_ddist):
+            grad = {}
+            for sym in syms:
+                up, down = (
+                    float(np.dot(w, simulate(
+                        circuit, dict(params, **{sym: params[sym] + h}))[0]))
+                    for h in (FD_STEP, -FD_STEP))
+                grad[sym] = (up - down) / (2 * FD_STEP)
+            grads.append(grad)
+        return grads
     if method not in ("parameter_shift", "adjoint"):
         raise ValueError(f"unknown gradient method {method!r}")
 
     n = max(c.n_qubits, 1)
     kept, outcome, _ = fwd.outcomes
-    w = np.asarray(dloss_ddist, dtype=float)
-    observable = np.zeros(2 ** n)
-    observable[kept] = (w / fwd.success
-                        - np.dot(w, fwd.raw) / fwd.success ** 2)[outcome]
-    grad = dict.fromkeys(syms, 0.0)
+    s = fwd.success[:, None]
+    weights = dloss_ddist / s \
+        - np.sum(dloss_ddist * fwd.raw, axis=1, keepdims=True) / s ** 2
+    observable = np.zeros((len(circuits), 2 ** n))
+    observable[:, kept] = weights[:, outcome]
+    # contrib[r, i]: what gate i adds to the derivative of row r's loss
+    # by the gate's symbol
+    contrib = np.zeros((len(circuits), len(c.gates)))
     if method == "parameter_shift":
-        # psi is the state before gate i; only gates i+1... run on the pair
-        psi = np.zeros(2 ** n, dtype=complex)
-        psi[0] = 1.0
-        for i, (gate, theta) in enumerate(zip(c.gates, fwd.thetas)):
+        # psi is the state before gate i; only gates i+1... run on the
+        # (B, 2, 2^n) stack of each row's shifted pair
+        psi = np.zeros((len(circuits), 2 ** n), dtype=complex)
+        psi[:, 0] = 1.0
+        for i, (gate, m) in enumerate(zip(c.gates, fwd.matrices)):
             if isinstance(gate.param, str):
-                pair = np.stack([
-                    _apply(psi, gate_matrix(gate.name, theta + shift),
-                           gate.qubits, n)
-                    for shift in (np.pi / 2, -np.pi / 2)])
-                for later, m in zip(c.gates[i + 1:], fwd.matrices[i + 1:]):
-                    pair = _apply(pair, m, later.qubits, n)
-                plus, minus = np.abs(pair) ** 2 @ observable
-                grad[gate.param] += float(plus - minus) / 2
-            psi = _apply(psi, fwd.matrices[i], gate.qubits, n)
-        return grad
-
-    # reverse sweep: uncompute psi and carry lam = (later gates)^dag M psi,
-    # stacked as one pair; each gate adds
-    # 2 Re<lam|dG|psi_before> = Im<lam|P|psi_after>
-    pair = np.stack([fwd.state, observable * fwd.state])
-    for gate, m in zip(reversed(c.gates), reversed(fwd.matrices)):
-        if isinstance(gate.param, str):
-            moved = _apply(pair[0], _GENERATORS[gate.name], gate.qubits, n)
-            grad[gate.param] += float(np.imag(np.vdot(pair[1], moved)))
-        pair = _apply(pair, m.conj().T, gate.qubits, n)
-    return grad
+                shifted = gate_matrix(gate.name,
+                                      fwd.thetas[:, i] + _SHIFTS[:, None])
+                pair = np.stack([_apply(psi, plus_or_minus, gate.qubits, n)
+                                 for plus_or_minus in shifted], axis=1)
+                for later, lm in zip(c.gates[i + 1:], fwd.matrices[i + 1:]):
+                    pair = _apply(pair, lm, later.qubits, n)
+                expect = (np.abs(pair) ** 2 @ observable[:, :, None])[..., 0]
+                contrib[:, i] = (expect[:, 0] - expect[:, 1]) / 2
+            psi = _apply(psi, m, gate.qubits, n)
+    else:
+        # reverse sweep: uncompute psi and carry
+        # lam = (later gates)^dag M psi, stacked as one (B, 2, 2^n) pair;
+        # each gate adds 2 Re<lam|dG|psi_before> = Im<lam|P|psi_after>
+        pair = np.stack([fwd.state, observable * fwd.state], axis=1)
+        for i in reversed(range(len(c.gates))):
+            gate = c.gates[i]
+            if isinstance(gate.param, str):
+                moved = _apply(pair[:, 0], _GENERATORS[gate.name],
+                               gate.qubits, n)
+                contrib[:, i] = np.sum(pair[:, 1].conj() * moved,
+                                       axis=1).imag
+            pair = _apply(pair, fwd.matrices[i].conj().mT, gate.qubits, n)
+        symbolic.reverse()
+    # each row's sums run in the order the gates were visited
+    grads = []
+    for circuit, syms, row in zip(circuits, symbols, contrib.tolist()):
+        grad = dict.fromkeys(syms, 0.0)
+        for i in symbolic:
+            grad[circuit.gates[i].param] += row[i]
+        grads.append(grad)
+    return grads
 
 # --- training ---------------------------------------------------------------
 
@@ -303,15 +385,29 @@ class History:
             writer.writerows(self.rows)
 
 
-def _evaluate(sample, params, grad_method):
-    circuit, label = sample
-    fwd = _forward(circuit, params)
-    dist = fwd.raw / fwd.success
-    loss = bce(float(dist[1]), label)
-    correct = int((dist[1] >= 0.5) == bool(label))
-    grads = _gradient(circuit, params, fwd, _bce_ddist(dist, label),
-                      grad_method)
-    return loss, correct, grads
+def _evaluate(batch: list[tuple[Circuit, int]], keys: list[tuple],
+              params: dict, grad_method: str) -> list[tuple]:
+    """Loss, correctness and gradient of each sample, in batch order.
+
+    ``keys`` holds each sample's ``_skeleton``; the samples that share one
+    run as one stacked group.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for pos, key in enumerate(keys):
+        groups.setdefault(key, []).append(pos)
+    results = [None] * len(batch)
+    for positions in groups.values():
+        circuits = [batch[pos][0] for pos in positions]
+        labels = [batch[pos][1] for pos in positions]
+        fwd = _forward(circuits, params)
+        dists = fwd.raw / fwd.success[:, None]
+        dloss = np.array([_bce_ddist(dist, label)
+                          for dist, label in zip(dists, labels)])
+        grads = _gradient(circuits, params, fwd, dloss, grad_method)
+        for pos, dist, label, grad in zip(positions, dists, labels, grads):
+            results[pos] = (bce(float(dist[1]), label),
+                            int((dist[1] >= 0.5) == bool(label)), grad)
+    return results
 
 
 def train(dataset: list[tuple[Circuit, int]],
@@ -328,6 +424,7 @@ def train(dataset: list[tuple[Circuit, int]],
         else 1
     train_set = [dataset[i] for i in order[:split]]
     test_set = [dataset[i] for i in order[split:]]
+    keys = [_skeleton(c) for c, _ in train_set]
 
     params: dict[str, float] = {}
     for circuit, _ in dataset:
@@ -344,19 +441,19 @@ def train(dataset: list[tuple[Circuit, int]],
         batch_order = rng.permutation(len(train_set))
         losses, corrects = [], 0
         for start in range(0, len(train_set), cfg.batch_size):
-            batch = [train_set[i]
-                     for i in batch_order[start:start + cfg.batch_size]]
+            picks = batch_order[start:start + cfg.batch_size]
+            results = _evaluate([train_set[i] for i in picks],
+                                [keys[i] for i in picks], params,
+                                cfg.gradient)
             grad_sum = {s: 0.0 for s in params}
-            for sample in batch:
-                loss, correct, grads = _evaluate(sample, params,
-                                                 cfg.gradient)
+            for loss, correct, grads in results:
                 losses.append(loss)
                 corrects += correct
                 for sym, g in grads.items():
                     grad_sum[sym] += g
             step += 1
             for sym in params:
-                g = grad_sum[sym] / len(batch)
+                g = grad_sum[sym] / len(picks)
                 m[sym] = beta1 * m[sym] + (1 - beta1) * g
                 v[sym] = beta2 * v[sym] + (1 - beta2) * g * g
                 m_hat = m[sym] / (1 - beta1 ** step)
@@ -385,20 +482,37 @@ def evaluate_accuracy(dataset, params) -> float:
 
 def load_dataset(path) -> list[tuple[Circuit, int]]:
     """JSON-lines dataset: {"text_id", "label", "circuit" or
-    "circuit_path"} per line."""
+    "circuit_path"} per line, the label 0 or 1.
+
+    Raises FormatError, naming the line, for a line that is not a JSON
+    object, a missing or other label, and a record with no circuit.
+    """
     out = []
     base = Path(path).parent
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            where = f"line {number}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"not JSON: {exc}", where) from exc
+            if not isinstance(record, dict):
+                raise FormatError("not a JSON object", where)
+            label = record.get("label")
+            if label not in (0, 1):
+                raise FormatError(f"label must be 0 or 1, got {label!r}",
+                                  where)
             if "circuit" in record:
-                circuit = circuit_from_json(record["circuit"])
-            else:
+                data = record["circuit"]
+            elif "circuit_path" in record:
                 with open(base / record["circuit_path"],
                           encoding="utf-8") as g:
-                    circuit = circuit_from_json(json.load(g))
-            out.append((circuit, int(record["label"])))
+                    data = json.load(g)
+            else:
+                raise FormatError(
+                    'record has neither "circuit" nor "circuit_path"', where)
+            out.append((circuit_from_json(data), int(label)))
     return out

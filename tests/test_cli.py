@@ -195,6 +195,28 @@ def test_train_malformed_circuit_exit_code(runner, tmp_path):
     assert "FormatError" in result.output
 
 
+MALFORMED_LINES = {
+    "not JSON": lambda record: json.dumps(record)[:-1],
+    "no label": lambda record: json.dumps(
+        {k: v for k, v in record.items() if k != "label"}),
+    "no circuit": lambda record: json.dumps(
+        {k: v for k, v in record.items() if k != "circuit"}),
+    "label 2": lambda record: json.dumps(dict(record, label=2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+def test_train_malformed_dataset_line_exit_code(runner, tmp_path, case):
+    dataset = write_dataset(runner, tmp_path)
+    lines = dataset.read_text().splitlines()
+    lines[2] = MALFORMED_LINES[case](json.loads(lines[2]))
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["train", "--input", str(dataset),
+                                  "--epochs", "1"])
+    assert result.exit_code == 2
+    assert "FormatError" in result.output and "line 3" in result.output
+
+
 def test_train_command_adjoint_matches_parameter_shift(runner, tmp_path):
     dataset = write_dataset(runner, tmp_path)
     histories = {}

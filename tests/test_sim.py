@@ -10,10 +10,10 @@ from discocirc.errors import CapExceeded, UnboundSymbol, ZeroNorm
 from discocirc.frames import Box, NounState, SentenceDiagram
 from discocirc.ingest import CorefMap
 from discocirc.pipeline import PipelineConfig, run
-from discocirc.sim import (TrainConfig, _apply, bce, evaluate_accuracy,
-                           gate_matrix, gradient, load_dataset, simulate,
-                           train)
-from util import circuit_unitary
+from discocirc.sim import (TrainConfig, _apply, _bce_ddist, _evaluate,
+                           _skeleton, bce, evaluate_accuracy, gate_matrix,
+                           gradient, load_dataset, simulate, train)
+from util import circuit_unitary, classification_dataset
 
 rng = np.random.default_rng(42)
 
@@ -136,7 +136,8 @@ def test_circuit_unitary_oracle_agrees_with_simulation():
 
 def test_kernel_matches_dense_oracle_on_every_placement():
     # every gate kind on every qubit and every ordered pair: control above
-    # and below the target, adjacent and not
+    # and below the target, adjacent and not; one matrix shared by every
+    # row, and a (B, d, d) stack with one matrix per row
     local = np.random.default_rng(5)
     for n in range(1, 6):
         placements = [(q,) for q in range(n)]
@@ -145,19 +146,35 @@ def test_kernel_matches_dense_oracle_on_every_placement():
             names = ("H", "Rx", "Ry", "Rz") if len(qubits) == 1 \
                 else ("CX", "SWAP", "CRz", "CRx")
             for name in names:
-                theta = None if name in ("H", "CX", "SWAP") \
-                    else float(local.uniform(0, 2 * np.pi))
-                U = circuit_unitary(Circuit(n, [Gate(name, qubits, theta)]),
-                                    {})
-                m = gate_matrix(name, theta)
-                states = local.normal(size=(2, 2 ** n)) \
-                    + 1j * local.normal(size=(2, 2 ** n))
+                fixed = name in ("H", "CX", "SWAP")
+                thetas = [None] * 3 if fixed \
+                    else local.uniform(0, 2 * np.pi, size=3)
+                Us = [circuit_unitary(
+                    Circuit(n, [Gate(name, qubits,
+                                     None if fixed else float(t))]), {})
+                    for t in thetas]
+                m = gate_matrix(name, thetas[0])
+                per_row = np.stack([m] * 3) if fixed \
+                    else gate_matrix(name, thetas)
+                assert per_row.shape == (3,) + m.shape
+                states = local.normal(size=(3, 2 ** n)) \
+                    + 1j * local.normal(size=(3, 2 ** n))
                 stacked = _apply(states, m, qubits, n)
                 assert stacked.shape == states.shape
                 for row, state in zip(stacked, states):
                     one = _apply(state, m, qubits, n)
-                    assert np.max(np.abs(one - U @ state)) < 1e-12
+                    assert np.max(np.abs(one - Us[0] @ state)) < 1e-12
                     assert np.max(np.abs(row - one)) < 1e-12
+                # per-row matrices on one state per row, and on a pair
+                pairs = np.stack([states, states[::-1].conj()], axis=1)
+                rows = _apply(states, per_row, qubits, n)
+                row_pairs = _apply(pairs, per_row, qubits, n)
+                assert rows.shape == states.shape
+                assert row_pairs.shape == pairs.shape
+                for U, row, state, out, pair in zip(Us, rows, states,
+                                                    row_pairs, pairs):
+                    assert np.max(np.abs(row - U @ state)) < 1e-12
+                    assert np.max(np.abs(out - pair @ U.T)) < 1e-12
 
 
 # --- gradients --------------------------------------------------------------
@@ -243,6 +260,35 @@ def test_unknown_gradient_method():
     c = fixture_circuit()
     with pytest.raises(ValueError):
         gradient(c, c.symbols, np.zeros(2), "symbolic")
+
+
+def test_stacked_batch_matches_single_circuits():
+    # the two-topic circuits share one skeleton and run as one stacked
+    # group; the wide story, between them, runs as a group of one
+    story = run({"tokens": [["Alice", "reads", "books"],
+                            ["Bob", "loves", "music"],
+                            ["She", "bought", "bikes"],
+                            ["He", "found", "clues"],
+                            ["She", "plays", "piano"],
+                            ["She", "saw", "herself"]]},
+                PipelineConfig(ansatz=AnsatzConfig("sim4")))
+    texts = classification_dataset(3, seed=21)
+    batch = [texts[0], (story, 0), texts[1], texts[2]]
+    keys = [_skeleton(c) for c, _ in batch]
+    assert keys[0] == keys[2] == keys[3] != keys[1]
+    local = np.random.default_rng(17)
+    params = {sym: float(local.uniform(0, 2 * np.pi))
+              for c, _ in batch for sym in c.symbols}
+    for method in ("adjoint", "parameter_shift"):
+        results = _evaluate(batch, keys, params, method)
+        assert len(results) == len(batch)
+        for (c, label), (loss, correct, grads) in zip(batch, results):
+            dist, _ = simulate(c, params)
+            assert abs(loss - bce(float(dist[1]), label)) < 1e-12
+            assert correct == int((dist[1] >= 0.5) == bool(label))
+            single = gradient(c, params, _bce_ddist(dist, label), method)
+            assert list(grads) == list(single)
+            assert max(abs(grads[s] - single[s]) for s in single) < 1e-12
 
 
 # --- training ---------------------------------------------------------------
