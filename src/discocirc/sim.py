@@ -3,16 +3,17 @@
 Circuits with one gate skeleton (the same width, the same gates on the
 same qubits, symbols in the same places, the same postselection and
 outputs) run as one stacked state of shape (B, 2^n), one row per
-circuit: training evaluates each batch's groups this way, and a single
-circuit is a group of one.  Gates act through one reshape kernel: a gate
-on qubit q views the stack as (-1, 2, 2^(n-q-1)), a gate on qubits a < b
-as (-1, 2, 2^(b-a-1), 2, 2^(n-b-1)); the gate's axes of that view are
-transposed last and the gate is one matrix product on the view reshaped
-to (R, -1, d), whose leading axis is the row axis.  A fixed gate's (d, d)
-matrix is shared by every row (R = 1); a parameterised gate has a
-(B, d, d) stack of per-row matrices (R = B; a group of one needs no row
-axis), and each call builds the stacks of all gates of one kind at once
-from one (B, G) array of angles.
+circuit: training evaluates each batch's groups this way, in chunks of at
+most 2^QUBIT_CAP amplitudes, and a single circuit is a group of one.
+Gates act through one reshape kernel: a gate on qubit q views the stack
+as (-1, 2, 2^(n-q-1)), a gate on qubits a < b as
+(-1, 2, 2^(b-a-1), 2, 2^(n-b-1)); the gate's axes of that view are
+transposed last and the gate is one matrix product.  A fixed gate's
+(d, d) matrix is shared by every row, on the view reshaped to (-1, d); a
+parameterised gate has a (B, d, d) stack of per-row matrices, on the
+view reshaped to (B, -1, d), whose leading axis is the row axis (a group
+of one needs no row axis), and each call builds the stacks of all gates
+of one kind at once from one (B, G) array of angles.
 Postselected qubits are projected out and the remainder renormalized,
 with the pre-normalization success probability reported.  The output
 qubits default to every qubit that is not postselected, and one outcome
@@ -58,13 +59,16 @@ def gate_matrix(name: str,
                 theta: float | np.ndarray | None = None) -> np.ndarray:
     """The dense matrix of one gate (d = 2 or 4): (d, d) for a fixed gate
     or one angle, one matrix per angle, shape theta.shape + (d, d), for an
-    array of angles."""
+    array of angles.  A parameterised gate without an angle is a
+    ValueError."""
     if name == "H":
         return _H
     if name == "CX":
         return _CX
     if name == "SWAP":
         return _SWAP
+    if theta is None and name in PARAMETRIC_GATES:
+        raise ValueError(f"{name} gate needs an angle")
     theta = np.asarray(theta, dtype=float)
     if name in ("Rx", "Ry", "Rz"):
         m = np.zeros(theta.shape + (2, 2), dtype=complex)
@@ -115,10 +119,13 @@ def _apply(psi: np.ndarray, matrix: np.ndarray, qubits: tuple,
         view = psi.reshape(-1, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1))
         axes, back = (0, 2, 4, 1, 3), (0, 3, 1, 4, 2)
     moved = view.transpose(axes)
-    # row b of a C-ordered stack is the b-th of B equal blocks of the
-    # view's leading axis
-    rows = len(matrix) if matrix.ndim == 3 else 1
-    out = moved.reshape(rows, -1, matrix.shape[-1]) @ matrix.mT
+    if matrix.ndim == 2:
+        out = moved.reshape(-1, len(matrix)) @ matrix.T
+    else:
+        # row b of a C-ordered stack is the b-th of B equal blocks of the
+        # view's leading axis
+        out = moved.reshape(len(matrix), -1, matrix.shape[-1]) \
+            @ matrix.transpose(0, 2, 1)
     return out.reshape(moved.shape).transpose(back).reshape(psi.shape)
 
 
@@ -132,20 +139,27 @@ def _skeleton(c: Circuit) -> tuple:
             tuple(c.postselect), tuple(c.outputs))
 
 
+def _angle(gate, params: dict) -> float:
+    """A gate's angle: its symbol's value, its number, or NaN for a fixed
+    gate."""
+    if isinstance(gate.param, str):
+        if gate.param not in params:
+            raise UnboundSymbol(f"symbol {gate.param!r} has no value")
+        return params[gate.param]
+    if gate.param is not None:
+        return float(gate.param)
+    if gate.name in PARAMETRIC_GATES:
+        raise ValueError(f"{gate.name} gate needs an angle")
+    return np.nan
+
+
 def _thetas(circuits: list[Circuit], params: dict) -> np.ndarray:
-    """The angle of every gate, one row per circuit (NaN for the fixed
-    gates)."""
+    """The angle of every gate, one row per circuit."""
     n_qubits = circuits[0].n_qubits
     if n_qubits > QUBIT_CAP:
         raise CapExceeded(
             f"{n_qubits} qubits exceed the simulator cap of {QUBIT_CAP}")
-    try:
-        rows = [[params[g.param] if isinstance(g.param, str)
-                 else np.nan if g.param is None else float(g.param)
-                 for g in c.gates] for c in circuits]
-    except KeyError as exc:
-        raise UnboundSymbol(f"symbol {exc.args[0]!r} has no value") \
-            from None
+    rows = [[_angle(g, params) for g in c.gates] for c in circuits]
     return np.array(rows, dtype=float).reshape(len(circuits), -1)
 
 
@@ -324,7 +338,8 @@ def _gradient(circuits: list[Circuit], params: dict, fwd: _Forward,
                                gate.qubits, n)
                 contrib[:, i] = np.sum(pair[:, 1].conj() * moved,
                                        axis=1).imag
-            pair = _apply(pair, fwd.matrices[i].conj().mT, gate.qubits, n)
+            pair = _apply(pair, fwd.matrices[i].conj().swapaxes(-1, -2),
+                          gate.qubits, n)
         symbolic.reverse()
     # each row's sums run in the order the gates were visited
     grads = []
@@ -357,6 +372,10 @@ class TrainConfig:
 
 
 EPS = 1e-12
+# a training group's stacked state holds at most this many amplitudes (a
+# wider group runs in chunks), so the shift rule's and the adjoint's
+# (B, 2, 2^n) stacks stay as small as one pair at the qubit cap
+STACK_AMPLITUDES = 2 ** QUBIT_CAP
 
 
 def bce(p1: float, label: int) -> float:
@@ -385,18 +404,23 @@ class History:
             writer.writerows(self.rows)
 
 
-def _evaluate(batch: list[tuple[Circuit, int]], keys: list[tuple],
-              params: dict, grad_method: str) -> list[tuple]:
+def _evaluate(batch: list[tuple[Circuit, int]], params: dict,
+              grad_method: str) -> list[tuple]:
     """Loss, correctness and gradient of each sample, in batch order.
 
-    ``keys`` holds each sample's ``_skeleton``; the samples that share one
-    run as one stacked group.
+    The samples that share a ``_skeleton`` run as one stacked group, in
+    chunks of at most STACK_AMPLITUDES amplitudes.
     """
     groups: dict[tuple, list[int]] = {}
-    for pos, key in enumerate(keys):
-        groups.setdefault(key, []).append(pos)
-    results = [None] * len(batch)
+    for pos, (c, _) in enumerate(batch):
+        groups.setdefault(_skeleton(c), []).append(pos)
+    chunks = []
     for positions in groups.values():
+        rows = max(1, STACK_AMPLITUDES >> batch[positions[0]][0].n_qubits)
+        chunks += [positions[i:i + rows]
+                   for i in range(0, len(positions), rows)]
+    results = [None] * len(batch)
+    for positions in chunks:
         circuits = [batch[pos][0] for pos in positions]
         labels = [batch[pos][1] for pos in positions]
         fwd = _forward(circuits, params)
@@ -424,7 +448,6 @@ def train(dataset: list[tuple[Circuit, int]],
         else 1
     train_set = [dataset[i] for i in order[:split]]
     test_set = [dataset[i] for i in order[split:]]
-    keys = [_skeleton(c) for c, _ in train_set]
 
     params: dict[str, float] = {}
     for circuit, _ in dataset:
@@ -442,8 +465,7 @@ def train(dataset: list[tuple[Circuit, int]],
         losses, corrects = [], 0
         for start in range(0, len(train_set), cfg.batch_size):
             picks = batch_order[start:start + cfg.batch_size]
-            results = _evaluate([train_set[i] for i in picks],
-                                [keys[i] for i in picks], params,
+            results = _evaluate([train_set[i] for i in picks], params,
                                 cfg.gradient)
             grad_sum = {s: 0.0 for s in params}
             for loss, correct, grads in results:

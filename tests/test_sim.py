@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from discocirc import sim
 from discocirc.ansatz import (AnsatzConfig, Circuit, Gate, append_merge_box,
                               compile)
 from discocirc.compose import compose_document
@@ -256,15 +257,25 @@ def test_shift_rule_and_adjoint_agree_on_a_wide_story():
         assert fd[sym] == pytest.approx(adj[sym], abs=1e-4)
 
 
+def test_parametric_gate_without_angle_is_rejected():
+    with pytest.raises(ValueError):
+        gate_matrix("Rx", None)
+    with pytest.raises(ValueError):
+        simulate(Circuit(1, [Gate("Rx", (0,), None)]), {})
+
+
 def test_unknown_gradient_method():
     c = fixture_circuit()
     with pytest.raises(ValueError):
         gradient(c, c.symbols, np.zeros(2), "symbolic")
 
 
-def test_stacked_batch_matches_single_circuits():
+@pytest.mark.parametrize("amplitudes", [sim.STACK_AMPLITUDES, 2 * 2 ** 4])
+def test_stacked_batch_matches_single_circuits(amplitudes, monkeypatch):
     # the two-topic circuits share one skeleton and run as one stacked
-    # group; the wide story, between them, runs as a group of one
+    # group, or in chunks of two when the stack may hold 32 amplitudes;
+    # the wide story, between them, runs as a group of one
+    monkeypatch.setattr(sim, "STACK_AMPLITUDES", amplitudes)
     story = run({"tokens": [["Alice", "reads", "books"],
                             ["Bob", "loves", "music"],
                             ["She", "bought", "bikes"],
@@ -280,7 +291,7 @@ def test_stacked_batch_matches_single_circuits():
     params = {sym: float(local.uniform(0, 2 * np.pi))
               for c, _ in batch for sym in c.symbols}
     for method in ("adjoint", "parameter_shift"):
-        results = _evaluate(batch, keys, params, method)
+        results = _evaluate(batch, params, method)
         assert len(results) == len(batch)
         for (c, label), (loss, correct, grads) in zip(batch, results):
             dist, _ = simulate(c, params)
