@@ -40,9 +40,8 @@ def _exit_code(exc: Exception) -> int:
 
 
 def _fail(exc: Exception):
-    location = getattr(exc, "location", None)
-    where = f" [{location}]" if location else ""
-    click.echo(f"{type(exc).__name__}: {exc}{where}", err=True)
+    # a FormatError's message already ends with its location
+    click.echo(f"{type(exc).__name__}: {exc}", err=True)
     sys.exit(_exit_code(exc))
 
 

@@ -43,10 +43,6 @@ class TextDiagram:
     layers: list
     chain_order: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def wire_count(self) -> int:
-        return len(self.states)
-
 
 def compose_document(sentences: list[SentenceDiagram | None],
                      coref: CorefMap) -> TextDiagram:

@@ -115,12 +115,15 @@ def diagrams(doc: Document, reports: list[TreeBuildReport],
         for chain in doc.corefs.chains
         if any(m not in removed for m in chain)
     ])
+    removed_in: dict[int, set] = {}
+    for si, ti in removed:
+        removed_in.setdefault(si, set()).add(ti)
     sentence_diagrams = []
     for si, (sent, report) in enumerate(zip(doc.sentences, reports)):
         noun_tokens = frozenset(
             ti for ti, (word, _) in enumerate(sent.tokens)
             if cfg.lexicon.is_noun(word))
-        remove = frozenset(ti for s, ti in removed if s == si)
+        remove = frozenset(removed_in.get(si, ()))
         try:
             sd = sentence_diagram(report.forest, remove, noun_tokens, si)
         except EmptySentence:

@@ -27,9 +27,10 @@ rule is exact); and the adjoint method, one reverse sweep through the
 circuit.  The exact methods fold the renormalization's quotient rule into
 the weights of a single diagonal observable and run on the whole group:
 the adjoint sweep carries each row's state and costate as a (B, 2, 2^n)
-stack, and the shift rule walks the circuit once, shifting the state
-before each parameterised gate both ways and running only the later
-gates on the (B, 2, 2^n) stack of shifted pairs.
+stack.  The shift rule fuses the gates into blocks on at most two qubits,
+one 4x4 product each; a block's variants with one of its p parameterised
+gates shifted either way are built in 4x4 space and run, as one
+(B, 2p, 2^n) stack, through the fused later blocks only.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 _CX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+_I = np.eye(2)
 
 
 def gate_matrix(name: str,
@@ -259,8 +261,53 @@ _GENERATORS = {
     "Ry": np.array([[0, -1j], [1j, 0]]),
     "Rz": np.diag([1, -1]).astype(complex),
     "CRz": np.diag([0, 0, 0, -2]).astype(complex),
-    "CRx": np.kron(np.diag([0, 1]), _X - np.eye(2)),
+    "CRx": np.kron(np.diag([0, 1]), _X - _I),
 }
+
+
+def _blocks(c: Circuit) -> list[tuple[tuple, list[int]]]:
+    """The gates as blocks on at most two qubits, (qubits, gate indices),
+    in running order: a 2-qubit gate takes the 1-qubit gates waiting on its
+    qubits; the rest join their qubit's last block or form a block alone."""
+    blocks, waiting, last = [], {}, {}
+    for i, gate in enumerate(c.gates):
+        if len(gate.qubits) == 1:
+            waiting.setdefault(gate.qubits[0], []).append(i)
+            continue
+        blocks.append((gate.qubits, [j for q in gate.qubits
+                                     for j in waiting.pop(q, [])] + [i]))
+        last.update(dict.fromkeys(gate.qubits, blocks[-1][1]))
+    for q in last:
+        last[q].extend(waiting.pop(q, []))
+    return blocks + [((q,), idx) for q, idx in waiting.items()]
+
+
+def _widen(m: np.ndarray, on: tuple, qubits: tuple) -> np.ndarray:
+    """A gate's matrix (or stack) on the qubits of its block."""
+    if len(on) == len(qubits):
+        return m
+    wide = m[..., :, None, :, None] * _I[:, None, :] if on == qubits[:1] \
+        else _I[:, None, :, None] * m[..., None, :, None, :]
+    return wide.reshape(m.shape[:-2] + (4, 4))
+
+
+def _fuse(c: Circuit, fwd: _Forward, qubits: tuple, idx: list[int]) -> tuple:
+    """A block's qubits, symbolic gates and matrix, and the variants (gates
+    after) G(theta +- pi/2) (gates before) of its p symbolic gates, one per
+    row, gate and sign: (B * 2p, d, d)."""
+    fused = np.eye(2 ** len(qubits))
+    shifted, variants = [], np.zeros((len(fwd.thetas), 0) + fused.shape)
+    for i in idx:
+        gate = c.gates[i]
+        m = _widen(fwd.matrices[i], gate.qubits, qubits)
+        variants = m[..., None, :, :] @ variants
+        if isinstance(gate.param, str):
+            shifted.append(i)
+            pair = gate_matrix(gate.name, fwd.thetas[:, i, None] + _SHIFTS)
+            variants = np.concatenate([variants, _widen(
+                pair, gate.qubits, qubits) @ fused[..., None, :, :]], 1)
+        fused = m @ fused
+    return qubits, shifted, fused, variants.reshape(-1, *fused.shape[-2:])
 
 
 def gradient(c: Circuit, params: dict, dloss_ddist: np.ndarray,
@@ -311,21 +358,20 @@ def _gradient(circuits: list[Circuit], params: dict, fwd: _Forward,
     # by the gate's symbol
     contrib = np.zeros((len(circuits), len(c.gates)))
     if method == "parameter_shift":
-        # psi is the state before gate i; only gates i+1... run on the
-        # (B, 2, 2^n) stack of each row's shifted pair
+        # psi is the state before block k; the (B, 2 p_k, 2^n) stack of
+        # its shifted variants runs through the later blocks only
+        blocks = [_fuse(c, fwd, *block) for block in _blocks(c)]
         psi = np.zeros((len(circuits), 2 ** n), dtype=complex)
         psi[:, 0] = 1.0
-        for i, (gate, m) in enumerate(zip(c.gates, fwd.matrices)):
-            if isinstance(gate.param, str):
-                shifted = gate_matrix(gate.name,
-                                      fwd.thetas[:, i] + _SHIFTS[:, None])
-                pair = np.stack([_apply(psi, plus_or_minus, gate.qubits, n)
-                                 for plus_or_minus in shifted], axis=1)
-                for later, lm in zip(c.gates[i + 1:], fwd.matrices[i + 1:]):
-                    pair = _apply(pair, lm, later.qubits, n)
-                expect = (np.abs(pair) ** 2 @ observable[:, :, None])[..., 0]
-                contrib[:, i] = (expect[:, 0] - expect[:, 1]) / 2
-            psi = _apply(psi, m, gate.qubits, n)
+        for k, (qubits, shifted, fused, variants) in enumerate(blocks):
+            if shifted:
+                stack = _apply(np.repeat(psi[:, None], 2 * len(shifted), 1),
+                               variants, qubits, n)
+                for later, _, lm, _ in blocks[k + 1:]:
+                    stack = _apply(stack, lm, later, n)
+                expect = (np.abs(stack) ** 2 @ observable[:, :, None])[..., 0]
+                contrib[:, shifted] = (expect[:, ::2] - expect[:, 1::2]) / 2
+            psi = _apply(psi, fused, qubits, n)
     else:
         # reverse sweep: uncompute psi and carry
         # lam = (later gates)^dag M psi, stacked as one (B, 2, 2^n) pair;
@@ -373,8 +419,8 @@ class TrainConfig:
 
 EPS = 1e-12
 # a training group's stacked state holds at most this many amplitudes (a
-# wider group runs in chunks), so the shift rule's and the adjoint's
-# (B, 2, 2^n) stacks stay as small as one pair at the qubit cap
+# wider group runs in chunks): the adjoint's (B, 2, 2^n) stack twice as
+# many, the shift rule's (B, 2 p_k, 2^n) stack 2 p_k times as many
 STACK_AMPLITUDES = 2 ** QUBIT_CAP
 
 
@@ -444,8 +490,7 @@ def train(dataset: list[tuple[Circuit, int]],
     """
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(dataset))
-    split = max(1, int(round(len(dataset) * 0.8))) if len(dataset) > 1 \
-        else 1
+    split = max(1, int(round(len(dataset) * 0.8)))
     train_set = [dataset[i] for i in order[:split]]
     test_set = [dataset[i] for i in order[split:]]
 

@@ -232,3 +232,16 @@ def test_train_command_adjoint_matches_parameter_shift(runner, tmp_path):
     # both gradients are exact, so the training runs agree
     assert np.allclose(histories["adjoint"], histories["parameter_shift"],
                        atol=1e-6)
+
+
+def test_format_error_names_its_location_once(runner, tmp_path):
+    dataset = write_dataset(runner, tmp_path)
+    lines = dataset.read_text().splitlines()
+    lines[0] = MALFORMED_LINES["no circuit"](json.loads(lines[0]))
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["train", "--input", str(dataset),
+                                  "--epochs", "1"])
+    assert result.exit_code == 2
+    assert result.output.strip() == ('FormatError: record has neither '
+                                      '"circuit" nor "circuit_path" '
+                                      '(at line 1)')

@@ -11,10 +11,11 @@ from discocirc.errors import CapExceeded, UnboundSymbol, ZeroNorm
 from discocirc.frames import Box, NounState, SentenceDiagram
 from discocirc.ingest import CorefMap
 from discocirc.pipeline import PipelineConfig, run
-from discocirc.sim import (TrainConfig, _apply, _bce_ddist, _evaluate,
-                           _skeleton, bce, evaluate_accuracy, gate_matrix,
-                           gradient, load_dataset, simulate, train)
-from util import circuit_unitary, classification_dataset
+from discocirc.sim import (TrainConfig, _apply, _bce_ddist, _blocks,
+                           _evaluate, _forward, _gradient, _skeleton, bce,
+                           evaluate_accuracy, gate_matrix, gradient,
+                           load_dataset, simulate, train)
+from util import circuit_unitary, classification_dataset, shift_rule_oracle
 
 rng = np.random.default_rng(42)
 
@@ -255,6 +256,115 @@ def test_shift_rule_and_adjoint_agree_on_a_wide_story():
         assert adj[sym] == pytest.approx(shift[sym], abs=1e-10)
         assert fd[sym] == pytest.approx(shift[sym], abs=1e-4)
         assert fd[sym] == pytest.approx(adj[sym], abs=1e-4)
+
+
+def test_blocks_partition_the_gates_on_at_most_two_qubits():
+    # Rx(0) waits for CX(0, 1); Rz(0) and Ry(1) follow the last 2-qubit
+    # gate on their qubits; qubit 3 never meets one
+    c = Circuit(4, [Gate("Rx", (0,), "a"), Gate("Ry", (3,), "b"),
+                    Gate("CX", (0, 1)), Gate("H", (2,)),
+                    Gate("CRz", (2, 1), "c"), Gate("Rz", (0,), "d"),
+                    Gate("Ry", (1,), 0.3), Gate("H", (3,))])
+    assert _blocks(c) == [((0, 1), [0, 2, 5]), ((2, 1), [3, 4, 6]),
+                          ((3,), [1, 7])]
+    story = run({"tokens": [["Alice", "reads", "books"],
+                            ["Bob", "loves", "music"],
+                            ["She", "bought", "bikes"],
+                            ["He", "found", "clues"],
+                            ["She", "plays", "piano"],
+                            ["She", "saw", "herself"]]},
+                PipelineConfig(ansatz=AnsatzConfig("sim4")))
+    text = classification_dataset(1, seed=3)[0][0]
+    for circuit, gates, blocks in ((story, 66, 14), (text, 34, 6)):
+        partition = _blocks(circuit)
+        assert (len(circuit.gates), len(partition)) == (gates, blocks)
+        assert sorted(i for _, idx in partition for i in idx) \
+            == list(range(gates))
+
+
+def _random_group(local, n: int, rows: int) -> tuple[list, dict]:
+    """``rows`` circuits of one skeleton on ``n`` qubits, with per-row
+    literal angles and symbols drawn from a small shared pool, and the
+    symbol values."""
+    lone = int(local.integers(n)) if n > 2 and local.random() < 0.4 \
+        else None
+    paired = [q for q in range(n) if q != lone]
+    skeleton = []
+    for _ in range(int(local.integers(1, 4 * n + 1))):
+        if len(paired) > 1 and local.random() < 0.4:
+            name = str(local.choice(["CX", "SWAP", "CRz", "CRx"]))
+            qubits = tuple(int(q) for q in local.choice(paired, 2, False))
+        else:
+            name = str(local.choice(["H", "Rx", "Ry", "Rz"]))
+            qubits = (int(local.integers(n)),)
+        kind = "fixed" if name in ("H", "CX", "SWAP") \
+            else str(local.choice(["symbol", "literal"]))
+        skeleton.append((name, qubits, kind))
+    post = [(q, int(local.integers(2))) for q in range(n)
+            if q != lone and local.random() < 0.3][:n - 1]
+    free = [q for q in range(n) if q not in dict(post)]
+    outputs = [] if local.random() < 0.5 else sorted(
+        int(q) for q in local.choice(free, local.integers(1, len(free) + 1),
+                                     False))
+    circuits = []
+    for _ in range(rows):
+        gates = [Gate(name, qubits, f"s{local.integers(4)}"
+                      if kind == "symbol" else None if kind == "fixed"
+                      else float(local.uniform(0, 2 * np.pi)))
+                 for name, qubits, kind in skeleton]
+        circuits.append(Circuit(n, gates, post, {}, outputs))
+    params = {f"s{k}": float(local.uniform(0, 2 * np.pi)) for k in range(4)}
+    return circuits, params
+
+
+def test_fused_shift_rule_matches_the_per_gate_oracle():
+    local = np.random.default_rng(29)
+    seen, groups = set(), 0
+    while groups < 300:
+        circuits, params = _random_group(
+            local, int(local.integers(1, 8)), int(local.integers(1, 4)))
+        c = circuits[0]
+        assert len({_skeleton(circuit) for circuit in circuits}) == 1
+        try:
+            fwd = _forward(circuits, params)
+        except ZeroNorm:
+            continue
+        if np.min(fwd.success) < 1e-3:
+            continue
+        groups += 1
+        dl = local.normal(size=fwd.raw.shape)
+        fused = _gradient(circuits, params, fwd, dl, "parameter_shift")
+        oracle = shift_rule_oracle(circuits, params, dl)
+        assert [list(g) for g in fused] == [list(g) for g in oracle]
+        for got, want in zip(fused, oracle):
+            assert all(abs(got[s] - want[s]) < 1e-12 for s in want)
+        # what the draws covered
+        gates = c.gates
+        seen |= {g.name for g in gates}
+        seen |= {"control below" if g.qubits[0] > g.qubits[1]
+                 else "control above" for g in gates if len(g.qubits) == 2}
+        seen |= {"literal" if isinstance(g.param, float) else "symbol"
+                 for g in gates if g.param is not None}
+        seen |= {f"{len(circuits)} rows", f"{c.n_qubits} qubits"}
+        symbols = [g.param for g in gates if isinstance(g.param, str)]
+        if len(symbols) > len(set(symbols)):
+            seen.add("shared symbol")
+        if c.postselect:
+            seen.add("postselection")
+        if not c.outputs:
+            seen.add("no outputs")
+        blocks = _blocks(c)
+        if {len(qubits) for qubits, _ in blocks} == {1, 2}:
+            seen.add("lone qubit")
+        if any(len(gates[idx[-1]].qubits) == 1
+               for qubits, idx in blocks if len(qubits) == 2):
+            seen.add("trailing 1-qubit gate")
+    assert seen >= {"H", "CX", "SWAP", "Rx", "Ry", "Rz", "CRz", "CRx",
+                    "control above", "control below", "literal", "symbol",
+                    "shared symbol", "postselection", "no outputs",
+                    "lone qubit", "trailing 1-qubit gate",
+                    "1 rows", "2 rows", "3 rows"} \
+        | {f"{n} qubits" for n in range(1, 8)}
 
 
 def test_parametric_gate_without_angle_is_rejected():

@@ -5,7 +5,8 @@ tokens, assign random output types, then lay the tokens' compound types
 out as wires and connect child outputs to parent argument slots.  The
 result is valid and non-crossing by construction, which makes it an
 independent oracle for tree building and type recovery.  The dense
-``circuit_unitary`` is the matching oracle for the simulator, and
+``circuit_unitary`` is the matching oracle for the simulator,
+``shift_rule_oracle`` the per-gate one for its fused shift rule, and
 ``wire_order`` replays a text diagram's layers to recover its wire order.
 """
 
@@ -20,7 +21,7 @@ from discocirc.compose import TextDiagram
 from discocirc.errors import ChainMismatch
 from discocirc.frames import Perm, Spider, element_wires
 from discocirc.grammar import PregroupDiagram, PregroupType, SimpleType
-from discocirc.sim import gate_matrix
+from discocirc.sim import _SHIFTS, _apply, _forward, gate_matrix
 from discocirc.trees import PregroupTreeNode, compound_type
 
 
@@ -183,6 +184,46 @@ def _embed(matrix: np.ndarray, qubits: tuple, n: int) -> np.ndarray:
     inverse = np.argsort(order)
     big = np.transpose(big, list(inverse) + [n + i for i in inverse])
     return big.reshape(2 ** n, 2 ** n)
+
+
+def shift_rule_oracle(circuits, params: dict,
+                      dloss_ddist: np.ndarray) -> list[dict]:
+    """The per-gate two-term shift rule, the oracle for the simulator's
+    fused one: the state before each parameterised gate is shifted both
+    ways and every later gate replayed on the (B, 2, 2^n) stack of
+    shifted pairs; each symbol sums its gates' terms in gate order."""
+    c = circuits[0]
+    fwd = _forward(circuits, params)
+    n = max(c.n_qubits, 1)
+    kept, outcome, _ = fwd.outcomes
+    s = fwd.success[:, None]
+    weights = dloss_ddist / s \
+        - np.sum(dloss_ddist * fwd.raw, axis=1, keepdims=True) / s ** 2
+    observable = np.zeros((len(circuits), 2 ** n))
+    observable[:, kept] = weights[:, outcome]
+    contrib = np.zeros((len(circuits), len(c.gates)))
+    psi = np.zeros((len(circuits), 2 ** n), dtype=complex)
+    psi[:, 0] = 1.0
+    for i, (gate, m) in enumerate(zip(c.gates, fwd.matrices)):
+        if isinstance(gate.param, str):
+            shifted = gate_matrix(gate.name,
+                                  fwd.thetas[:, i] + _SHIFTS[:, None])
+            pair = np.stack([_apply(psi, plus_or_minus, gate.qubits, n)
+                             for plus_or_minus in shifted], axis=1)
+            for later, lm in zip(c.gates[i + 1:], fwd.matrices[i + 1:]):
+                pair = _apply(pair, lm, later.qubits, n)
+            expect = (np.abs(pair) ** 2 @ observable[:, :, None])[..., 0]
+            contrib[:, i] = (expect[:, 0] - expect[:, 1]) / 2
+        psi = _apply(psi, m, gate.qubits, n)
+    grads = []
+    for circuit, row in zip(circuits, contrib.tolist()):
+        terms = [(g.param, term) for g, term in zip(circuit.gates, row)
+                 if isinstance(g.param, str)]
+        grad = dict.fromkeys(sorted({sym for sym, _ in terms}), 0.0)
+        for sym, term in terms:
+            grad[sym] += term
+        grads.append(grad)
+    return grads
 
 
 # --- wire order of a text diagram -------------------------------------------
