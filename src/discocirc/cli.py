@@ -52,30 +52,40 @@ def _emit(text: str, out: str | None):
         click.echo(text)
 
 
-def _common(f):
-    f = click.option("--input", "input_path", required=True,
-                     type=click.Path(exists=True),
-                     help="Interchange JSON document.")(f)
-    f = click.option("--lexicon", "lexicon_path", type=click.Path(exists=True),
-                     help="Lexicon JSON; defaults to the built-in one.")(f)
-    f = click.option("--rewrites", default="",
-                     help="Comma-separated rule names or rule-file paths "
-                          "(coordination, determiner, auxiliary, "
-                          "noun_modification).")(f)
+def _common(*formats):
+    """--input, --lexicon, --out and a --format taking ``formats``."""
+    def decorate(f):
+        f = click.option("--input", "input_path", required=True,
+                         type=click.Path(exists=True),
+                         help="Interchange JSON document.")(f)
+        f = click.option("--lexicon", "lexicon_path",
+                         type=click.Path(exists=True),
+                         help="Lexicon JSON; defaults to the built-in one.")(f)
+        f = click.option("--format", "fmt", type=click.Choice(formats),
+                         default="json")(f)
+        f = click.option("--out", type=click.Path(), default=None,
+                         help="Write the artifact here instead of stdout.")(f)
+        return f
+    return decorate
+
+
+def _rewrites(f):
+    return click.option("--rewrites", default="",
+                        help="Comma-separated rule names or rule-file paths "
+                             "(coordination, determiner, auxiliary, "
+                             "noun_modification).")(f)
+
+
+def _filters(f):
     f = click.option("--min-noun-frequency", type=int, default=None,
                      help="Drop chains with fewer mentions than this.")(f)
     f = click.option("--remove-nouns", default="",
                      help="Comma-separated noun words to drop.")(f)
-    f = click.option("--format", "fmt",
-                     type=click.Choice(["json", "text", "dot"]),
-                     default="json")(f)
-    f = click.option("--out", type=click.Path(), default=None,
-                     help="Write the artifact here instead of stdout.")(f)
     return f
 
 
-def _config(lexicon_path, rewrites, min_noun_frequency,
-            remove_nouns, **extra) -> PipelineConfig:
+def _config(lexicon_path, rewrites="", min_noun_frequency=None,
+            remove_nouns="", **extra) -> PipelineConfig:
     lex = Lexicon.load(lexicon_path) if lexicon_path else Lexicon.builtin()
     cfg = PipelineConfig(lexicon=lex, **extra)
     resolve_rewrites([r for r in rewrites.split(",") if r], cfg)
@@ -94,15 +104,13 @@ def main(verbose):
 
 
 @main.command()
-@_common
+@_common("json")
 @click.option("--all-parses", is_flag=True,
               help="Dump every parse the mini parser finds.")
-def parse(input_path, lexicon_path, rewrites, min_noun_frequency,
-          remove_nouns, fmt, out, all_parses):
+def parse(input_path, lexicon_path, fmt, out, all_parses):
     """Ingest (or mini-parse) a document and dump it."""
     try:
-        cfg = _config(lexicon_path, rewrites, min_noun_frequency,
-                      remove_nouns)
+        cfg = _config(lexicon_path)
         with open(input_path, encoding="utf-8") as f:
             raw = json.load(f)
         if all_parses and "tokens" in raw:
@@ -124,13 +132,12 @@ def parse(input_path, lexicon_path, rewrites, min_noun_frequency,
 
 
 @main.command()
-@_common
-def tree(input_path, lexicon_path, rewrites, min_noun_frequency,
-         remove_nouns, fmt, out):
+@_common("json", "text", "dot")
+@_rewrites
+def tree(input_path, lexicon_path, fmt, out, rewrites):
     """Build pregroup trees and dump the forest."""
     try:
-        cfg = _config(lexicon_path, rewrites, min_noun_frequency,
-                      remove_nouns)
+        cfg = _config(lexicon_path, rewrites)
         with open(input_path, encoding="utf-8") as f:
             reports = run(json.load(f), cfg, stage="tree")
         if fmt == "text":
@@ -147,9 +154,11 @@ def tree(input_path, lexicon_path, rewrites, min_noun_frequency,
 
 
 @main.command()
-@_common
-def diagram(input_path, lexicon_path, rewrites, min_noun_frequency,
-            remove_nouns, fmt, out):
+@_common("json", "dot")
+@_rewrites
+@_filters
+def diagram(input_path, lexicon_path, fmt, out, rewrites, min_noun_frequency,
+            remove_nouns):
     """Compose the document-level diagram and dump it."""
     try:
         cfg = _config(lexicon_path, rewrites, min_noun_frequency,
@@ -179,13 +188,15 @@ def _circuit_options(f):
 
 
 @main.command()
-@_common
+@_common("json", "text")
+@_rewrites
+@_filters
 @_circuit_options
 @click.option("--batch", type=click.Path(exists=True, file_okay=False),
               default=None, help="Compile every *.json in a directory.")
-def circuit(input_path, lexicon_path, rewrites, min_noun_frequency,
-            remove_nouns, fmt, out, ansatz_kind, qubits_per_wire, layers,
-            no_share, foliated, seed, batch):
+def circuit(input_path, lexicon_path, fmt, out, rewrites, min_noun_frequency,
+            remove_nouns, ansatz_kind, qubits_per_wire, layers, no_share,
+            foliated, seed, batch):
     """Compile the document into a parameterised circuit."""
     try:
         cfg = _config(

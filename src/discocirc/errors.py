@@ -23,10 +23,6 @@ class NoParse(DiscocircError):
     """The mini parser found no type assignment reducing to a sentence."""
 
 
-class UnresolvedPronoun(DiscocircError):
-    """A pronoun has no feature-compatible antecedent."""
-
-
 class EmptySentence(DiscocircError):
     """All nouns of a sentence were filtered out and no body remains."""
 

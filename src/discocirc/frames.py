@@ -77,9 +77,6 @@ class Spider:
     dagger: bool = False
 
 
-DiagramElement = (Box, Frame, Identity, Empty, Seq, Par, Perm, Spider)
-
-
 def element_wires(el) -> tuple:
     """The wire ids an element touches (domain side)."""
     if isinstance(el, (Box, Frame, Identity)):
@@ -149,7 +146,7 @@ class NounState:
 @dataclass
 class SentenceDiagram:
     nouns: list[NounState]
-    body: object  # a DiagramElement
+    body: object  # Box, Frame, Identity, Empty, Seq, Par, Perm or Spider
 
 
 def _is_trivial(el) -> bool:

@@ -403,8 +403,6 @@ class TrainConfig:
     epochs: int = 60
     batch_size: int = 10
     learning_rate: float = 0.01
-    optimizer: str = "adam"
-    loss: str = "bce"
     gradient: str = "parameter_shift"
     seed: int = 0
 
@@ -413,8 +411,6 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-        if self.optimizer != "adam" or self.loss != "bce":
-            raise ValueError("only adam/bce are supported")
 
 
 EPS = 1e-12

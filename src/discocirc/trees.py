@@ -1,9 +1,10 @@
 """Pregroup trees: compact tree form of a sentence's pregroup diagram.
 
 Each node is a token annotated with the type of its output wire(s); its
-children are the tokens its argument wires contract with.  Cups that would
-give a token a second parent are broken, longest token span first, so the
-result is always a forest.  The full compound type of any token can be
+children are the tokens its other wires contract with.  The tokens and
+the runs of nested cups between them form a graph; the trees are its
+spanning forest with the shortest runs kept, so a cycle loses its run
+of largest token span.  The full compound type of any token can be
 recovered from the node and its children's output types.
 """
 
@@ -42,28 +43,35 @@ class TreeBuildReport:
     removed_cups: list[tuple[int, int]]
 
 
+def _owners(d: PregroupDiagram) -> list[int]:
+    """The token index of every wire offset."""
+    return [t for t, (_, ty) in enumerate(d.tokens) for _ in ty]
+
+
 def find_heads(d: PregroupDiagram) -> list[int]:
     """Token indices owning at least one free wire, in sentence order."""
-    heads = []
-    for w in d.free_wires:
-        t = d.token_of_wire(w)
-        if not heads or heads[-1] != t:
-            heads.append(t)
-    return heads
-
-
-def _span(d: PregroupDiagram, cup: tuple[int, int]) -> int:
-    return abs(d.token_of_wire(cup[1]) - d.token_of_wire(cup[0]))
+    owner = _owners(d)
+    return sorted({owner[w] for w in d.free_wires})
 
 
 def build_trees(d: PregroupDiagram) -> TreeBuildReport:
     """Convert a valid diagram into a forest of pregroup trees.
 
-    Roots are the tokens owning free wires.  Children are visited in
-    argument order (by token position), depth-first.  When following a cup
-    would hand a token a second parent, the competing cup with the larger
-    token span is removed and recorded; ties remove the cup whose left
-    endpoint is leftmost.
+    A run is a maximal group of nested cups ``(a, b), (a+1, b-1), ...``
+    between the same two tokens; every run is one candidate edge.  The
+    runs are taken in order of key (token span, -left endpoint), that is
+    shortest first and, on equal spans, rightmost first, with all heads
+    (tokens owning free wires) counted as one vertex.  A run that would
+    close a cycle or join two heads is removed: its cups go to
+    ``removed_cups`` in that order, outermost cup first.  Every other run
+    is a tree edge, so the removed run is always the one of largest key
+    on the cycle or head-to-head path it closes.
+
+    Each tree holds at most one head and is rooted there, with the head's
+    free wires as output type; a component with no head is rooted at its
+    leftmost token, with an empty output type.  A child's output type is
+    its wires in the run to its parent.  Children are in token order and
+    the roots in sentence order.
     """
     report = validate_diagram(d)
     if not report.is_valid:
@@ -72,146 +80,54 @@ def build_trees(d: PregroupDiagram) -> TreeBuildReport:
             f"crossings: {report.crossing_pairs}")
 
     wire_types = d.wire_types
-    partner = {}
-    for i, j in d.cups:
-        partner[i] = j
-        partner[j] = i
-    active = set(d.cups)
+    owner = _owners(d)
+    runs: list[list[tuple[int, int]]] = []
+    for i, j in d.cups:  # sorted by left endpoint
+        if runs and runs[-1][-1] == (i - 1, j + 1) \
+                and owner[i - 1] == owner[i] and owner[j + 1] == owner[j]:
+            runs[-1].append((i, j))
+        else:
+            runs.append([(i, j)])
+
+    free = d.free_wires
+    heads = sorted({owner[w] for w in free})
+    parent = list(range(len(d.tokens)))
+    for h in heads:
+        parent[h] = heads[0]
+
+    def find(t: int) -> int:
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
     removed: list[tuple[int, int]] = []
+    edges: list[list[tuple[int, list]]] = [[] for _ in d.tokens]
+    for run in sorted(runs, key=lambda r: (
+            owner[r[0][1]] - owner[r[0][0]], -r[0][0])):
+        u, v = owner[run[0][0]], owner[run[0][1]]
+        if find(u) == find(v):
+            removed.extend(run)
+            continue
+        parent[find(u)] = find(v)
+        edges[u].append((v, run))
+        edges[v].append((u, run))
 
-    nodes: dict[int, PregroupTreeNode] = {}
-    parent_of: dict[int, int] = {}
-    parent_cups: dict[int, list[tuple[int, int]]] = {}
-    heads = set(find_heads(d))
-    # tokens on the live recursion path, outermost first
-    path: list[int] = []
-
-    def canonical(i, j):
-        return (min(i, j), max(i, j))
-
-    def drop_edge(cups):
-        for cup in cups:
-            active.discard(cup)
-            removed.append(cup)
-
-    def arg_edges(tok: int, out_wires: set[int]):
-        """Argument edges of a token: (child_token, [cups]) lists.
-
-        Consecutive wires cupped to consecutive wires of the same token
-        merge into one edge (a multi-wire connection).
-        """
-        edges = []
-        for w in d.wires_of_token(tok):
-            if w in out_wires or w not in partner:
-                continue
-            cup = canonical(w, partner[w])
-            if cup not in active:
-                continue
-            other = d.token_of_wire(partner[w])
-            if (edges and edges[-1][0] == other
-                    and edges[-1][2] == w - 1
-                    and edges[-1][3] == partner[w] + 1):
-                edges[-1][1].append(cup)
-                edges[-1][2] = w
-                edges[-1][3] = partner[w]
-            else:
-                edges.append([other, [cup], w, partner[w]])
-        edges.sort(key=lambda e: e[0])
-        return [(e[0], e[1]) for e in edges]
-
-    def out_type_of(wires) -> PregroupType:
-        return PregroupType(wire_types[w] for w in sorted(wires))
-
-    def build(tok: int, out_wires: list[int]) -> PregroupTreeNode:
-        node = PregroupTreeNode(d.words[tok], tok, out_type_of(out_wires))
-        nodes[tok] = node
-        path.append(tok)
-        for child_tok, cups in arg_edges(tok, set(out_wires)):
-            cups = [c for c in cups if c in active]
-            if not cups:
-                continue
-            if child_tok not in nodes and child_tok in heads:
-                # another head word: trees stay rooted at their heads, so
-                # this cup cannot become a parent link
-                drop_edge(cups)
-                continue
-            if child_tok not in nodes:
-                child_out = sorted(
-                    partner[w] for cup in cups for w in cup
-                    if d.token_of_wire(w) == tok)
-                parent_of[child_tok] = tok
-                parent_cups[child_tok] = cups
-                child = build(child_tok, child_out)
-                if child_tok in parent_of and parent_of[child_tok] == tok:
-                    node.children.append(child)
-                continue
-            # the target already sits in the tree
-            other = nodes[child_tok]
-            if parent_of.get(child_tok) == tok and parent_cups.get(child_tok) == cups:
-                # assigned to us by an earlier loop resolution
-                node.children.append(other)
-                continue
-            if child_tok in path:
-                # an ancestor: this cup would make the current token a
-                # second child-of-two-parents; compare with our own
-                # parent edge and remove the longer-range one
-                own = parent_cups.get(tok)
-                if own is None:
-                    drop_edge(cups)
-                    continue
-                span_new = _span(d, cups[0])
-                span_own = _span(d, own[0])
-                if (span_new, -min(c[0] for c in cups)) >= (
-                        span_own, -min(c[0] for c in own)):
-                    drop_edge(cups)
-                else:
-                    # our parent edge loses: detach from the old parent
-                    # and hang off the ancestor instead
-                    drop_edge(own)
-                    parent_of[tok] = child_tok
-                    parent_cups[tok] = cups
-                    node.out_type = out_type_of(
-                        w for cup in cups for w in cup
-                        if d.token_of_wire(w) == tok)
-                    # leave attachment to the ancestor's pending scan
-                continue
-            if child_tok not in parent_of:
-                # orphaned earlier by a loop resolution: adopt it
-                node.children.append(other)
-                parent_of[child_tok] = tok
-                parent_cups[child_tok] = cups
-            else:
-                # a genuine second parent for the target
-                old = parent_cups[child_tok]
-                span_new = _span(d, cups[0])
-                span_old = _span(d, old[0])
-                if (span_new, -min(c[0] for c in cups)) >= (
-                        span_old, -min(c[0] for c in old)):
-                    drop_edge(cups)
-                else:
-                    drop_edge(old)
-                    old_parent = nodes[parent_of[child_tok]]
-                    old_parent.children.remove(other)
-                    other.out_type = out_type_of(
-                        w for cup in cups for w in cup
-                        if d.token_of_wire(w) == child_tok)
-                    node.children.append(other)
-                    parent_of[child_tok] = tok
-                    parent_cups[child_tok] = cups
-        path.pop()
+    def grow(tok: int, out_wires, above: int | None) -> PregroupTreeNode:
+        node = PregroupTreeNode(d.tokens[tok][0], tok, PregroupType(
+            wire_types[w] for w in sorted(out_wires)))
+        for child, run in sorted(edges[tok]):
+            if child != above:
+                node.children.append(grow(child, (
+                    w for cup in run for w in cup if owner[w] == child), tok))
         return node
 
     forest = []
-    free_by_token: dict[int, list[int]] = {}
-    for w in d.free_wires:
-        free_by_token.setdefault(d.token_of_wire(w), []).append(w)
-    for head in find_heads(d):
-        forest.append(build(head, free_by_token[head]))
-    # components with no free wires: root each at its leftmost token
-    for tok in range(len(d.tokens)):
-        if tok not in nodes:
-            forest.append(build(tok, list(d.wires_of_token(tok))))
-    forest.sort(key=lambda n: n.token_index)
+    rooted = {find(h) for h in heads}
+    for t in range(len(d.tokens)):
+        if t in heads or find(t) not in rooted:
+            rooted.add(find(t))
+            forest.append(grow(t, (w for w in free if owner[w] == t), None))
     return TreeBuildReport(forest, removed)
 
 

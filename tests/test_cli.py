@@ -63,6 +63,37 @@ def test_tree_respects_rewrites(runner):
     assert ":a " not in result.output
 
 
+def test_tree_json_and_dot_output(runner):
+    args = ["tree", "--input", f"{FIXTURES}/reading.json", "--format"]
+    result = runner.invoke(main, args + ["json"])
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data[0][0]["word"] == "reads"
+    assert [c["word"] for c in data[0][0]["children"]] == ["Alice", "books"]
+    result = runner.invoke(main, args + ["dot"])
+    assert result.exit_code == 0
+    assert result.output.startswith("digraph pregroup_tree")
+    assert "t1 -> t0;" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["parse", "--format", "dot"],
+    ["parse", "--format", "text"],
+    ["parse", "--rewrites", "determiner"],
+    ["parse", "--min-noun-frequency", "2"],
+    ["parse", "--remove-nouns", "map"],
+    ["tree", "--min-noun-frequency", "2"],
+    ["tree", "--remove-nouns", "map"],
+    ["diagram", "--format", "text"],
+    ["circuit", "--format", "dot"],
+], ids=" ".join)
+def test_options_a_stage_ignores_are_usage_errors(runner, args):
+    result = runner.invoke(main, args[:1] + [
+        "--input", f"{FIXTURES}/treasure_hunt.json"] + args[1:])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+
+
 def test_diagram_json_output(runner):
     result = runner.invoke(main, ["diagram", "--input",
                                   f"{FIXTURES}/treasure_hunt.json"])
@@ -167,6 +198,20 @@ def test_train_command(runner, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,train_acc,test_acc"
     assert len(lines) == 3
+
+
+def test_train_writes_its_parameters(runner, tmp_path):
+    dataset = write_dataset(runner, tmp_path)
+    params = tmp_path / "params.json"
+    result = runner.invoke(main, ["train", "--input", str(dataset),
+                                  "--epochs", "2", "--batch-size", "2",
+                                  "--params-out", str(params)])
+    assert result.exit_code == 0
+    written = json.loads(params.read_text())
+    symbols = json.loads(dataset.read_text().splitlines()[0])[
+        "circuit"]["symbols"]
+    assert sorted(written) == sorted(symbols)
+    assert written != symbols  # two epochs moved them
 
 
 def test_train_unbound_symbol_exit_code(runner, tmp_path):

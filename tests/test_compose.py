@@ -10,7 +10,7 @@ from discocirc.frames import (Box, Identity, NounState, Par, Perm,
                               SentenceDiagram, Spider, element_wires,
                               sentence_diagram)
 from discocirc.ingest import CorefMap, Lexicon, load_document, parse_text
-from discocirc.pipeline import PipelineConfig, diagrams, treeize
+from discocirc.pipeline import PipelineConfig, diagrams, ingest, treeize
 from discocirc.trees import build_trees
 from util import apply_layer, wire_order
 
@@ -90,6 +90,31 @@ def test_empty_sentences_skipped(lex):
     sd = sentence_diagram(build_trees(d).forest, frozenset(), noun_tokens, 0)
     td = compose_document([None, sd, None], doc.corefs)
     assert len(td.states) == 2
+
+
+def test_unchained_nouns_get_their_own_wires(lex):
+    raw = json.load(open(f"{FIXTURES}/treasure_hunt.json", encoding="utf-8"))
+    raw["corefs"] = []
+    doc = ingest(raw, lex)
+    td = diagrams(doc, treeize(doc, PipelineConfig()), PipelineConfig())
+    # without chains "She" and "It" no longer share Alice's and the
+    # clues' wires
+    assert [s.word for s in td.states] == \
+        ["Alice", "map", "She", "clues", "It", "treasure"]
+
+
+def test_sentence_emptied_by_filtering_adds_no_layer(lex):
+    raw = json.load(open(f"{FIXTURES}/treasure_hunt.json", encoding="utf-8"))
+    cfg = PipelineConfig(remove_nouns=["It", "treasure"])
+    doc = ingest(raw, lex)
+    td = diagrams(doc, treeize(doc, cfg), cfg)
+    raw["sentences"] = raw["sentences"][:2]
+    raw["corefs"] = [[m for m in chain if m[0] < 2]
+                     for chain in raw["corefs"] if chain[0][0] < 2]
+    short = ingest(raw, lex)
+    want = diagrams(short, treeize(short, cfg), cfg)
+    assert td.layers == want.layers
+    assert [s.word for s in td.states] == ["Alice", "map", "clues"]
 
 
 def test_empty_document():

@@ -477,5 +477,6 @@ def test_bad_train_config():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=-1)
-    with pytest.raises(ValueError):
+    # training is Adam on binary cross-entropy; neither is a setting
+    with pytest.raises(TypeError):
         TrainConfig(optimizer="sgd")

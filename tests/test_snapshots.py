@@ -23,8 +23,8 @@ from discocirc.ansatz import AnsatzConfig
 from discocirc.compose import TextDiagram, compose_document
 from discocirc.frames import Box, Frame, NounState, SentenceDiagram, Spider
 from discocirc.ingest import CorefMap
-from discocirc.pipeline import (PipelineConfig, circuit, diagrams, ingest,
-                                resolve_rewrites, treeize)
+from discocirc.pipeline import (PipelineConfig, apply_coordination, circuit,
+                                diagrams, ingest, resolve_rewrites, treeize)
 from discocirc.sandwich import SandwichConfig
 from discocirc.sim import simulate
 
@@ -86,7 +86,7 @@ def gapped_frames() -> dict:
 
 
 def document_diagram(source, cfg) -> TextDiagram:
-    doc = ingest(source, cfg.lexicon)
+    doc = apply_coordination(ingest(source, cfg.lexicon), cfg)
     return diagrams(doc, treeize(doc, cfg), cfg)
 
 

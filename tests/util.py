@@ -4,8 +4,9 @@ Diagrams are generated inversely: draw a random projective tree over the
 tokens, assign random output types, then lay the tokens' compound types
 out as wires and connect child outputs to parent argument slots.  The
 result is valid and non-crossing by construction, which makes it an
-independent oracle for tree building and type recovery.  The dense
-``circuit_unitary`` is the matching oracle for the simulator,
+independent oracle for tree building and type recovery;
+``random_loopy_diagram`` adds the loopy diagrams no tree encodes.  The
+dense ``circuit_unitary`` is the matching oracle for the simulator,
 ``shift_rule_oracle`` the per-gate one for its fused shift rule, and
 ``wire_order`` replays a text diagram's layers to recover its wire order.
 """
@@ -96,6 +97,33 @@ def random_diagram(rng: random.Random, max_tokens: int = 10):
     """Random valid diagram plus the tree it was generated from."""
     tree = random_tree(rng, rng.randint(1, max_tokens))
     return tree_to_diagram(tree), tree
+
+
+def random_loopy_diagram(rng: random.Random,
+                         max_tokens: int = 8) -> PregroupDiagram:
+    """Random valid diagram from a random non-crossing matching over the
+    wires of random tokens.  Unlike ``random_diagram`` it has cycles,
+    self-cups, several heads, headless components, free wires under cups
+    and the odd token of empty type."""
+    sizes = [0 if rng.random() < 0.03 else rng.randint(1, 4)
+             for _ in range(rng.randint(1, max_tokens))]
+    owner = [t for t, k in enumerate(sizes) for _ in range(k)]
+    cups, open_wires = [], []
+    for w, t in enumerate(owner):
+        r = rng.random()
+        if open_wires and r < (0.1 if owner[open_wires[-1]] == t else 0.6):
+            cups.append((open_wires.pop(), w))
+        elif r < 0.9:
+            open_wires.append(w)
+    types = [SimpleType(rng.choice("ns"), rng.randint(-2, 2))
+             for _ in owner]
+    for i, j in cups:
+        types[j] = types[i].r
+    tokens, start = [], 0
+    for t, k in enumerate(sizes):
+        tokens.append((f"w{t}", PregroupType(types[start:start + k])))
+        start += k
+    return PregroupDiagram(tokens, cups)
 
 
 # --- two-topic paragraph generator ------------------------------------------
