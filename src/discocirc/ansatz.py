@@ -153,11 +153,20 @@ def compile(td: TextDiagram, cfg: AnsatzConfig,
         qubits_of[wire] = qbs
         return qbs
 
+    # one gate layout per block width, its symbols given by position
+    layouts: dict[int, list[tuple]] = {}
+
     def emit_block(name: str, qbs: list[int]):
         syms = table.block(name, len(qbs))
-        for g in block_fn(len(qbs), cfg.layers, syms):
-            circuit.gates.append(
-                Gate(g.name, tuple(qbs[i] for i in g.qubits), g.param))
+        layout = layouts.get(len(qbs))
+        if layout is None:
+            layout = layouts[len(qbs)] = [
+                (g.name, g.qubits, g.param) for g in
+                block_fn(len(qbs), cfg.layers, range(len(syms)))]
+        circuit.gates += [
+            Gate(gate, tuple(map(qbs.__getitem__, qubits)),
+                 None if k is None else syms[k])
+            for gate, qubits, k in layout]
 
     for state in td.states:
         emit_block(state.word, alloc(state.chain_id))

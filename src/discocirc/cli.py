@@ -9,7 +9,7 @@ from pathlib import Path
 
 import click
 
-from .ansatz import AnsatzConfig, circuit_to_json, dump_circuit
+from .ansatz import QUBIT_CAP, AnsatzConfig, circuit_to_json, dump_circuit
 from .compose import text_diagram_to_dot, text_diagram_to_json
 from .errors import (CapExceeded, DiscocircError, FormatError, NoParse,
                      UnboundSymbol, ZeroNorm)
@@ -184,6 +184,10 @@ def _circuit_options(f):
     f = click.option("--foliated", is_flag=True,
                      help="Independent sandwich unitaries per layer.")(f)
     f = click.option("--seed", type=int, default=0)(f)
+    f = click.option("--max-qubits", type=click.IntRange(min=1),
+                     default=QUBIT_CAP, show_default=True,
+                     help="Refuse circuits wider than this (exit 4). The "
+                          "simulator and training keep their own cap.")(f)
     return f
 
 
@@ -196,14 +200,15 @@ def _circuit_options(f):
               default=None, help="Compile every *.json in a directory.")
 def circuit(input_path, lexicon_path, fmt, out, rewrites, min_noun_frequency,
             remove_nouns, ansatz_kind, qubits_per_wire, layers, no_share,
-            foliated, seed, batch):
+            foliated, seed, max_qubits, batch):
     """Compile the document into a parameterised circuit."""
     try:
         cfg = _config(
             lexicon_path, rewrites, min_noun_frequency, remove_nouns,
             sandwich=SandwichConfig("foliated" if foliated else "shared"),
             ansatz=AnsatzConfig(ansatz_kind, qubits_per_wire, layers,
-                                not no_share, seed))
+                                not no_share, seed),
+            max_qubits=max_qubits)
 
         def one(path):
             with open(path, encoding="utf-8") as f:

@@ -1,14 +1,16 @@
 """Stitch sentence diagrams into one document-level text diagram.
 
 Sentences compose along wires carrying the same coreference chain.  Each
-sentence contributes: one permutation moving its chains after the
-untouched ones (only when that changes the order), spider copies for
-chains mentioned twice within the sentence, the sentence body, then the
-daggered spiders and the inverse permutation restoring the global wire
-order.  Every element addresses wires by id, so a permutation is a
-relabelling of the wire order and the body needs no identity padding.
-Wire ids are chain ids; within-sentence duplicate mentions use
-(chain_id, k) copy ids.
+sentence contributes: one permutation moving its chains, in local order,
+to the end of the wire order (only when they are not already there),
+spider copies for chains mentioned twice within the sentence, the
+sentence body, then the daggered spiders and the inverse permutation
+putting its chains back.  Between sentences the wire order is therefore
+always the order in which chains were introduced.  Every element
+addresses wires by id, so a permutation is a relabelling of the wire
+order that names only the chains it moves, and the body needs no
+identity padding.  Wire ids are chain ids; within-sentence duplicate
+mentions use (chain_id, k) copy ids.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ def compose_document(sentences: list[SentenceDiagram | None],
             chain_of[m] = ci
 
     states: list[NounState] = []
-    known: set[int] = set()
-    order: list[int] = []
+    position: dict[int, int] = {}  # chain id -> introduction position
     layers: list = []
 
     for sd in sentences:
@@ -73,22 +74,19 @@ def compose_document(sentences: list[SentenceDiagram | None],
                                     "belongs to no coreference chain")
             local.append((noun, chain_of[mention]))
 
-        local_unique: list[int] = []
         counts: dict[int, int] = {}
         for _, cid in local:
             counts[cid] = counts.get(cid, 0) + 1
-            if cid not in local_unique:
-                local_unique.append(cid)
-        new = [cid for cid in local_unique if cid not in known]
-        shared = [cid for cid in local_unique if cid in known]
+        local_unique = list(counts)  # first-mention order
+        shared = any(cid in position for cid in local_unique)
 
+        # a new chain's state is its first mention; its wire goes last
         for noun, cid in local:
-            if cid not in known:  # a new chain's state is its first mention
-                known.add(cid)
+            if cid not in position:
+                position[cid] = len(states)
                 states.append(
                     NounState(noun.word, noun.sentence_index,
                               noun.token_index, cid))
-        order += new
 
         # wire ids for the body: first mention of a chain keeps the chain
         # id, further mentions get copy ids
@@ -100,14 +98,14 @@ def compose_document(sentences: list[SentenceDiagram | None],
             token_to_wire[noun.token_index] = cid if k == 0 else (cid, k)
         body = map_wires(sd.body, lambda t: token_to_wire[t])
 
-        # route: untouched chains first, then this sentence's chains in
-        # local order; new chains already sit at the end in that order
-        target = ([c for c in order if c not in local_unique]
-                  + local_unique) if shared else order
-        routed = target != order
+        # route this sentence's chains, in local order, to the end of the
+        # wire order; new chains already sit there in that order
+        tail = len(states) - len(local_unique)
+        routed = shared and \
+            [s.chain_id for s in states[tail:]] != local_unique
+        wires = tuple(local_unique)
         if routed:
-            at = {c: i for i, c in enumerate(order)}
-            layers.append(Perm(tuple(order), tuple(at[c] for c in target)))
+            layers.append(Perm(wires, tuple(range(tail, len(states)))))
         copies = [Spider((cid,) + tuple((cid, k) for k in range(1, n)), cid,
                          dagger=True)
                   for cid, n in counts.items() if n > 1]
@@ -115,12 +113,9 @@ def compose_document(sentences: list[SentenceDiagram | None],
         layers.append(body)
         layers += [Spider(c.in_wires, c.out_wire) for c in reversed(copies)]
         if routed:
-            at = {c: i for i, c in enumerate(target)}
-            layers.append(Perm(tuple(target), tuple(at[c] for c in order)))
+            layers.append(Perm(wires, tuple(position[c] for c in wires)))
 
-    td = TextDiagram(states, layers,
-                     {cid: i for i, cid in enumerate(order)})
-    return td
+    return TextDiagram(states, layers, position)
 
 
 def wire_box_sequences(td: TextDiagram) -> dict[int, list[str]]:
@@ -152,7 +147,7 @@ def text_diagram_to_json(td: TextDiagram) -> dict:
             return {"kind": "empty"}
         if isinstance(el, Perm):
             return {"kind": "perm", "wires": list(el.wires),
-                    "mapping": list(el.mapping)}
+                    "positions": list(el.positions)}
         if isinstance(el, Spider):
             return {"kind": "spider", "in_wires": list(el.in_wires),
                     "out_wire": el.out_wire, "dagger": el.dagger}

@@ -61,10 +61,14 @@ class Par:
 
 @dataclass(frozen=True)
 class Perm:
-    """Reordering of the current wires: output i carries input mapping[i]."""
+    """Reordering of the current wires that names only the wires it moves:
+    ``wires`` are taken out of the wire order, and then ``wires[k]`` is put
+    back so that it ends up at index ``positions[k]``, the other wires
+    keeping their relative order.  A sentence's pair sends its chains to
+    the end of the order and back to their introduction positions."""
 
     wires: tuple
-    mapping: tuple
+    positions: tuple
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ def map_wires(el, fn):
         return Frame(el.name, tuple(fn(w) for w in el.wires),
                      tuple(map_wires(c, fn) for c in el.components))
     if isinstance(el, Perm):
-        return Perm(tuple(fn(w) for w in el.wires), el.mapping)
+        return Perm(tuple(fn(w) for w in el.wires), el.positions)
     if isinstance(el, Spider):
         return Spider(tuple(fn(w) for w in el.in_wires), fn(el.out_wire),
                       el.dagger)
@@ -278,7 +282,7 @@ def dump_element(el, depth: int = 0, indent: str = "  ") -> str:
     if isinstance(el, Empty):
         return f"{pad}empty"
     if isinstance(el, Perm):
-        return f"{pad}perm {list(el.mapping)} on {list(el.wires)}"
+        return f"{pad}perm {list(el.wires)} to {list(el.positions)}"
     if isinstance(el, Spider):
         arrow = "copy" if el.dagger else "merge"
         return f"{pad}spider-{arrow} {list(el.in_wires)} ~ {el.out_wire}"

@@ -46,12 +46,6 @@ class CorefMap:
                     raise FormatError(f"mention {m} appears in two chains")
                 seen.add(m)
 
-    def chain_of(self, mention: Mention) -> int | None:
-        for ci, chain in enumerate(self.chains):
-            if mention in chain:
-                return ci
-        return None
-
     def mentions(self) -> set[Mention]:
         return {m for chain in self.chains for m in chain}
 
@@ -79,7 +73,14 @@ class Lexicon:
             if any(len(t) == 0 for t in types):
                 raise FormatError(f"empty type for word {word!r}")
             self.entries[word] = types
-            self.features[word] = value.get("features", {})
+            feats = value.get("features", {})
+            if not isinstance(feats, dict) or not all(
+                    isinstance(feats.get(key), (str, type(None)))
+                    for key in ("gender", "number")):
+                raise FormatError(
+                    f"features of {word!r} must map gender and number "
+                    "to strings")
+            self.features[word] = feats
             if value.get("is_noun"):
                 self.nouns.add(word)
             if value.get("is_pronoun"):
@@ -249,38 +250,44 @@ def lexicon_parse(tokens: list[str], lex: Lexicon,
     raise NoParse(f"no type assignment of {tokens} reduces to a sentence")
 
 
-def _compatible(pron_feats: dict, noun_feats: dict) -> bool:
-    for key in ("gender", "number"):
-        a, b = pron_feats.get(key), noun_feats.get(key)
-        if a and b and a != b:
-            return False
-    return True
+def _feature_class(feats: dict) -> tuple:
+    """(gender, number), an absent or empty feature as None."""
+    return feats.get("gender") or None, feats.get("number") or None
+
+
+def _accepts(want, have) -> bool:
+    # an absent feature on either side is a wildcard
+    return want is None or have is None or want == have
 
 
 def resolve_pronouns(doc: Document, lex: Lexicon) -> CorefMap:
     """Chain each pronoun to its nearest feature-compatible antecedent.
 
     Nouns with no pronouns become singleton chains; unresolvable pronouns
-    are logged and left as fresh singletons.
+    are logged and left as fresh singletons.  Only the latest noun of
+    each feature class can be the nearest one, so a pronoun looks at one
+    candidate per class.  A noun with no gender or number binds any
+    pronoun (a decision recorded in the README).
     """
     chains: list[list[Mention]] = []
-    antecedents: list[tuple[dict, int]] = []  # (features, chain) of nouns
+    latest: dict[tuple, int] = {}  # feature class -> chain of its last noun
     for si, sent in enumerate(doc.sentences):
         for ti, (word, ty) in enumerate(sent.tokens):
             mention = (si, ti)
             if word in lex.pronouns:
-                feats = lex.features.get(word, {})
-                for cand_feats, ci in reversed(antecedents):
-                    if _compatible(feats, cand_feats):
-                        chains[ci].append(mention)
-                        break
-                else:
+                gender, number = _feature_class(lex.features.get(word, {}))
+                ci = max((c for (g, n), c in latest.items()
+                          if _accepts(gender, g) and _accepts(number, n)),
+                         default=None)
+                if ci is None:
                     log.warning("unresolved pronoun %r at %s", word, mention)
                     chains.append([mention])
+                else:
+                    chains[ci].append(mention)
             elif word in lex.nouns:
+                latest[_feature_class(lex.features.get(word, {}))] = \
+                    len(chains)
                 chains.append([mention])
-                antecedents.append((lex.features.get(word, {}),
-                                    len(chains) - 1))
     return CorefMap(chains)
 
 

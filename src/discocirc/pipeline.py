@@ -11,7 +11,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .ansatz import AnsatzConfig, Circuit, append_merge_box, compile
+from .ansatz import (QUBIT_CAP, AnsatzConfig, Circuit, append_merge_box,
+                     compile)
 from .compose import TextDiagram, compose_document
 from .errors import EmptySentence
 from .frames import min_frequency_filter, sentence_diagram
@@ -33,6 +34,8 @@ class PipelineConfig:
     remove_nouns: list[str] = field(default_factory=list)
     sandwich: SandwichConfig = field(default_factory=SandwichConfig)
     ansatz: AnsatzConfig = field(default_factory=AnsatzConfig)
+    # compile-side qubit cap; the simulator keeps its own QUBIT_CAP
+    max_qubits: int = QUBIT_CAP
 
 
 def resolve_rewrites(names: list[str], cfg: PipelineConfig) -> None:
@@ -136,7 +139,7 @@ def diagrams(doc: Document, reports: list[TreeBuildReport],
 def circuit(td: TextDiagram, cfg: PipelineConfig) -> Circuit:
     expanded = expand_frames(td, cfg.sandwich)
     merged = append_merge_box(expanded)
-    return compile(merged, cfg.ansatz)
+    return compile(merged, cfg.ansatz, cap=cfg.max_qubits)
 
 
 def run(source, cfg: PipelineConfig, stage: str = "circuit"):

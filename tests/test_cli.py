@@ -175,6 +175,17 @@ def test_cap_exit_code(runner):
     assert result.exit_code == 4
 
 
+def test_max_qubits_lifts_the_compile_cap(runner):
+    # four wires at five qubits each: 20 qubits, past the default cap
+    args = ["circuit", "--input", f"{FIXTURES}/treasure_hunt.json",
+            "--qubits-per-wire", "5"]
+    assert runner.invoke(main, args).exit_code == 4
+    assert runner.invoke(main, args + ["--max-qubits", "19"]).exit_code == 4
+    result = runner.invoke(main, args + ["--max-qubits", "20"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["n_qubits"] == 20
+
+
 def write_dataset(runner, tmp_path):
     """A tiny JSON-lines dataset built through the circuit stage."""
     circuit_json = runner.invoke(main, [

@@ -12,7 +12,7 @@ from discocirc.frames import (Box, Identity, NounState, Par, Perm,
 from discocirc.ingest import CorefMap, Lexicon, load_document, parse_text
 from discocirc.pipeline import PipelineConfig, diagrams, ingest, treeize
 from discocirc.trees import build_trees
-from util import apply_layer, wire_order
+from util import apply_layer, replay, wire_order
 
 FIXTURES = "tests/fixtures"
 
@@ -139,25 +139,54 @@ def test_routing_is_one_perm_pair_per_sentence(lex):
         at = [i for i, layer in enumerate(td.layers)
               if isinstance(layer, Perm)]
         assert at and len(at) % 2 == 0 and len(at) <= 2 * n
+        steps, _ = replay(td)
         for i, j in zip(at[0::2], at[1::2]):
             fwd, inv = td.layers[i], td.layers[j]
-            routed = apply_layer(list(fwd.wires), fwd)
-            assert list(inv.wires) == routed
-            assert apply_layer(routed, inv) == list(fwd.wires)
+            before, routed = steps[i]
+            assert routed != before
+            # the pair names the same chains; the inverse restores the
+            # order and the forward one sends the chains last
+            assert inv.wires == fwd.wires
+            assert steps[j] == (routed, before)
+            assert routed[-len(fwd.wires):] == list(fwd.wires)
             # one sentence body between the pair, on the routed tail
             bodies = [layer for layer in td.layers[i + 1:j]
                       if not isinstance(layer, Spider)]
             assert len(bodies) == 1
             chains = {w[0] if isinstance(w, tuple) else w
                       for w in element_wires(bodies[0])}
-            assert set(routed[-len(chains):]) == chains
+            assert set(fwd.wires) == chains
         assert wire_order(td) == [s.chain_id for s in td.states]
 
 
+def test_perm_entries_grow_with_mentions_not_wires(lex):
+    # one "she" chain and a fresh object per sentence: every sentence
+    # after the first is routed, and each Perm names its two chains
+    rng = random.Random(0)
+    verbs = ["reads", "loves", "likes", "bought", "found"]
+    objects = ["books", "map", "music", "bread", "code", "story"]
+    sentences = [["Alice", "reads", "a", "books"]] + [
+        ["she", rng.choice(verbs), "a", rng.choice(objects)]
+        for _ in range(399)]
+    cfg = PipelineConfig(lexicon=lex)
+    doc = parse_text(sentences, lex)
+    td = diagrams(doc, treeize(doc, cfg), cfg)
+    mentions = sum(len(chain) for chain in doc.corefs.chains)
+    perms = [layer for layer in td.layers if isinstance(layer, Perm)]
+    assert len(perms) == 2 * 399
+    assert sum(len(p.wires) for p in perms) <= 4 * mentions
+    assert wire_order(td) == [s.chain_id for s in td.states]
+
+
 def test_apply_layer_rejects_wrong_domain():
-    layer = Perm((0, 1), (1, 0))
-    with pytest.raises(ChainMismatch):
-        apply_layer([1, 0], layer)
+    for layer in [Perm((2,), (0,)),        # a wire not in the order
+                  Perm((0, 0), (0, 1)),    # a wire named twice
+                  Perm((0, 1), (1, 1)),    # two wires sent to one place
+                  Perm((0,), (2,))]:       # a position past the end
+        with pytest.raises(ChainMismatch):
+            apply_layer([1, 0], layer)
+    assert apply_layer([1, 0], Perm((0, 1), (1, 0))) == [1, 0]
+    assert apply_layer([0, 1, 2], Perm((0,), (2,))) == [1, 2, 0]
 
 
 def test_json_and_dot_dumps(lex):
@@ -166,5 +195,9 @@ def test_json_and_dot_dumps(lex):
     assert [s["word"] for s in data["states"]] == ["Alice", "map", "clues",
                                                    "treasure"]
     assert data["chain_order"] == {"0": 0, "1": 1, "2": 2, "3": 3}
+    # "She followed the clues" sends Alice and the clues last and back
+    assert [layer for layer in data["layers"] if layer["kind"] == "perm"] \
+        == [{"kind": "perm", "wires": [0, 2], "positions": [1, 2]},
+            {"kind": "perm", "wires": [0, 2], "positions": [0, 2]}]
     dot = text_diagram_to_dot(td)
     assert dot.startswith("digraph") and "followed" in dot

@@ -7,8 +7,9 @@ result is valid and non-crossing by construction, which makes it an
 independent oracle for tree building and type recovery;
 ``random_loopy_diagram`` adds the loopy diagrams no tree encodes.  The
 dense ``circuit_unitary`` is the matching oracle for the simulator,
-``shift_rule_oracle`` the per-gate one for its fused shift rule, and
-``wire_order`` replays a text diagram's layers to recover its wire order.
+``shift_rule_oracle`` the per-gate one for its fused shift rule,
+``resolve_pronouns_oracle`` the back-scan one for the pronoun resolver,
+and ``replay`` replays a text diagram's layers to recover its wire order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from discocirc.compose import TextDiagram
 from discocirc.errors import ChainMismatch
 from discocirc.frames import Perm, Spider, element_wires
 from discocirc.grammar import PregroupDiagram, PregroupType, SimpleType
+from discocirc.ingest import CorefMap, Document, Lexicon, Mention
 from discocirc.sim import _SHIFTS, _apply, _forward, gate_matrix
 from discocirc.trees import PregroupTreeNode, compound_type
 
@@ -260,10 +262,19 @@ def apply_layer(order: list, layer) -> list:
     """Wire order after a layer (permutations reorder, spiders change
     multiplicity, everything else is width-preserving)."""
     if isinstance(layer, Perm):
-        if tuple(order) != layer.wires:
+        missing = [w for w in layer.wires if w not in order]
+        if missing or len(set(layer.wires)) != len(layer.wires):
             raise ChainMismatch(
-                f"permutation domain {layer.wires} != wire order {order}")
-        return [layer.wires[i] for i in layer.mapping]
+                f"permutation of {layer.wires} on wire order {order}")
+        if len(layer.positions) != len(layer.wires) \
+                or len(set(layer.positions)) != len(layer.positions) \
+                or not all(0 <= p < len(order) for p in layer.positions):
+            raise ChainMismatch(
+                f"positions {layer.positions} on {len(order)} wires")
+        out = [w for w in order if w not in layer.wires]
+        for pos, w in sorted(zip(layer.positions, layer.wires)):
+            out.insert(pos, w)
+        return out
     if isinstance(layer, Spider):
         if layer.dagger:
             pos = order.index(layer.out_wire)
@@ -274,17 +285,59 @@ def apply_layer(order: list, layer) -> list:
     return list(order)
 
 
-def wire_order(td: TextDiagram) -> list:
-    # states are appended over time; replay introductions with the layers
+def replay(td: TextDiagram) -> tuple[list[tuple[list, list]], list]:
+    """The wire order before and after each layer, and the final order.
+    States are appended over time, so a chain is introduced just before
+    the first layer that needs it; the states no layer touches end the
+    final order."""
     order = []
     introduced = 0
+    steps = []
     for layer in td.layers:
         needed = set()
         for w in element_wires(layer):
             needed.add(w[0] if isinstance(w, tuple) else w)
         while introduced < len(td.states) and not needed <= set(order):
-            order.append(td.states[introduced].chain_id)
+            order = order + [td.states[introduced].chain_id]
             introduced += 1
-        order = apply_layer(order, layer)
-    order += [s.chain_id for s in td.states[introduced:]]
-    return order
+        before, order = order, apply_layer(order, layer)
+        steps.append((before, order))
+    return steps, order + [s.chain_id for s in td.states[introduced:]]
+
+
+def wire_order(td: TextDiagram) -> list:
+    return replay(td)[1]
+
+
+# --- the back-scan pronoun resolver -----------------------------------------
+
+def _compatible(pron_feats: dict, noun_feats: dict) -> bool:
+    for key in ("gender", "number"):
+        a, b = pron_feats.get(key), noun_feats.get(key)
+        if a and b and a != b:
+            return False
+    return True
+
+
+def resolve_pronouns_oracle(doc: Document, lex: Lexicon) -> CorefMap:
+    """The resolver that scans back over every earlier noun, the oracle for
+    ``ingest.resolve_pronouns``, which looks at one noun per feature
+    class."""
+    chains: list[list[Mention]] = []
+    antecedents: list[tuple[dict, int]] = []  # (features, chain) of nouns
+    for si, sent in enumerate(doc.sentences):
+        for ti, (word, ty) in enumerate(sent.tokens):
+            mention = (si, ti)
+            if word in lex.pronouns:
+                feats = lex.features.get(word, {})
+                for cand_feats, ci in reversed(antecedents):
+                    if _compatible(feats, cand_feats):
+                        chains[ci].append(mention)
+                        break
+                else:
+                    chains.append([mention])
+            elif word in lex.nouns:
+                chains.append([mention])
+                antecedents.append((lex.features.get(word, {}),
+                                    len(chains) - 1))
+    return CorefMap(chains)
