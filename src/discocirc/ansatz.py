@@ -116,6 +116,9 @@ class _SymbolTable:
         self.rng = np.random.default_rng(cfg.seed)
         self.values: dict[str, float] = {}
         self.occurrences: dict[tuple[str, int], int] = {}
+        # the names of each (name, n_qubits) block, whose values were all
+        # minted when it was first seen
+        self.names: dict[tuple[str, int], list[str]] = {}
 
     def block(self, name: str, n_qubits: int) -> list[str]:
         """Symbol names for one block occurrence, minting values for
@@ -126,11 +129,17 @@ class _SymbolTable:
             self.occurrences[(name, arity)] = occ + 1
             if occ:
                 name = f"{name}.{occ}"
-        count = block_symbol_count(self.cfg.kind, n_qubits, self.cfg.layers)
-        names = [f"{name}__{arity}__{i}" for i in range(count)]
-        for sym in names:
-            if sym not in self.values:
-                self.values[sym] = float(self.rng.uniform(0.0, 2 * np.pi))
+        key = name, n_qubits
+        names = self.names.get(key)
+        if names is None:
+            count = block_symbol_count(self.cfg.kind, n_qubits,
+                                       self.cfg.layers)
+            names = self.names[key] = [
+                f"{name}__{arity}__{i}" for i in range(count)]
+            for sym in names:
+                if sym not in self.values:
+                    self.values[sym] = float(
+                        self.rng.uniform(0.0, 2 * np.pi))
         return names
 
 

@@ -10,7 +10,8 @@ sentence wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import InvalidDiagram
@@ -71,6 +72,18 @@ class PregroupType:
     def __init__(self, factors: Iterable[SimpleType] = ()):
         object.__setattr__(self, "factors", tuple(factors))
 
+    def __hash__(self):
+        # computed once: types are hashed many times as parts of memo keys
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self.factors)
+        return h
+
+    def __getstate__(self):
+        # str hashes differ between processes, so a pickle leaves the
+        # cached hash out
+        return {"factors": self.factors}
+
     def __len__(self) -> int:
         return len(self.factors)
 
@@ -126,25 +139,40 @@ class PregroupDiagram:
     """Typed tokens plus non-crossing cups over global wire offsets.
 
     Wire offsets index the concatenation of all tokens' factors, left to
-    right.  Each offset appears in at most one cup.
+    right.  Each offset appears in at most one cup.  The wire layout
+    (``wire_types``, each wire's owning token and ``free_wires``) is
+    computed once, on construction; it follows from the tokens and cups,
+    so equality, hashing and repr leave it out.
     """
 
     tokens: tuple[tuple[str, PregroupType], ...]
     cups: tuple[tuple[int, int], ...]
+    wire_types: tuple[SimpleType, ...] = field(
+        init=False, repr=False, compare=False)
+    wire_owners: tuple[int, ...] = field(
+        init=False, repr=False, compare=False)
+    free_wires: tuple[int, ...] = field(
+        init=False, repr=False, compare=False)
 
     def __init__(self, tokens, cups=()):
-        object.__setattr__(
-            self, "tokens", tuple((w, t) for w, t in tokens))
-        object.__setattr__(
-            self, "cups", tuple(sorted((min(i, j), max(i, j)) for i, j in cups)))
+        tokens = tuple([(w, t) for w, t in tokens])
+        cups = tuple(sorted([(i, j) if i <= j else (j, i) for i, j in cups]))
+        wire_types, owners = [], []
+        for t, (_, ty) in enumerate(tokens):
+            wire_types.extend(ty.factors)
+            owners.extend([t] * len(ty.factors))
+        free = set(range(len(owners)))
+        free.difference_update(*cups)
+        init = object.__setattr__
+        init(self, "tokens", tokens)
+        init(self, "cups", cups)
+        init(self, "wire_types", tuple(wire_types))
+        init(self, "wire_owners", tuple(owners))
+        init(self, "free_wires", tuple(sorted(free)))
 
     @property
     def words(self) -> tuple[str, ...]:
         return tuple(w for w, _ in self.tokens)
-
-    @property
-    def wire_types(self) -> tuple[SimpleType, ...]:
-        return tuple(t for _, ty in self.tokens for t in ty)
 
     @property
     def n_wires(self) -> int:
@@ -152,21 +180,15 @@ class PregroupDiagram:
 
     def token_of_wire(self, offset: int) -> int:
         """Index of the token owning a global wire offset."""
-        pos = 0
-        for i, (_, ty) in enumerate(self.tokens):
-            pos += len(ty)
-            if offset < pos:
-                return i
-        raise IndexError(f"wire offset {offset} out of range")
+        if not 0 <= offset < len(self.wire_owners):
+            raise IndexError(f"wire offset {offset} out of range")
+        return self.wire_owners[offset]
 
     def wires_of_token(self, index: int) -> range:
-        start = sum(len(ty) for _, ty in self.tokens[:index])
-        return range(start, start + len(self.tokens[index][1]))
-
-    @property
-    def free_wires(self) -> tuple[int, ...]:
-        cupped = {w for cup in self.cups for w in cup}
-        return tuple(w for w in range(self.n_wires) if w not in cupped)
+        width = len(self.tokens[index][1])
+        # a negative index counts from the end, as for the tokens
+        start = bisect_left(self.wire_owners, index % len(self.tokens))
+        return range(start, start + width)
 
 
 @dataclass(frozen=True)
@@ -182,8 +204,29 @@ class ValidationReport:
         return not self.illegal_cups and not self.crossing_pairs
 
 
+def _crossing_free(cups) -> bool:
+    """True iff no two cups cross, i.e. no ``(i, j), (k, l)`` with
+    ``i < k < j < l``.
+
+    One pass over the cups by left endpoint, outer cup first on equal
+    left endpoints, keeps a stack of the cups still open: each lies
+    inside the one below it, so the new cup only needs comparing with
+    the innermost open cup that ends after it starts.
+    """
+    stack: list[tuple[int, int]] = []
+    for k, l in sorted(cups, key=lambda c: (c[0], -c[1])):
+        while stack and stack[-1][1] <= k:
+            stack.pop()
+        if stack and stack[-1][0] < k and stack[-1][1] < l:
+            return False
+        stack.append((k, l))
+    return True
+
+
 def validate_diagram(d: PregroupDiagram) -> ValidationReport:
-    """Check every cup for legality and every cup pair for crossings."""
+    """Check every cup for legality and the cups for crossings; only a
+    diagram with a crossing has its cup pairs checked one by one, to
+    list them."""
     wires = d.wire_types
     illegal = []
     seen: dict[int, tuple[int, int]] = {}
@@ -197,12 +240,13 @@ def validate_diagram(d: PregroupDiagram) -> ValidationReport:
             continue
         seen[i] = seen[j] = cup
     crossings = []
-    cups = sorted(set(d.cups))
-    for a in range(len(cups)):
-        for b in range(a + 1, len(cups)):
-            (i, j), (k, l) = cups[a], cups[b]
-            if i < k < j < l or k < i < l < j:
-                crossings.append((cups[a], cups[b]))
+    if not _crossing_free(d.cups):
+        cups = sorted(set(d.cups))
+        for a in range(len(cups)):
+            for b in range(a + 1, len(cups)):
+                (i, j), (k, l) = cups[a], cups[b]
+                if i < k < j < l or k < i < l < j:
+                    crossings.append((cups[a], cups[b]))
     free = PregroupType(wires[w] for w in d.free_wires)
     return ValidationReport(tuple(illegal), tuple(crossings), free)
 

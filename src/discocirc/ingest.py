@@ -293,8 +293,26 @@ def resolve_pronouns(doc: Document, lex: Lexicon) -> CorefMap:
 
 def parse_text(sentences: list[list[str]], lex: Lexicon,
                text: str | None = None) -> Document:
-    """Parse pre-tokenised sentences and resolve pronouns."""
-    diagrams = [lexicon_parse(tokens, lex) for tokens in sentences]
+    """Parse pre-tokenised sentences and resolve pronouns.
+
+    The parser reads a word only through its lexicon entries, so two
+    sentences with the same sequence of entries get the same type
+    assignment and cups.  Each distinct sequence is searched once per
+    call; a later sentence with it reuses the winner with its own words.
+    """
+    parses: dict[tuple, tuple] = {}  # entries per token -> (types, cups)
+    diagrams = []
+    for tokens in sentences:
+        # a word not in the lexicon gets no entries; lexicon_parse raises
+        key = tuple(tuple(lex.entries.get(w, ())) for w in tokens)
+        parse = parses.get(key)
+        if parse is None:
+            diagram = lexicon_parse(tokens, lex)
+            parses[key] = tuple(ty for _, ty in diagram.tokens), diagram.cups
+        else:
+            types, cups = parse
+            diagram = PregroupDiagram(zip(tokens, types), cups)
+        diagrams.append(diagram)
     doc = Document(diagrams, CorefMap([]), text)
     doc.corefs = resolve_pronouns(doc, lex)
     return doc

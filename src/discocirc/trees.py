@@ -43,14 +43,9 @@ class TreeBuildReport:
     removed_cups: list[tuple[int, int]]
 
 
-def _owners(d: PregroupDiagram) -> list[int]:
-    """The token index of every wire offset."""
-    return [t for t, (_, ty) in enumerate(d.tokens) for _ in ty]
-
-
 def find_heads(d: PregroupDiagram) -> list[int]:
     """Token indices owning at least one free wire, in sentence order."""
-    owner = _owners(d)
+    owner = d.wire_owners
     return sorted({owner[w] for w in d.free_wires})
 
 
@@ -80,7 +75,7 @@ def build_trees(d: PregroupDiagram) -> TreeBuildReport:
             f"crossings: {report.crossing_pairs}")
 
     wire_types = d.wire_types
-    owner = _owners(d)
+    owner = d.wire_owners
     runs: list[list[tuple[int, int]]] = []
     for i, j in d.cups:  # sorted by left endpoint
         if runs and runs[-1][-1] == (i - 1, j + 1) \
@@ -129,6 +124,14 @@ def build_trees(d: PregroupDiagram) -> TreeBuildReport:
             rooted.add(find(t))
             forest.append(grow(t, (w for w in free if owner[w] == t), None))
     return TreeBuildReport(forest, removed)
+
+
+def relabel(node: PregroupTreeNode, words) -> PregroupTreeNode:
+    """A fresh copy of a tree whose node of token ``i`` carries
+    ``words[i]``, with the same output types and child order."""
+    return PregroupTreeNode(words[node.token_index], node.token_index,
+                            node.out_type,
+                            [relabel(child, words) for child in node.children])
 
 
 def compound_type(node: PregroupTreeNode) -> PregroupType:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from discocirc.ansatz import (AnsatzConfig, Circuit, Gate, append_merge_box,
@@ -85,6 +86,27 @@ def test_shared_parameters_reuse_symbols():
     solo = compile(td, AnsatzConfig("sim4", 1, 1, share_parameters=False))
     assert len(shared.symbols) < len(solo.symbols)
     assert any(".1__" in s for s in solo.symbols)
+
+
+@pytest.mark.parametrize("kind", ["iqp", "sim4"])
+@pytest.mark.parametrize("q", [1, 2])
+def test_shared_symbols_follow_name_and_width(kind, q):
+    # "f" on one wire, on two wires, then on one wire again
+    sds = [SentenceDiagram([NounState("a", 0, 0)], Box("f", (0,))),
+           SentenceDiagram([NounState("b", 1, 0), NounState("c", 1, 1)],
+                           Box("f", (0, 1))),
+           SentenceDiagram([NounState("a", 2, 0)], Box("f", (0,)))]
+    td = compose_document(sds, CorefMap([[(0, 0), (2, 0)], [(1, 0)],
+                                         [(1, 1)]]))
+    c = compile(td, AnsatzConfig(kind, q, 2, seed=3))
+    blocks = [("a", 1), ("b", 1), ("c", 1), ("f", 1), ("f", 2), ("f", 1)]
+    names = [f"{name}__{width}__{i}" for name, width in blocks
+             for i in range(block_symbol_count(kind, width * q, 2))]
+    assert symbols(c.gates) == names
+    rng = np.random.default_rng(3)
+    assert list(c.symbols.items()) == [
+        (name, float(rng.uniform(0.0, 2 * np.pi)))
+        for name in dict.fromkeys(names)]
 
 
 def test_initial_values_deterministic_and_in_range():

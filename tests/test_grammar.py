@@ -1,10 +1,18 @@
+import os
+import pickle
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+from discocirc import grammar
 from discocirc.errors import InvalidDiagram
 from discocirc.grammar import (N, PregroupDiagram, PregroupType, S,
                                SimpleType, Ty, adjoint, can_contract,
                                reduce, validate_diagram)
+from util import random_diagram, random_loopy_diagram, validate_diagram_oracle
 
 simple_types = st.builds(
     SimpleType,
@@ -113,3 +121,84 @@ def test_duplicate_wire_rejected():
 def test_cups_stored_canonically():
     d = PregroupDiagram([("a", Ty(N)), ("b", Ty(N.r))], [(1, 0)])
     assert d.cups == ((0, 1),)
+
+
+def test_wire_layout_is_stored_but_not_compared():
+    d = alice_reads_books()
+    assert d.wire_types == (N, N.r, S, N.l, N)
+    assert d.wire_owners == (0, 1, 1, 1, 2)
+    assert d.free_wires == (2,) and d.n_wires == 5
+    same = PregroupDiagram(list(d.tokens), [(4, 3), (1, 0)])
+    assert same == d and hash(same) == hash(d) and same in [d]
+    assert repr(same) == repr(d)
+    for name in ("wire_types", "wire_owners", "free_wires"):
+        assert name not in repr(d)
+    other = PregroupDiagram(list(d.tokens), [(0, 1)])
+    assert other != d and other.free_wires == (2, 3, 4)
+
+
+def test_wire_offsets_out_of_range_and_empty_tokens():
+    d = PregroupDiagram([("a", Ty(N)), ("e", Ty()), ("b", Ty(N.r, S))],
+                        [(0, 1)])
+    assert [d.token_of_wire(w) for w in range(d.n_wires)] == [0, 2, 2]
+    for offset in (-1, 3):
+        with pytest.raises(IndexError):
+            d.token_of_wire(offset)
+    assert [list(d.wires_of_token(t)) for t in range(3)] == \
+        [[0], [], [1, 2]]
+    assert list(d.wires_of_token(-1)) == [1, 2]
+    with pytest.raises(IndexError):
+        d.wires_of_token(3)
+
+
+def random_cup_set(rng: random.Random) -> PregroupDiagram:
+    """Random types with random cups: crossing, nested, sharing an
+    endpoint, repeated, illegal, degenerate or out of range."""
+    types = [SimpleType(rng.choice("ns"), rng.randint(-1, 1))
+             for _ in range(rng.randint(0, 9))]
+    tokens, start = [], 0
+    while start < len(types):
+        k = rng.randint(0, 3)
+        tokens.append((f"w{len(tokens)}",
+                       PregroupType(types[start:start + k])))
+        start += k
+    span = len(types) + 1
+    cups = [(rng.randint(-1, span), rng.randint(-1, span))
+            for _ in range(rng.randint(0, 7))]
+    if cups and rng.random() < 0.3:
+        cups.append(rng.choice(cups))
+    return PregroupDiagram(tokens, cups)
+
+
+def test_crossing_check_matches_pairwise_oracle():
+    rng = random.Random(7)
+    cases = []
+    for _ in range(1500):
+        cases.append(random_diagram(rng)[0])
+        cases.append(random_loopy_diagram(rng))
+        cases.append(random_cup_set(rng))
+    crossing = illegal = 0
+    for d in cases:
+        want = validate_diagram_oracle(d)
+        assert validate_diagram(d) == want
+        assert grammar._crossing_free(d.cups) == (not want.crossing_pairs)
+        crossing += bool(want.crossing_pairs)
+        illegal += bool(want.illegal_cups)
+    assert crossing >= 300 and illegal >= 300
+    assert len(cases) - crossing >= 3000
+
+
+def test_pickled_type_hashes_in_another_process():
+    # a type's hash is cached, and str hashes differ between processes
+    ty = PregroupType.parse("n.r@s@n.l")
+    blob = pickle.dumps({ty: "verb"})
+    code = ("import pickle, sys; from discocirc.grammar import PregroupType; "
+            "d = pickle.loads(sys.stdin.buffer.read()); "
+            "print(d[PregroupType.parse('n.r@s@n.l')])")
+    src = os.path.dirname(os.path.dirname(grammar.__file__))
+    for seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=blob, capture_output=True,
+            check=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                             "PYTHONPATH": src})
+        assert out.stdout.decode().strip() == "verb"

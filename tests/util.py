@@ -9,6 +9,7 @@ independent oracle for tree building and type recovery;
 dense ``circuit_unitary`` is the matching oracle for the simulator,
 ``shift_rule_oracle`` the per-gate one for its fused shift rule,
 ``resolve_pronouns_oracle`` the back-scan one for the pronoun resolver,
+``validate_diagram_oracle`` the pairwise one for the crossing check,
 and ``replay`` replays a text diagram's layers to recover its wire order.
 """
 
@@ -22,7 +23,8 @@ import numpy as np
 from discocirc.compose import TextDiagram
 from discocirc.errors import ChainMismatch
 from discocirc.frames import Perm, Spider, element_wires
-from discocirc.grammar import PregroupDiagram, PregroupType, SimpleType
+from discocirc.grammar import (PregroupDiagram, PregroupType, SimpleType,
+                               ValidationReport, can_contract)
 from discocirc.ingest import CorefMap, Document, Lexicon, Mention
 from discocirc.sim import _SHIFTS, _apply, _forward, gate_matrix
 from discocirc.trees import PregroupTreeNode, compound_type
@@ -128,6 +130,34 @@ def random_loopy_diagram(rng: random.Random,
     return PregroupDiagram(tokens, cups)
 
 
+def validate_diagram_oracle(d: PregroupDiagram) -> ValidationReport:
+    """``validate_diagram`` with every pair of cups checked for a
+    crossing, the oracle for its one-pass crossing check."""
+    wires = [t for _, ty in d.tokens for t in ty]
+    illegal = []
+    seen: dict[int, tuple[int, int]] = {}
+    for cup in d.cups:
+        i, j = cup
+        if not (0 <= i < j < len(wires)) or not can_contract(wires[i], wires[j]):
+            illegal.append(cup)
+            continue
+        if i in seen or j in seen:
+            illegal.append(cup)
+            continue
+        seen[i] = seen[j] = cup
+    crossings = []
+    cups = sorted(set(d.cups))
+    for a in range(len(cups)):
+        for b in range(a + 1, len(cups)):
+            (i, j), (k, l) = cups[a], cups[b]
+            if i < k < j < l or k < i < l < j:
+                crossings.append((cups[a], cups[b]))
+    cupped = {w for cup in d.cups for w in cup}
+    free = PregroupType(wires[w] for w in range(len(wires))
+                        if w not in cupped)
+    return ValidationReport(tuple(illegal), tuple(crossings), free)
+
+
 # --- two-topic paragraph generator ------------------------------------------
 
 COOKING = {
@@ -166,6 +196,27 @@ def topic_dataset(rng: random.Random,
         texts.append((topic_text(rng, topic), label))
     rng.shuffle(texts)
     return texts
+
+
+# --- long-document generators ----------------------------------------------
+
+VERBS = ["reads", "loves", "likes", "bought", "found", "writes", "plays"]
+OBJECTS = ["books", "map", "music", "bread", "code", "story", "garden"]
+PEOPLE = ["man", "woman", "chef", "programmer"]
+
+
+def chain_document(rng: random.Random, n: int) -> list[list[str]]:
+    """One "she" chain: Alice, then "she" in every later sentence, each
+    adding a fresh indefinite object."""
+    return [["Alice", rng.choice(VERBS), "a", rng.choice(OBJECTS)]] + [
+        ["she", rng.choice(VERBS), "a", rng.choice(OBJECTS)]
+        for _ in range(n - 1)]
+
+
+def entity_document(rng: random.Random, n: int) -> list[list[str]]:
+    """Two fresh indefinite entities per sentence and no pronoun."""
+    return [["a", rng.choice(PEOPLE), rng.choice(VERBS), "a",
+             rng.choice(OBJECTS)] for _ in range(n)]
 
 
 def classification_dataset(n_texts: int, seed: int = 0):
