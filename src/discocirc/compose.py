@@ -96,7 +96,7 @@ def compose_document(sentences: list[SentenceDiagram | None],
             k = seen.get(cid, 0)
             seen[cid] = k + 1
             token_to_wire[noun.token_index] = cid if k == 0 else (cid, k)
-        body = map_wires(sd.body, lambda t: token_to_wire[t])
+        body = map_wires(sd.body, token_to_wire.__getitem__)
 
         # route this sentence's chains, in local order, to the end of the
         # wire order; new chains already sit there in that order

@@ -10,7 +10,7 @@ empty sub-diagrams and boxes left without support are pruned away.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import EmptySentence
 from .ingest import CorefMap
@@ -83,9 +83,7 @@ class Spider:
 
 def element_wires(el) -> tuple:
     """The wire ids an element touches (domain side)."""
-    if isinstance(el, (Box, Frame, Identity)):
-        return el.wires
-    if isinstance(el, Perm):
+    if isinstance(el, (Box, Frame, Identity, Perm)):
         return el.wires
     if isinstance(el, Spider):
         return (el.out_wire,) if el.dagger else tuple(el.in_wires)
@@ -104,7 +102,7 @@ def element_wires(el) -> tuple:
 def map_wires(el, fn):
     """Relabel every wire id of an element through ``fn``."""
     if isinstance(el, Box):
-        return replace(el, wires=tuple(fn(w) for w in el.wires))
+        return Box(el.name, tuple(map(fn, el.wires)), el.merge)
     if isinstance(el, Identity):
         return Identity(tuple(fn(w) for w in el.wires))
     if isinstance(el, Frame):
@@ -157,11 +155,10 @@ def _is_trivial(el) -> bool:
     return isinstance(el, (Empty, Identity))
 
 
-def tree_to_frame(node: PregroupTreeNode,
-                  remove: frozenset = frozenset(),
-                  noun_tokens: frozenset = frozenset(),
-                  sentence_index: int = 0):
-    """Lower a pregroup tree to (body element, dragged-out noun states).
+def _lower(node: PregroupTreeNode, remove: frozenset,
+           noun_tokens: frozenset, sentence_index: int, nouns: list):
+    """Lower a pregroup tree to (body element, its nouns' token indices in
+    order), appending its noun states to ``nouns``.
 
     Noun leaves become identity wires plus a noun state; noun leaves in
     ``remove`` vanish entirely.  A node whose children contribute no
@@ -170,24 +167,23 @@ def tree_to_frame(node: PregroupTreeNode,
     """
     if node.is_leaf() and node.token_index in noun_tokens:
         if node.token_index in remove:
-            return Empty(), []
-        state = NounState(node.word, sentence_index, node.token_index)
-        return Identity((node.token_index,)), [state]
+            return Empty(), ()
+        nouns.append(NounState(node.word, sentence_index, node.token_index))
+        return Identity((node.token_index,)), (node.token_index,)
 
-    results = [tree_to_frame(c, remove, noun_tokens, sentence_index)
-               for c in node.children]
-    subdiags = [el for el, _ in results if not _is_trivial(el)]
-    nouns = sorted((n for _, ns in results for n in ns),
-                   key=lambda n: n.token_index)
-    wires = tuple(n.token_index for n in nouns)
+    subdiags, wires = [], []
+    for child in node.children:
+        el, below = _lower(child, remove, noun_tokens, sentence_index, nouns)
+        if not _is_trivial(el):
+            subdiags.append(el)
+        wires.extend(below)
+    wires = tuple(sorted(wires))
     if not subdiags:
         if not wires:
             log.warning("dropping zero-wire box %r", node.word)
-            return Empty(), []
-        return Box(node.word, wires), nouns
-    subdiags = [Box(s.name, wires) if isinstance(s, Box) and not s.wires
-                else s for s in subdiags]
-    return Frame(node.word, wires, tuple(subdiags)), nouns
+            return Empty(), ()
+        return Box(node.word, wires), wires
+    return Frame(node.word, wires, tuple(subdiags)), wires
 
 
 def sentence_diagram(forest: list[PregroupTreeNode],
@@ -201,10 +197,9 @@ def sentence_diagram(forest: list[PregroupTreeNode],
     """
     bodies, nouns = [], []
     for root in forest:
-        el, ns = tree_to_frame(root, remove, noun_tokens, sentence_index)
+        el, _ = _lower(root, remove, noun_tokens, sentence_index, nouns)
         if not _is_trivial(el):
             bodies.append(el)
-        nouns.extend(ns)
     nouns.sort(key=lambda n: n.token_index)
     if not nouns:
         raise EmptySentence(

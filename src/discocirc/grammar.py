@@ -170,6 +170,14 @@ class PregroupDiagram:
         init(self, "wire_owners", tuple(owners))
         init(self, "free_wires", tuple(sorted(free)))
 
+    def with_words(self, words) -> "PregroupDiagram":
+        """This diagram with token ``i`` carrying ``words[i]``; the types,
+        cups and wire layout are shared, not recomputed."""
+        diagram = object.__new__(PregroupDiagram)
+        diagram.__dict__.update(self.__dict__, tokens=tuple(
+            zip(words, [ty for _, ty in self.tokens], strict=True)))
+        return diagram
+
     @property
     def words(self) -> tuple[str, ...]:
         return tuple(w for w, _ in self.tokens)

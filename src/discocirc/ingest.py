@@ -8,6 +8,8 @@ resolver stand in for an external parser and coreference model.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import json
 import logging
@@ -27,6 +29,7 @@ from .grammar import (
 log = logging.getLogger(__name__)
 
 PARSER_TOKEN_CAP = 12
+PARSE_MEMO_SIZE = 1024  # entry sequences whose winner is kept
 
 Mention = tuple[int, int]
 
@@ -220,7 +223,10 @@ def lexicon_parse(tokens: list[str], lex: Lexicon,
 
     Exhaustive over per-token type choices (lexicon order) and non-crossing
     matchings (shortest span first); the first solution wins unless
-    ``all_parses`` asks for every one.
+    ``all_parses`` asks for every one.  The winner is memoised per process
+    by the tokens' lexicon entries at call time (the last
+    ``PARSE_MEMO_SIZE`` sequences used); failures and ``all_parses`` are
+    always searched.
     """
     if len(tokens) > PARSER_TOKEN_CAP:
         raise NoParse(
@@ -230,9 +236,23 @@ def lexicon_parse(tokens: list[str], lex: Lexicon,
     if missing:
         raise NoParse(f"words not in lexicon: {missing}")
 
+    entries = tuple(tuple(lex.entries[w]) for w in tokens)
+    if all_parses:
+        solutions = list(dict.fromkeys(
+            d.with_words(tokens) for d in _parses(entries)))
+        if solutions:
+            return solutions
+    else:
+        with contextlib.suppress(StopIteration):  # nothing reduces
+            return _first_parse(entries).with_words(tokens)
+    raise NoParse(f"no type assignment of {tokens} reduces to a sentence")
+
+
+def _parses(entries):
+    """Every diagram over one type per token from ``entries`` that reduces
+    to a sentence, in search order, with empty words."""
     target = [SimpleType("s")]
-    solutions = []
-    for assignment in itertools.product(*(lex.entries[w] for w in tokens)):
+    for assignment in itertools.product(*entries):
         wires = []
         off = 0
         for ty in assignment:
@@ -240,14 +260,12 @@ def lexicon_parse(tokens: list[str], lex: Lexicon,
                 wires.append((off, t))
                 off += 1
         for cups in _matchings(wires, target):
-            diagram = PregroupDiagram(list(zip(tokens, assignment)), cups)
-            if not all_parses:
-                return diagram
-            if diagram not in solutions:
-                solutions.append(diagram)
-    if all_parses and solutions:
-        return solutions
-    raise NoParse(f"no type assignment of {tokens} reduces to a sentence")
+            yield PregroupDiagram([("", ty) for ty in assignment], cups)
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _first_parse(entries):
+    return next(_parses(entries))  # lru_cache stores no StopIteration
 
 
 def _feature_class(feats: dict) -> tuple:
@@ -293,26 +311,9 @@ def resolve_pronouns(doc: Document, lex: Lexicon) -> CorefMap:
 
 def parse_text(sentences: list[list[str]], lex: Lexicon,
                text: str | None = None) -> Document:
-    """Parse pre-tokenised sentences and resolve pronouns.
-
-    The parser reads a word only through its lexicon entries, so two
-    sentences with the same sequence of entries get the same type
-    assignment and cups.  Each distinct sequence is searched once per
-    call; a later sentence with it reuses the winner with its own words.
-    """
-    parses: dict[tuple, tuple] = {}  # entries per token -> (types, cups)
-    diagrams = []
-    for tokens in sentences:
-        # a word not in the lexicon gets no entries; lexicon_parse raises
-        key = tuple(tuple(lex.entries.get(w, ())) for w in tokens)
-        parse = parses.get(key)
-        if parse is None:
-            diagram = lexicon_parse(tokens, lex)
-            parses[key] = tuple(ty for _, ty in diagram.tokens), diagram.cups
-        else:
-            types, cups = parse
-            diagram = PregroupDiagram(zip(tokens, types), cups)
-        diagrams.append(diagram)
-    doc = Document(diagrams, CorefMap([]), text)
+    """Parse pre-tokenised sentences with ``lexicon_parse`` (whose memo
+    spares repeated entry sequences the search) and resolve pronouns."""
+    doc = Document([lexicon_parse(tokens, lex) for tokens in sentences],
+                   CorefMap([]), text)
     doc.corefs = resolve_pronouns(doc, lex)
     return doc

@@ -20,7 +20,7 @@ from .ingest import CorefMap, Document, Lexicon, load_document, parse_text
 from .rewrite import (RewriteRule, builtin_rule, coordination_rewrite,
                       load_rule, rewrite_tree)
 from .sandwich import SandwichConfig, expand_frames
-from .trees import TreeBuildReport, build_trees, relabel
+from .trees import TreeBuildReport, build_trees
 
 log = logging.getLogger(__name__)
 
@@ -85,27 +85,10 @@ def apply_coordination(doc: Document, cfg: PipelineConfig) -> Document:
 
 
 def treeize(doc: Document, cfg: PipelineConfig) -> list[TreeBuildReport]:
-    """Build and rewrite one tree forest per sentence.
-
-    A forest depends on its sentence's types and cups alone; the words
-    are only labels.  So each distinct (types, cups) of the document is
-    built once, and a later sentence with it gets a fresh copy of that
-    forest carrying its own words, and a copy of its removed cups.
-    Rewrites run on every sentence's own forest.
-    """
-    built: dict[tuple, tuple] = {}  # (types, cups) -> (forest, removed)
+    """Build (``build_trees``) and rewrite one tree forest per sentence."""
     reports = []
     for sent in doc.sentences:
-        key = tuple(ty for _, ty in sent.tokens), sent.cups
-        shape = built.get(key)
-        if shape is None:
-            report = build_trees(sent)
-            built[key] = report.forest, report.removed_cups
-        else:
-            forest, removed = shape
-            words = sent.words
-            report = TreeBuildReport([relabel(root, words) for root in forest],
-                                     list(removed))
+        report = build_trees(sent)
         for rule in cfg.rewrites:
             report.forest = [rewrite_tree(root, rule).tree
                              for root in report.forest]
@@ -130,11 +113,12 @@ def diagrams(doc: Document, reports: list[TreeBuildReport],
              cfg: PipelineConfig) -> TextDiagram:
     """Lower tree forests to sentence diagrams and compose the document."""
     removed = removed_mentions(doc, cfg)
-    coref = CorefMap([
-        [m for m in chain if m not in removed]
-        for chain in doc.corefs.chains
-        if any(m not in removed for m in chain)
-    ])
+    coref = doc.corefs
+    # an empty chain is dropped too, which renumbers the later chains
+    if removed or not all(coref.chains):
+        coref = CorefMap([[m for m in chain if m not in removed]
+                          for chain in coref.chains
+                          if any(m not in removed for m in chain)])
     removed_in: dict[int, set] = {}
     for si, ti in removed:
         removed_in.setdefault(si, set()).add(ti)

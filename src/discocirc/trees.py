@@ -11,9 +11,11 @@ recovered from the node and its children's output types.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .errors import InvalidDiagram
-from .grammar import PregroupDiagram, PregroupType, validate_diagram
+from .grammar import PregroupDiagram, PregroupType, reduce
+
+TREE_MEMO_SIZE = 1024  # (types, cups) shapes whose forest is kept
 
 
 @dataclass
@@ -67,12 +69,22 @@ def build_trees(d: PregroupDiagram) -> TreeBuildReport:
     leftmost token, with an empty output type.  A child's output type is
     its wires in the run to its parent.  Children are in token order and
     the roots in sentence order.
+
+    No word is read except to label its node, so each valid (types, cups)
+    is built once per process (the last ``TREE_MEMO_SIZE`` shapes used
+    are kept), and each call gets fresh nodes and ``removed_cups``.
     """
-    report = validate_diagram(d)
-    if not report.is_valid:
-        raise InvalidDiagram(
-            f"illegal cups: {report.illegal_cups}, "
-            f"crossings: {report.crossing_pairs}")
+    shape = _shape_trees(d.with_words([""] * len(d.tokens)))
+    words = d.words
+    return TreeBuildReport([relabel(root, words) for root in shape.forest],
+                           list(shape.removed_cups))
+
+
+@lru_cache(maxsize=TREE_MEMO_SIZE)
+def _shape_trees(d: PregroupDiagram) -> TreeBuildReport:
+    """The uncopied report of a word-free diagram, i.e. of its types and
+    cups; ``__wrapped__`` builds it without the memo."""
+    reduce(d)  # raises InvalidDiagram
 
     wire_types = d.wire_types
     owner = d.wire_owners
@@ -85,7 +97,7 @@ def build_trees(d: PregroupDiagram) -> TreeBuildReport:
             runs.append([(i, j)])
 
     free = d.free_wires
-    heads = sorted({owner[w] for w in free})
+    heads = find_heads(d)
     parent = list(range(len(d.tokens)))
     for h in heads:
         parent[h] = heads[0]

@@ -103,6 +103,18 @@ def test_unchained_nouns_get_their_own_wires(lex):
         ["Alice", "map", "She", "clues", "It", "treasure"]
 
 
+def test_empty_chain_is_dropped_before_numbering(lex):
+    raw = json.load(open(f"{FIXTURES}/treasure_hunt.json", encoding="utf-8"))
+    cfg = PipelineConfig()
+    want_doc = ingest(raw, lex)
+    want = diagrams(want_doc, treeize(want_doc, cfg), cfg)
+    raw["corefs"] = [[]] + raw["corefs"]
+    doc = ingest(raw, lex)
+    td = diagrams(doc, treeize(doc, cfg), cfg)
+    assert text_diagram_to_json(td) == text_diagram_to_json(want)
+    assert doc.corefs.chains[0] == []
+
+
 def test_sentence_emptied_by_filtering_adds_no_layer(lex):
     raw = json.load(open(f"{FIXTURES}/treasure_hunt.json", encoding="utf-8"))
     cfg = PipelineConfig(remove_nouns=["It", "treasure"])

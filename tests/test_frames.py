@@ -1,13 +1,15 @@
+import random
+
 import pytest
 
 from discocirc.errors import EmptySentence
 from discocirc.frames import (Box, Empty, Frame, Identity, Par,
                               dump_element, element_wires, iter_boxes,
                               map_wires, min_frequency_filter, prune_boxes,
-                              sentence_diagram, sentence_to_dot,
-                              tree_to_frame)
+                              sentence_diagram, sentence_to_dot)
 from discocirc.ingest import CorefMap, Lexicon, load_document
 from discocirc.trees import build_trees
+from util import random_loopy_diagram
 
 FIXTURES = "tests/fixtures"
 
@@ -38,7 +40,7 @@ def test_modifier_becomes_nested_frame(lex):
     noun_tokens = frozenset(
         ti for ti, (w, _) in enumerate(d.tokens) if lex.is_noun(w))
     [root] = build_trees(d).forest
-    body, nouns = tree_to_frame(root, frozenset(), noun_tokens, 0)
+    body = sentence_diagram([root], frozenset(), noun_tokens, 0).body
     assert isinstance(body, Frame) and body.name == "bought"
     assert body.wires == (0, 4)
     [article] = body.components
@@ -107,3 +109,22 @@ def test_dumps_render(lex):
     assert text.splitlines()[0].startswith("frame bought")
     dot = sentence_to_dot(sd)
     assert dot.startswith("digraph") and "bought" in dot
+
+
+def test_wires_are_sorted_on_loopy_trees():
+    """On trees whose subtrees interleave, each box and frame still lists
+    the wires of the nouns below it in token order."""
+    rng = random.Random(1)
+    for _ in range(3000):
+        d = random_loopy_diagram(rng)
+        noun_tokens = frozenset(
+            t for t in range(len(d.tokens)) if rng.random() < 0.6)
+        try:
+            sd = sentence_diagram(build_trees(d).forest, frozenset(),
+                                  noun_tokens, 0)
+        except EmptySentence:
+            continue
+        tokens = [n.token_index for n in sd.nouns]
+        assert tokens == sorted(tokens)
+        for el in iter_boxes(sd.body):
+            assert list(el.wires) == sorted(el.wires)

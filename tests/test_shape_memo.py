@@ -1,25 +1,32 @@
 """Oracle tests for parsing and building trees once per sentence shape.
 
-Within one ``parse_text`` call, sentences with the same sequence of
-lexicon entries share one parser search; within one ``treeize`` call,
-sentences with the same types and cups share one ``build_trees``.  The
-oracles are the per-sentence stages: ``lexicon_parse`` on every sentence,
-and ``build_trees`` plus the rewrites on every sentence.
+``lexicon_parse`` memoises, for the whole process, the winning parse of
+each sequence of lexicon entries, and ``build_trees`` the forest of each
+(types, cups).  The oracles do not go through either memo: the first
+solution of ``lexicon_parse(..., all_parses=True)``, which always
+searches, and the raw builder ``trees._shape_trees.__wrapped__``.
 """
 
+import json
 import random
 from pathlib import Path
 
 import pytest
 
-from discocirc import ingest, pipeline
+from discocirc import ingest, trees
+from discocirc.ansatz import AnsatzConfig, circuit_to_json
+from discocirc.compose import text_diagram_to_json
 from discocirc.errors import InvalidDiagram, NoParse
 from discocirc.grammar import PregroupDiagram, PregroupType, SimpleType
 from discocirc.ingest import (CorefMap, Document, Lexicon, lexicon_parse,
                               load_document, parse_text, resolve_pronouns)
-from discocirc.pipeline import PipelineConfig, apply_coordination, treeize
+from discocirc.pipeline import (PipelineConfig, apply_coordination, circuit,
+                                diagrams, ingest as ingest_source,
+                                resolve_rewrites, treeize)
 from discocirc.rewrite import builtin_rule, rewrite_tree
+from discocirc.sandwich import SandwichConfig
 from discocirc.trees import PregroupTreeNode, build_trees, forest_to_json
+from test_snapshots import CONFIGS, STORY_SEEDS, pronoun_story
 from util import (chain_document, entity_document, random_loopy_diagram,
                   topic_dataset)
 
@@ -34,9 +41,18 @@ def lex():
     return Lexicon.builtin()
 
 
+def clear_memos():
+    ingest._first_parse.cache_clear()
+    trees._shape_trees.cache_clear()
+
+
+def oracle_parse(tokens, lex) -> PregroupDiagram:
+    return lexicon_parse(tokens, lex, all_parses=True)[0]
+
+
 def parses(tokens, lex) -> bool:
     try:
-        lexicon_parse(tokens, lex)
+        oracle_parse(tokens, lex)
     except NoParse:
         return False
     return True
@@ -117,7 +133,7 @@ def tree_documents(lex) -> list[Document]:
 def per_sentence_trees(doc, rules):
     out = []
     for d in doc.sentences:
-        report = build_trees(d)
+        report = trees._shape_trees.__wrapped__(d)
         forest = report.forest
         for rule in rules:
             forest = [rewrite_tree(root, rule).tree for root in forest]
@@ -128,7 +144,7 @@ def per_sentence_trees(doc, rules):
 def test_parse_text_equals_per_sentence_parse(lex):
     shared = 0
     for tokens in token_documents(lex):
-        want = [lexicon_parse(sentence, lex) for sentence in tokens]
+        want = [oracle_parse(sentence, lex) for sentence in tokens]
         doc = parse_text(tokens, lex)
         assert doc.sentences == want
         assert [d.words for d in doc.sentences] == \
@@ -159,30 +175,92 @@ def test_treeize_equals_per_sentence_trees(lex):
     assert shared >= 700 and removed_shared >= 60
 
 
-def test_one_search_and_one_build_per_distinct_key(lex, monkeypatch):
-    calls = {"parse": 0, "build": 0}
-
-    def counting(name, fn):
-        def spy(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return spy
-
-    monkeypatch.setattr(ingest, "lexicon_parse",
-                        counting("parse", ingest.lexicon_parse))
-    monkeypatch.setattr(pipeline, "build_trees",
-                        counting("build", pipeline.build_trees))
+def test_one_search_and_one_build_per_distinct_key(lex):
+    """Across every document of the process, the raw search runs once per
+    distinct entry sequence and the raw build once per distinct shape; a
+    second pass over the same documents runs neither."""
+    token_docs = token_documents(lex)
+    loopy = loopy_documents()
+    entry_keys = {entry_key(s, lex) for tokens in token_docs for s in tokens}
+    assert len(entry_keys) < ingest.PARSE_MEMO_SIZE
     cfg = PipelineConfig(lexicon=lex)
-    for tokens in token_documents(lex):
-        calls.update(parse=0, build=0)
-        doc = parse_text(tokens, lex)
-        assert calls["parse"] == len({entry_key(s, lex) for s in tokens})
-        treeize(doc, cfg)
-        assert calls["build"] == len({shape_key(d) for d in doc.sentences})
-    for doc in loopy_documents():
-        calls.update(build=0)
-        treeize(doc, cfg)
-        assert calls["build"] == len({shape_key(d) for d in doc.sentences})
+    clear_memos()
+    for _ in range(2):
+        docs = [parse_text(tokens, lex) for tokens in token_docs] + loopy
+        for doc in docs:
+            treeize(doc, cfg)
+        shapes = {shape_key(d) for doc in docs for d in doc.sentences}
+        assert len(shapes) < trees.TREE_MEMO_SIZE
+        assert ingest._first_parse.cache_info().misses == len(entry_keys)
+        assert trees._shape_trees.cache_info().misses == len(shapes)
+
+
+def test_memos_are_bounded():
+    for memo, bound in ((ingest._first_parse, ingest.PARSE_MEMO_SIZE),
+                        (trees._shape_trees, trees.TREE_MEMO_SIZE)):
+        assert 0 < bound < float("inf")
+        assert memo.cache_info().maxsize == bound
+
+
+def pipeline_cases() -> list[tuple]:
+    """(source, rewrite names, kind, sandwich mode) over the fixtures and
+    the snapshot stories."""
+    cases = []
+    for name in DOCUMENTS:
+        for rules in RULE_SETS + [("coordination",)]:
+            cases.append((str(FIXTURES / f"{name}.json"), rules, "sim4",
+                          "shared"))
+    for seed in STORY_SEEDS:
+        for kind, mode in CONFIGS:
+            cases.append(({"tokens": pronoun_story(seed)}, (), kind, mode))
+    return cases
+
+
+def pipeline_outputs(case, lex) -> str:
+    source, rules, kind, mode = case
+    cfg = PipelineConfig(lexicon=lex, sandwich=SandwichConfig(mode),
+                         ansatz=AnsatzConfig(kind, seed=0), max_qubits=64)
+    resolve_rewrites(list(rules), cfg)
+    doc = apply_coordination(ingest_source(source, lex), cfg)
+    reports = treeize(doc, cfg)
+    td = diagrams(doc, reports, cfg)
+    return json.dumps({
+        "parse": [[d.tokens, d.cups] for d in doc.sentences],
+        "trees": [(forest_to_json(r.forest), r.removed_cups)
+                  for r in reports],
+        "diagram": text_diagram_to_json(td),
+        "circuit": circuit_to_json(circuit(td, cfg)),
+    }, default=str)
+
+
+def test_cold_and_warm_memos_give_equal_outputs(lex):
+    cases = pipeline_cases()
+    clear_memos()
+    cold = [pipeline_outputs(case, lex) for case in cases]
+    warm = [pipeline_outputs(case, lex) for case in cases]
+    clear_memos()
+    reverse = [pipeline_outputs(case, lex) for case in reversed(cases)]
+    assert warm == cold
+    assert reverse[::-1] == cold
+    assert trees._shape_trees.cache_info().hits > 0
+
+
+def test_mutating_a_returned_diagram_leaves_later_parses(lex):
+    tokens = ["Alice", "reads", "the", "books"]
+    want = oracle_parse(tokens, lex)
+    for _ in range(3):
+        d = lexicon_parse(tokens, lex)
+        assert d == want
+        assert d.free_wires == want.free_wires
+        for name in ("tokens", "cups", "wire_types", "wire_owners",
+                     "free_wires"):
+            object.__setattr__(d, name, ())
+    other = ["Bob", "loves", "the", "music"]
+    assert entry_key(other, lex) == entry_key(tokens, lex)
+    got, want = lexicon_parse(other, lex), oracle_parse(other, lex)
+    assert got == want
+    assert (got.wire_types, got.wire_owners, got.free_wires) == \
+        (want.wire_types, want.wire_owners, want.free_wires)
 
 
 @pytest.mark.parametrize("names", RULE_SETS)
@@ -197,10 +275,12 @@ def test_mutating_one_report_leaves_the_others(lex, names):
     docs = [Document(sentences, CorefMap([])),
             parse_text(entity_document(rng, 5), lex)]
     for doc in docs:
+        want = per_sentence_trees(doc, cfg.rewrites)
         for i in range(len(doc.sentences)):
             reports = treeize(doc, cfg)
             before = [(forest_to_json(r.forest), list(r.removed_cups))
                       for r in reports]
+            assert before == want
             for node in [n for root in reports[i].forest
                          for n in root.walk()]:
                 node.word = "changed"
@@ -210,6 +290,29 @@ def test_mutating_one_report_leaves_the_others(lex, names):
             after = [(forest_to_json(r.forest), list(r.removed_cups))
                      for r in reports]
             assert after[:i] + after[i + 1:] == before[:i] + before[i + 1:]
+
+
+def test_replaced_entries_give_the_new_parse():
+    ty = PregroupType.parse
+    lex = Lexicon({"a": [[["n", 0]]], "v": [[["n", 1], ["s", 0]]],
+                   "b": [[["n", 0]]]})
+    tokens = ["a", "v", "b"]
+    with pytest.raises(NoParse):
+        lexicon_parse(tokens, lex)
+    lex.entries["v"] = [ty("n.r@s@n.l")]  # replaced
+    assert lexicon_parse(tokens, lex) == oracle_parse(tokens, lex)
+    assert lexicon_parse(tokens, lex).cups == ((0, 1), (3, 4))
+    lex.entries["v"].append(ty("n.r@s"))  # changed in place
+    lex.entries["b"].append(ty("s.r@s"))
+    lex.entries["v"].reverse()
+    lex.entries["b"].reverse()
+    got = lexicon_parse(tokens, lex)
+    assert got == oracle_parse(tokens, lex)
+    assert [t for _, t in got.tokens] == \
+        [ty("n"), ty("n.r@s"), ty("s.r@s")]
+    lex.entries["b"] = [ty("s")]
+    with pytest.raises(NoParse):
+        lexicon_parse(tokens, lex)
 
 
 def raised(exc_type, fn, *args) -> str:
@@ -222,17 +325,22 @@ def test_errors_keep_their_messages(lex):
     good = ["Alice", "reads", "the", "books"]
     for bad in (["Alice", "zorbs", "the", "books"],  # missing word
                 ["Alice", "reads", "the"] + ["big"] * 9 + ["books"],  # cap
-                ["Alice", "the", "reads", "books"]):  # no reduction
-        want = raised(NoParse, lexicon_parse, bad, lex)
+                ["Alice", "the", "reads", "books"],  # no reduction
+                ["Bob", "the", "loves", "music"]):  # the same entries
+        want = raised(NoParse, lexicon_parse, bad, lex, True)
         for doc in ([bad], [good, bad], [good, bad, good]):
             assert raised(NoParse, parse_text, doc, lex) == want
+    # a failing search is not memoised
+    stored = ingest._first_parse.cache_info().currsize
+    raised(NoParse, lexicon_parse, ["Alice", "the", "reads", "books"], lex)
+    assert ingest._first_parse.cache_info().currsize == stored
 
     n, s = SimpleType("n"), SimpleType("s")
     tokens = [("a", PregroupType([n, n])), ("b", PregroupType([n.r, n.r])),
               ("c", PregroupType([s]))]
     nested = PregroupDiagram(tokens, [(0, 3), (1, 2)])
     crossing = PregroupDiagram(tokens, [(0, 2), (1, 3)])
-    want = raised(InvalidDiagram, build_trees, crossing)
+    want = raised(InvalidDiagram, trees._shape_trees.__wrapped__, crossing)
     cfg = PipelineConfig(lexicon=lex)
     for sentences in ([crossing], [nested, crossing], [crossing, nested]):
         doc = Document(sentences, CorefMap([]))
