@@ -10,6 +10,7 @@ so boxes of the same word and width share weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,14 +244,16 @@ def circuit_to_json(c: Circuit) -> dict:
 def circuit_from_json(data: dict) -> Circuit:
     """Read a circuit written by ``circuit_to_json``.
 
-    Raises FormatError for a missing field, an unknown gate, the wrong
-    number of qubits for a gate, a parameterised gate without a parameter,
-    and a gate, postselect or output qubit that is out of range or, within
-    one gate, repeated.
+    Raises FormatError for a missing field, an ``n_qubits`` that is not a
+    non-negative integer, a symbol value that is not a finite number, an
+    unknown gate, the wrong number of qubits for a gate, a parameterised
+    gate without a parameter, a gate, postselect or output qubit that is
+    out of range or, within one gate, repeated, and a qubit postselected
+    twice.
     """
     try:
         c = Circuit(
-            n_qubits=int(data["n_qubits"]),
+            n_qubits=data["n_qubits"],
             gates=[Gate(g["name"], tuple(g["qubits"]), g.get("param"))
                    for g in data["gates"]],
             postselect=[tuple(p) for p in data.get("postselect", [])],
@@ -259,6 +262,13 @@ def circuit_from_json(data: dict) -> Circuit:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed circuit: {exc!r}") from exc
+    if type(c.n_qubits) is not int or c.n_qubits < 0:
+        raise FormatError(f"not a qubit count: {c.n_qubits!r}", "n_qubits")
+    for name, value in c.symbols.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise FormatError(f"not a finite number: {value!r}",
+                              f"symbols[{name!r}]")
 
     def check_qubits(qubits, where):
         for qb in qubits:
@@ -278,11 +288,16 @@ def circuit_from_json(data: dict) -> Circuit:
             raise FormatError(f"repeated qubit in {list(g.qubits)}", where)
         if g.name in PARAMETRIC_GATES and g.param is None:
             raise FormatError(f"{g.name} needs a parameter", where)
+    postselected = set()
     for i, p in enumerate(c.postselect):
         if len(p) != 2 or p[1] not in (0, 1):
             raise FormatError(f"postselect entry {list(p)} is not "
                               "[qubit, 0 or 1]", f"postselect[{i}]")
         check_qubits(p[:1], f"postselect[{i}]")
+        if p[0] in postselected:
+            raise FormatError(f"qubit {p[0]} postselected twice",
+                              f"postselect[{i}]")
+        postselected.add(p[0])
     check_qubits(c.outputs, "outputs")
     return c
 

@@ -256,10 +256,7 @@ def train_cmd(input_path, epochs, batch_size, learning_rate, gradient,
         if params_out:
             Path(params_out).write_text(
                 json.dumps(params, indent=1) + "\n", encoding="utf-8")
-        lines = ["epoch,train_loss,train_acc,test_acc"]
-        lines += [f"{e},{l:.6f},{a:.4f},{t:.4f}"
-                  for e, l, a, t in history.rows]
-        _emit("\n".join(lines), out)
+        history.to_csv(out)
     except (DiscocircError, ValueError) as exc:
         if isinstance(exc, DiscocircError):
             _fail(exc)

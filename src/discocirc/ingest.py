@@ -68,9 +68,16 @@ class Lexicon:
         self.features: dict[str, dict] = {}
         self.nouns: set[str] = set()
         self.pronouns: set[str] = set()
+        if not isinstance(raw, dict):
+            raise FormatError("a lexicon is an object of word entries")
         for word, value in raw.items():
             if isinstance(value, list):
                 value = {"types": value}
+            if not isinstance(value, dict) \
+                    or not isinstance(value.get("types"), (list, tuple)):
+                raise FormatError('entry is neither a list of types nor an '
+                                  'object with a "types" list',
+                                  f"lexicon[{word}]")
             types = [_type_from_json(t, f"lexicon[{word}]")
                      for t in value["types"]]
             if any(len(t) == 0 for t in types):
@@ -130,7 +137,8 @@ def load_document(source) -> Document:
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON: {exc}") from None
 
-    if not isinstance(data, dict) or "sentences" not in data:
+    if not isinstance(data, dict) \
+            or not isinstance(data.get("sentences"), (list, tuple)):
         raise FormatError("document must be an object with a 'sentences' list")
     sentences = []
     for si, sent in enumerate(data["sentences"]):
@@ -138,16 +146,18 @@ def load_document(source) -> Document:
         try:
             tokens = sent["tokens"]
             types = sent["types"]
-            cups = sent.get("cups", [])
+            cups = _index_pairs(sent.get("cups", []), f"{where}.cups")
         except (TypeError, KeyError) as exc:
             raise FormatError(f"missing field {exc}", where) from None
+        if not all(isinstance(x, (list, tuple)) for x in (tokens, types)):
+            raise FormatError("tokens and types must be lists", where)
         if len(tokens) != len(types):
             raise FormatError(
                 f"{len(tokens)} tokens but {len(types)} types", where)
         diagram = PregroupDiagram(
             [(w, _type_from_json(t, f"{where}.types[{i}]"))
              for i, (w, t) in enumerate(zip(tokens, types))],
-            [tuple(c) for c in cups])
+            cups)
         report = validate_diagram(diagram)
         if not report.is_valid:
             raise InvalidDiagram(
@@ -155,18 +165,33 @@ def load_document(source) -> Document:
                 f"crossings {report.crossing_pairs}")
         sentences.append(diagram)
 
+    corefs = data.get("corefs", [])
+    if not isinstance(corefs, (list, tuple)):
+        raise FormatError("corefs must be a list of chains", "corefs")
     chains = []
-    for ci, chain in enumerate(data.get("corefs", [])):
-        mentions = []
-        for m in chain:
-            si, ti = int(m[0]), int(m[1])
-            if si >= len(sentences) or ti >= len(sentences[si].tokens):
+    for ci, chain in enumerate(corefs):
+        mentions = _index_pairs(chain, f"corefs[{ci}]")
+        for si, ti in mentions:
+            if not (0 <= si < len(sentences)
+                    and 0 <= ti < len(sentences[si].tokens)):
                 raise FormatError(
                     f"mention ({si}, {ti}) points at no token",
                     f"corefs[{ci}]")
-            mentions.append((si, ti))
         chains.append(mentions)
     return Document(sentences, CorefMap(chains), data.get("text"))
+
+
+def _index_pairs(items, where: str) -> list[tuple[int, int]]:
+    """``items``, a list of [int, int] pairs, as tuples; a FormatError that
+    names the item for anything else."""
+    if not isinstance(items, (list, tuple)):
+        raise FormatError(f"not a list of [int, int] pairs: {items!r}", where)
+    for k, item in enumerate(items):
+        if not isinstance(item, (list, tuple)) or len(item) != 2 or not all(
+                type(x) is int for x in item):
+            raise FormatError(f"not a pair of integers: {item!r}",
+                              f"{where}[{k}]")
+    return [tuple(item) for item in items]
 
 
 def document_to_json(doc: Document) -> dict:

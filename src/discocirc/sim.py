@@ -2,23 +2,19 @@
 
 Circuits with one gate skeleton (the same width, the same gates on the
 same qubits, symbols in the same places, the same postselection and
-outputs) run as one stacked state of shape (B, 2^n), one row per
-circuit: training evaluates each batch's groups this way, in chunks of at
-most 2^QUBIT_CAP amplitudes, and a single circuit is a group of one.
-Gates act through one reshape kernel: a gate on qubit q views the stack
-as (-1, 2, 2^(n-q-1)), a gate on qubits a < b as
-(-1, 2, 2^(b-a-1), 2, 2^(n-b-1)); the gate's axes of that view are
-transposed last and the gate is one matrix product.  A fixed gate's
-(d, d) matrix is shared by every row, on the view reshaped to (-1, d); a
-parameterised gate has a (B, d, d) stack of per-row matrices, on the
-view reshaped to (B, -1, d), whose leading axis is the row axis (a group
-of one needs no row axis), and each call builds the stacks of all gates
-of one kind at once from one (B, G) array of angles.
-Postselected qubits are projected out and the remainder renormalized,
-with the pre-normalization success probability reported.  The output
-qubits default to every qubit that is not postselected, and one outcome
-map says which amplitudes count toward which outcome, for the readout
-and for both exact gradients.
+outputs) share one plan: each gate's name and qubits, the gates of each
+parameterised kind, the positions of the symbolic gates, the outcome map
+and the shift rule's blocks, all worked out once.  Angles come from one
+table: the parameter vector, then NaN for the fixed gates and the literal
+angles.  A circuit's slots index each gate's angle in the table, so a
+group's (B, G) angles are one gather, ``table[slots]``, and a gradient is
+one scatter-add of per-gate terms into the slots.  ``train`` prepares its
+dataset once and runs Adam on the vector.
+
+A group runs as one stacked state of shape (B, 2^n), one row per circuit,
+in chunks of at most STACK_AMPLITUDES amplitudes.  Postselected qubits
+are projected out and the rest renormalized, with the success
+probability reported; the outputs default to every other qubit.
 
 Gradients come from three methods: central finite differences, circuit
 by circuit; exact two-term parameter shifts (every parameterised gate
@@ -35,10 +31,11 @@ gates shifted either way are built in 4x4 space and run, as one
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -131,113 +128,131 @@ def _apply(psi: np.ndarray, matrix: np.ndarray, qubits: tuple,
     return out.reshape(moved.shape).transpose(back).reshape(psi.shape)
 
 
-def _skeleton(c: Circuit) -> tuple:
-    """What circuits must share to run as one stacked state: the width,
-    each gate's name and qubits and whether it takes a symbol, the
-    postselection and the outputs."""
-    return (c.n_qubits,
-            tuple([(g.name, g.qubits, isinstance(g.param, str))
-                   for g in c.gates]),
-            tuple(c.postselect), tuple(c.outputs))
+class _Plan:
+    """What the circuits of one gate skeleton share; ``gates`` holds each
+    gate's (name, qubits, whether it takes a symbol)."""
+
+    def __init__(self, c: Circuit):
+        if c.n_qubits > QUBIT_CAP:
+            raise CapExceeded(f"{c.n_qubits} qubits exceed the cap of "
+                              f"{QUBIT_CAP}")
+        self.n = n = max(c.n_qubits, 1)
+        self.gates = [(g.name, g.qubits, isinstance(g.param, str))
+                      for g in c.gates]
+        self.symbolic = np.flatnonzero([gate[2] for gate in self.gates])
+        kinds: dict[str, list[int]] = {}
+        for i, (name, _, _) in enumerate(self.gates):
+            if name in PARAMETRIC_GATES:
+                kinds.setdefault(name, []).append(i)
+        self.kinds = {name: np.array(idx) for name, idx in kinds.items()}
+        self.fixed = [None if name in PARAMETRIC_GATES else gate_matrix(name)
+                      for name, _, _ in self.gates]
+        # the outcome map: the basis states that survive postselection and
+        # the outcome of each, output qubits read most significant first
+        basis = np.arange(2 ** n)
+        keep = np.ones(2 ** n, dtype=bool)
+        for qubit, bit in c.postselect:
+            keep &= (basis >> (n - 1 - qubit)) & 1 == bit
+        post = {qubit for qubit, _ in c.postselect}
+        outputs = c.outputs or [qb for qb in range(n) if qb not in post]
+        outcome = np.zeros(2 ** n, dtype=np.intp)
+        for qubit in outputs:
+            outcome = 2 * outcome + ((basis >> (n - 1 - qubit)) & 1)
+        self.kept = np.flatnonzero(keep)
+        self.outcome = outcome[self.kept]
+        self.size = 2 ** len(outputs)
+
+    def matrices(self, thetas: np.ndarray) -> list[np.ndarray]:
+        """Every gate's matrix for a group's (B, G) angles: (d, d) for a
+        fixed gate or a group of one, else a (B, d, d) stack."""
+        angles = thetas.T if len(thetas) > 1 else thetas[0]
+        out = list(self.fixed)
+        for name, idx in self.kinds.items():
+            for i, m in zip(idx, gate_matrix(name, angles[idx])):
+                out[i] = m
+        return out
+
+    @cached_property
+    def blocks(self) -> list[tuple[tuple, list[int]]]:
+        """The gates as blocks on at most two qubits, (qubits, gate
+        indices), in running order: a 2-qubit gate takes the 1-qubit gates
+        waiting on its qubits; the rest join their qubit's last block or
+        form a block alone."""
+        blocks, waiting, last = [], {}, {}
+        for i, (_, qubits, _) in enumerate(self.gates):
+            if len(qubits) == 1:
+                waiting.setdefault(qubits[0], []).append(i)
+                continue
+            blocks.append((qubits, [j for q in qubits
+                                    for j in waiting.pop(q, [])] + [i]))
+            last.update(dict.fromkeys(qubits, blocks[-1][1]))
+        for q in last:
+            last[q].extend(waiting.pop(q, []))
+        return blocks + [((q,), idx) for q, idx in waiting.items()]
 
 
-def _angle(gate, params: dict) -> float:
-    """A gate's angle: its symbol's value, its number, or NaN for a fixed
-    gate."""
-    if isinstance(gate.param, str):
-        if gate.param not in params:
-            raise UnboundSymbol(f"symbol {gate.param!r} has no value")
-        return params[gate.param]
-    if gate.param is not None:
-        return float(gate.param)
-    if gate.name in PARAMETRIC_GATES:
-        raise ValueError(f"{gate.name} gate needs an angle")
-    return np.nan
-
-
-def _thetas(circuits: list[Circuit], params: dict) -> np.ndarray:
-    """The angle of every gate, one row per circuit."""
-    n_qubits = circuits[0].n_qubits
-    if n_qubits > QUBIT_CAP:
-        raise CapExceeded(
-            f"{n_qubits} qubits exceed the simulator cap of {QUBIT_CAP}")
-    rows = [[_angle(g, params) for g in c.gates] for c in circuits]
-    return np.array(rows, dtype=float).reshape(len(circuits), -1)
-
-
-def _matrices(c: Circuit, thetas: np.ndarray) -> list[np.ndarray]:
-    """Every gate's matrix for a group: a fixed gate's (d, d) matrix,
-    shared by all rows, or a parameterised gate's (B, d, d) stack, built
-    in one step with every gate of its kind from the (B, G) angles.  A
-    group of one needs no row axis, so its matrices are all (d, d)."""
-    kinds: dict[str, list[int]] = {}
-    for i, gate in enumerate(c.gates):
-        if gate.name in PARAMETRIC_GATES:
-            kinds.setdefault(gate.name, []).append(i)
-    angles = thetas.T if len(thetas) > 1 else thetas[0]
-    stacks = {name: iter(gate_matrix(name, angles[idx]))
-              for name, idx in kinds.items()}
-    return [next(stacks[g.name]) if g.name in stacks else gate_matrix(g.name)
-            for g in c.gates]
-
-
-def _outcomes(c: Circuit) -> tuple[np.ndarray, np.ndarray, int]:
-    """Which amplitudes count toward which outcome.
-
-    Returns the basis states that survive postselection, the outcome of
-    each (output qubits read most significant first; with no outputs
-    given, every qubit that is not postselected) and the outcome count.
-    """
-    n = max(c.n_qubits, 1)
-    basis = np.arange(2 ** n)
-    keep = np.ones(2 ** n, dtype=bool)
-    for qubit, bit in c.postselect:
-        keep &= (basis >> (n - 1 - qubit)) & 1 == bit
-    post = {qubit for qubit, _ in c.postselect}
-    outputs = c.outputs or [qb for qb in range(n) if qb not in post]
-    outcome = np.zeros(2 ** n, dtype=np.intp)
-    for qubit in outputs:
-        outcome = 2 * outcome + ((basis >> (n - 1 - qubit)) & 1)
-    kept = np.flatnonzero(keep)
-    return kept, outcome[kept], 2 ** len(outputs)
+def _prepare(circuits: list[Circuit], params: dict) -> tuple:
+    """The angle table (the values of ``params`` in its order, NaN, the
+    literal angles), and each circuit's plan, shared by its skeleton, and
+    slots.  Raises CapExceeded, UnboundSymbol for a symbol with no value
+    and ValueError for a parameterised gate without an angle."""
+    index = dict(zip(params, range(len(params))))
+    table = [*params.values(), np.nan]
+    cache: dict[tuple, _Plan] = {}
+    plans, slots = [], []
+    for c in circuits:
+        key = (c.n_qubits, tuple([(g.name, g.qubits, isinstance(g.param, str))
+                                  for g in c.gates]),
+               tuple(c.postselect), tuple(c.outputs))
+        if key not in cache:
+            cache[key] = _Plan(c)
+        plans.append(cache[key])
+        row = []
+        for g in c.gates:
+            if isinstance(g.param, str):
+                if g.param not in index:
+                    raise UnboundSymbol(f"symbol {g.param!r} has no value")
+                row.append(index[g.param])
+            elif g.param is not None:
+                row.append(len(table))
+                table.append(float(g.param))
+            elif g.name in PARAMETRIC_GATES:
+                raise ValueError(f"{g.name} gate needs an angle")
+            else:
+                row.append(len(params))
+        slots.append(np.array(row, dtype=np.intp))
+    return np.array(table, dtype=float), plans, slots
 
 
 class _Forward(NamedTuple):
-    """One forward pass of a group of circuits with one skeleton: the
-    angles (one row per circuit) and matrices of every gate, the final
-    states, the outcome map, and each row's raw outcome probabilities and
-    success probability."""
+    """One forward pass of a group of circuits with one plan: the angles
+    (one row per circuit) and matrices of every gate, the final states,
+    and each row's raw outcome probabilities and success probability."""
     thetas: np.ndarray
     matrices: list
     state: np.ndarray
-    outcomes: tuple
     raw: np.ndarray
     success: np.ndarray
 
 
-def _forward(circuits: list[Circuit], params: dict) -> _Forward:
-    """Run circuits of one skeleton from |0...0> as one stacked state and
-    read them out; raises ZeroNorm when a postselected branch carries
-    (numerically) no amplitude."""
-    c = circuits[0]
-    thetas = _thetas(circuits, params)
-    matrices = _matrices(c, thetas)
-    n = max(c.n_qubits, 1)
-    state = np.zeros((len(circuits), 2 ** n), dtype=complex)
+def _forward(plan: _Plan, thetas: np.ndarray) -> _Forward:
+    """Run a group of one plan at its (B, G) angles from |0...0> as one
+    stacked state and read it out; raises ZeroNorm when a postselected
+    branch carries (numerically) no amplitude."""
+    matrices = plan.matrices(thetas)
+    state = np.zeros((len(thetas), 2 ** plan.n), dtype=complex)
     state[:, 0] = 1.0
-    for gate, m in zip(c.gates, matrices):
-        state = _apply(state, m, gate.qubits, n)
-    outcomes = _outcomes(c)
-    kept, outcome, size = outcomes
-    probs = np.abs(state[:, kept]) ** 2
+    for (_, qubits, _), m in zip(plan.gates, matrices):
+        state = _apply(state, m, qubits, plan.n)
+    probs = np.abs(state[:, plan.kept]) ** 2
     success = np.sum(probs, axis=1)
     if np.min(success) < 1e-30:
         raise ZeroNorm(
             f"postselection probability {np.min(success)} below 1e-30")
-    bins = np.arange(len(circuits))[:, None] * size + outcome
+    bins = np.arange(len(thetas))[:, None] * plan.size + plan.outcome
     raw = np.bincount(bins.ravel(), weights=probs.ravel(),
-                      minlength=len(circuits) * size).reshape(-1, size)
-    return _Forward(thetas, matrices, state, outcomes, raw, success)
+                      minlength=len(thetas) * plan.size).reshape(-1, plan.size)
+    return _Forward(thetas, matrices, state, raw, success)
 
 
 def simulate(c: Circuit, params: dict) -> tuple[np.ndarray, float]:
@@ -246,7 +261,13 @@ def simulate(c: Circuit, params: dict) -> tuple[np.ndarray, float]:
     Raises ZeroNorm when the postselected branch carries (numerically)
     no amplitude.
     """
-    fwd = _forward([c], params)
+    table, [plan], [slots] = _prepare([c], params)
+    return _read(plan, table[slots])
+
+
+def _read(plan: _Plan, angles: np.ndarray) -> tuple[np.ndarray, float]:
+    """``simulate`` of one circuit of ``plan`` at its gates' angles."""
+    fwd = _forward(plan, angles[None])
     return fwd.raw[0] / fwd.success[0], float(fwd.success[0])
 
 
@@ -265,23 +286,6 @@ _GENERATORS = {
 }
 
 
-def _blocks(c: Circuit) -> list[tuple[tuple, list[int]]]:
-    """The gates as blocks on at most two qubits, (qubits, gate indices),
-    in running order: a 2-qubit gate takes the 1-qubit gates waiting on its
-    qubits; the rest join their qubit's last block or form a block alone."""
-    blocks, waiting, last = [], {}, {}
-    for i, gate in enumerate(c.gates):
-        if len(gate.qubits) == 1:
-            waiting.setdefault(gate.qubits[0], []).append(i)
-            continue
-        blocks.append((gate.qubits, [j for q in gate.qubits
-                                     for j in waiting.pop(q, [])] + [i]))
-        last.update(dict.fromkeys(gate.qubits, blocks[-1][1]))
-    for q in last:
-        last[q].extend(waiting.pop(q, []))
-    return blocks + [((q,), idx) for q, idx in waiting.items()]
-
-
 def _widen(m: np.ndarray, on: tuple, qubits: tuple) -> np.ndarray:
     """A gate's matrix (or stack) on the qubits of its block."""
     if len(on) == len(qubits):
@@ -291,28 +295,28 @@ def _widen(m: np.ndarray, on: tuple, qubits: tuple) -> np.ndarray:
     return wide.reshape(m.shape[:-2] + (4, 4))
 
 
-def _fuse(c: Circuit, fwd: _Forward, qubits: tuple, idx: list[int]) -> tuple:
+def _fuse(plan: _Plan, fwd: _Forward, qubits: tuple, idx: list[int]) -> tuple:
     """A block's qubits, symbolic gates and matrix, and the variants (gates
     after) G(theta +- pi/2) (gates before) of its p symbolic gates, one per
     row, gate and sign: (B * 2p, d, d)."""
     fused = np.eye(2 ** len(qubits))
     shifted, variants = [], np.zeros((len(fwd.thetas), 0) + fused.shape)
     for i in idx:
-        gate = c.gates[i]
-        m = _widen(fwd.matrices[i], gate.qubits, qubits)
+        name, on, symbolic = plan.gates[i]
+        m = _widen(fwd.matrices[i], on, qubits)
         variants = m[..., None, :, :] @ variants
-        if isinstance(gate.param, str):
+        if symbolic:
             shifted.append(i)
-            pair = gate_matrix(gate.name, fwd.thetas[:, i, None] + _SHIFTS)
+            pair = gate_matrix(name, fwd.thetas[:, i, None] + _SHIFTS)
             variants = np.concatenate([variants, _widen(
-                pair, gate.qubits, qubits) @ fused[..., None, :, :]], 1)
+                pair, on, qubits) @ fused[..., None, :, :]], 1)
         fused = m @ fused
     return qubits, shifted, fused, variants.reshape(-1, *fused.shape[-2:])
 
 
 def gradient(c: Circuit, params: dict, dloss_ddist: np.ndarray,
              method: str = "parameter_shift") -> dict[str, float]:
-    """Gradient of a loss with known distribution-sensitivity.
+    """Gradient of a loss with known distribution-sensitivity, by symbol.
 
     ``dloss_ddist`` is dL/d(normalized distribution) w.  With raw outcome
     probabilities r and success s = sum(r), dL = sum_o c_o dr_o where
@@ -320,48 +324,47 @@ def gradient(c: Circuit, params: dict, dloss_ddist: np.ndarray,
     into one diagonal observable, differentiated either by shifting one
     gate angle at a time or by one adjoint sweep.
     """
+    table, [plan], [slots] = _prepare([c], params)
     w = np.asarray(dloss_ddist, dtype=float)[None]
-    return _gradient([c], params, _forward([c], params), w, method)[0]
+    grad = dict(zip(params, _gradient(
+        plan, slots[None], table, _forward(plan, table[slots][None]), w,
+        method)[0].tolist()))
+    return {sym: grad[sym]
+            for sym in sorted({c.gates[i].param for i in plan.symbolic})}
 
 
-def _gradient(circuits: list[Circuit], params: dict, fwd: _Forward,
-              dloss_ddist: np.ndarray, method: str) -> list[dict]:
-    """``gradient`` of each circuit of a group, one row of ``dloss_ddist``
-    each, from the group's forward pass at ``params``."""
-    c = circuits[0]
-    symbolic = [i for i, g in enumerate(c.gates) if isinstance(g.param, str)]
-    symbols = [sorted({circuit.gates[i].param for i in symbolic})
-               for circuit in circuits]
+def _gradient(plan: _Plan, slots: np.ndarray, table: np.ndarray,
+              fwd: _Forward, dloss_ddist: np.ndarray, method: str):
+    """The gradient over the angle table of each row's loss, (B, T), for a
+    group of one plan with (B, G) ``slots``, one row of ``dloss_ddist``
+    each, from the group's forward pass at ``table[slots]``."""
+    rows, size = slots.shape[0], len(table)
     if method == "finite_diff":
-        grads = []
-        for circuit, syms, w in zip(circuits, symbols, dloss_ddist):
-            grad = {}
-            for sym in syms:
-                up, down = (
-                    float(np.dot(w, simulate(
-                        circuit, dict(params, **{sym: params[sym] + h}))[0]))
+        grad = np.zeros((rows, size))
+        for r, row in enumerate(slots):
+            for k in set(row[plan.symbolic].tolist()):
+                up, down = (np.dot(dloss_ddist[r], _read(plan, np.where(
+                    np.arange(size) == k, table + h, table)[row])[0])
                     for h in (FD_STEP, -FD_STEP))
-                grad[sym] = (up - down) / (2 * FD_STEP)
-            grads.append(grad)
-        return grads
+                grad[r, k] = (up - down) / (2 * FD_STEP)
+        return grad
     if method not in ("parameter_shift", "adjoint"):
         raise ValueError(f"unknown gradient method {method!r}")
 
-    n = max(c.n_qubits, 1)
-    kept, outcome, _ = fwd.outcomes
+    n = plan.n
     s = fwd.success[:, None]
     weights = dloss_ddist / s \
         - np.sum(dloss_ddist * fwd.raw, axis=1, keepdims=True) / s ** 2
-    observable = np.zeros((len(circuits), 2 ** n))
-    observable[:, kept] = weights[:, outcome]
+    observable = np.zeros((rows, 2 ** n))
+    observable[:, plan.kept] = weights[:, plan.outcome]
     # contrib[r, i]: what gate i adds to the derivative of row r's loss
     # by the gate's symbol
-    contrib = np.zeros((len(circuits), len(c.gates)))
+    contrib = np.zeros((rows, len(plan.gates)))
     if method == "parameter_shift":
         # psi is the state before block k; the (B, 2 p_k, 2^n) stack of
         # its shifted variants runs through the later blocks only
-        blocks = [_fuse(c, fwd, *block) for block in _blocks(c)]
-        psi = np.zeros((len(circuits), 2 ** n), dtype=complex)
+        blocks = [_fuse(plan, fwd, *block) for block in plan.blocks]
+        psi = np.zeros((rows, 2 ** n), dtype=complex)
         psi[:, 0] = 1.0
         for k, (qubits, shifted, fused, variants) in enumerate(blocks):
             if shifted:
@@ -377,24 +380,19 @@ def _gradient(circuits: list[Circuit], params: dict, fwd: _Forward,
         # lam = (later gates)^dag M psi, stacked as one (B, 2, 2^n) pair;
         # each gate adds 2 Re<lam|dG|psi_before> = Im<lam|P|psi_after>
         pair = np.stack([fwd.state, observable * fwd.state], axis=1)
-        for i in reversed(range(len(c.gates))):
-            gate = c.gates[i]
-            if isinstance(gate.param, str):
-                moved = _apply(pair[:, 0], _GENERATORS[gate.name],
-                               gate.qubits, n)
+        for i in reversed(range(len(plan.gates))):
+            name, qubits, symbolic = plan.gates[i]
+            if symbolic:
+                moved = _apply(pair[:, 0], _GENERATORS[name], qubits, n)
                 contrib[:, i] = np.sum(pair[:, 1].conj() * moved,
                                        axis=1).imag
             pair = _apply(pair, fwd.matrices[i].conj().swapaxes(-1, -2),
-                          gate.qubits, n)
-        symbolic.reverse()
-    # each row's sums run in the order the gates were visited
-    grads = []
-    for circuit, syms, row in zip(circuits, symbols, contrib.tolist()):
-        grad = dict.fromkeys(syms, 0.0)
-        for i in symbolic:
-            grad[circuit.gates[i].param] += row[i]
-        grads.append(grad)
-    return grads
+                          qubits, n)
+    # scatter-add each row's terms into their slots, in visiting order
+    terms = plan.symbolic[::-1] if method == "adjoint" else plan.symbolic
+    flat = np.arange(rows)[:, None] * size + slots[:, terms]
+    return np.bincount(flat.ravel(), contrib[:, terms].ravel(),
+                       rows * size).reshape(rows, size)
 
 # --- training ---------------------------------------------------------------
 
@@ -439,40 +437,43 @@ def _bce_ddist(dist: np.ndarray, label: int) -> np.ndarray:
 class History:
     rows: list[tuple[int, float, float, float]] = field(default_factory=list)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epoch", "train_loss", "train_acc", "test_acc"])
-            writer.writerows(self.rows)
+    def to_csv(self, path=None) -> None:
+        """Write the rows as CSV to ``path``, or to stdout without one."""
+        text = "epoch,train_loss,train_acc,test_acc\n" + "".join(
+            f"{e},{l:.6f},{a:.4f},{t:.4f}\n" for e, l, a, t in self.rows)
+        if path:
+            Path(path).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
 
 
-def _evaluate(batch: list[tuple[Circuit, int]], params: dict,
+def _evaluate(picks, plans: list[_Plan], slots: list[np.ndarray],
+              labels: list[int], table: np.ndarray,
               grad_method: str) -> list[tuple]:
-    """Loss, correctness and gradient of each sample, in batch order.
+    """Loss, correctness and gradient over the angle table of each picked
+    sample, in pick order.
 
-    The samples that share a ``_skeleton`` run as one stacked group, in
-    chunks of at most STACK_AMPLITUDES amplitudes.
+    The picks that share a plan run as one stacked group, in chunks of at
+    most STACK_AMPLITUDES amplitudes.
     """
-    groups: dict[tuple, list[int]] = {}
-    for pos, (c, _) in enumerate(batch):
-        groups.setdefault(_skeleton(c), []).append(pos)
-    chunks = []
-    for positions in groups.values():
-        rows = max(1, STACK_AMPLITUDES >> batch[positions[0]][0].n_qubits)
-        chunks += [positions[i:i + rows]
-                   for i in range(0, len(positions), rows)]
-    results = [None] * len(batch)
-    for positions in chunks:
-        circuits = [batch[pos][0] for pos in positions]
-        labels = [batch[pos][1] for pos in positions]
-        fwd = _forward(circuits, params)
-        dists = fwd.raw / fwd.success[:, None]
-        dloss = np.array([_bce_ddist(dist, label)
-                          for dist, label in zip(dists, labels)])
-        grads = _gradient(circuits, params, fwd, dloss, grad_method)
-        for pos, dist, label, grad in zip(positions, dists, labels, grads):
-            results[pos] = (bce(float(dist[1]), label),
-                            int((dist[1] >= 0.5) == bool(label)), grad)
+    groups: dict[_Plan, list[int]] = {}
+    for pos, i in enumerate(picks):
+        groups.setdefault(plans[i], []).append(pos)
+    results = [None] * len(picks)
+    for plan, positions in groups.items():
+        rows = max(1, STACK_AMPLITUDES >> plan.n)
+        for start in range(0, len(positions), rows):
+            chunk = positions[start:start + rows]
+            group = np.array([slots[picks[pos]] for pos in chunk])
+            fwd = _forward(plan, table[group])
+            dists = fwd.raw / fwd.success[:, None]
+            ys = [labels[picks[pos]] for pos in chunk]
+            dloss = np.array([_bce_ddist(dist, y)
+                              for dist, y in zip(dists, ys)])
+            grads = _gradient(plan, group, table, fwd, dloss, grad_method)
+            for pos, dist, y, grad in zip(chunk, dists, ys, grads):
+                results[pos] = (bce(float(dist[1]), y),
+                                int((dist[1] >= 0.5) == bool(y)), grad)
     return results
 
 
@@ -481,22 +482,25 @@ def train(dataset: list[tuple[Circuit, int]],
     """Adam on mean binary cross entropy over the 1-qubit output.
 
     The dataset is shuffled and split 80/20 into train/test with the
-    config seed; all circuits share one symbol table (union of their
-    declared symbols, same initial values everywhere).
+    config seed; all circuits share one parameter vector (the union of
+    their declared symbols, each at its first declared value).  Batches
+    index into the plans and slots, prepared once.
     """
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(dataset))
     split = max(1, int(round(len(dataset) * 0.8)))
-    train_set = [dataset[i] for i in order[:split]]
+    train_set = order[:split]
     test_set = [dataset[i] for i in order[split:]]
 
-    params: dict[str, float] = {}
+    symbols: dict[str, float] = {}
     for circuit, _ in dataset:
         for sym, value in circuit.symbols.items():
-            params.setdefault(sym, value)
-
-    m = {s: 0.0 for s in params}
-    v = {s: 0.0 for s in params}
+            symbols.setdefault(sym, value)
+    table, plans, slots = _prepare([c for c, _ in dataset], symbols)
+    labels = [label for _, label in dataset]
+    # a view: Adam's steps write the head of the table
+    params = table[:len(symbols)]
+    m, v = np.zeros(len(params)), np.zeros(len(params))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     history = History()
@@ -505,32 +509,27 @@ def train(dataset: list[tuple[Circuit, int]],
         batch_order = rng.permutation(len(train_set))
         losses, corrects = [], 0
         for start in range(0, len(train_set), cfg.batch_size):
-            picks = batch_order[start:start + cfg.batch_size]
-            results = _evaluate([train_set[i] for i in picks], params,
+            picks = train_set[batch_order[start:start + cfg.batch_size]]
+            results = _evaluate(picks, plans, slots, labels, table,
                                 cfg.gradient)
-            grad_sum = {s: 0.0 for s in params}
-            for loss, correct, grads in results:
+            for loss, correct, _ in results:
                 losses.append(loss)
                 corrects += correct
-                for sym, g in grads.items():
-                    grad_sum[sym] += g
             step += 1
-            for sym in params:
-                g = grad_sum[sym] / len(picks)
-                m[sym] = beta1 * m[sym] + (1 - beta1) * g
-                v[sym] = beta2 * v[sym] + (1 - beta2) * g * g
-                m_hat = m[sym] / (1 - beta1 ** step)
-                v_hat = v[sym] / (1 - beta2 ** step)
-                params[sym] -= (cfg.learning_rate * m_hat
-                                / (np.sqrt(v_hat) + eps))
+            g = sum(grad for _, _, grad in results)[:len(params)] / len(picks)
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g * g
+            m_hat = m / (1 - beta1 ** step)
+            v_hat = v / (1 - beta2 ** step)
+            params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         train_loss = float(np.mean(losses)) if losses else 0.0
         train_acc = corrects / max(len(train_set), 1)
-        test_acc = evaluate_accuracy(test_set, params) if test_set \
-            else float("nan")
+        test_acc = evaluate_accuracy(test_set,
+                                     dict(zip(symbols, params.tolist())))
         history.rows.append((epoch, train_loss, train_acc, test_acc))
         log.info("epoch %d: loss %.4f train_acc %.3f test_acc %.3f",
                  epoch, train_loss, train_acc, test_acc)
-    return params, history
+    return dict(zip(symbols, params.tolist())), history
 
 
 def evaluate_accuracy(dataset, params) -> float:

@@ -196,6 +196,24 @@ def test_malformed_circuit_json_is_a_format_error(change):
         circuit_from_json({**data, **change})
 
 
+@pytest.mark.parametrize("change, location", [
+    ({"n_qubits": -1}, "n_qubits"),
+    ({"n_qubits": 1.5}, "n_qubits"),
+    ({"symbols": {"a": "x"}}, "symbols['a']"),
+    ({"symbols": {"a": float("nan")}}, "symbols['a']"),
+    ({"postselect": [[0, 0], [0, 1]]}, "postselect[1]"),
+], ids=["negative-width", "fractional-width", "text-symbol", "nan-symbol",
+        "postselected-twice"])
+def test_malformed_circuit_json_names_the_location(change, location):
+    data = {"n_qubits": 3, "gates": [{"name": "Rx", "qubits": [0],
+                                      "param": "a"}],
+            "postselect": [[1, 0]], "symbols": {"a": 0.5}, "outputs": [2]}
+    assert circuit_from_json(data).symbols == {"a": 0.5}
+    with pytest.raises(FormatError) as err:
+        circuit_from_json({**data, **change})
+    assert err.value.location == location
+
+
 def test_dump_circuit_lines():
     c = Circuit(n_qubits=1, gates=[Gate("H", (0,))], outputs=[0])
     assert dump_circuit(c).splitlines() == ["qubits 1", "H 0", "outputs 0"]

@@ -160,6 +160,16 @@ def test_format_error_exit_code(runner, tmp_path):
         (result.stderr if hasattr(result, "stderr") else "")
 
 
+def test_malformed_cup_exit_code(runner, tmp_path):
+    path = tmp_path / "cup.json"
+    path.write_text(json.dumps({"sentences": [
+        {"tokens": ["Alice"], "types": [[["n", 0]]], "cups": [[0]]}]}),
+        encoding="utf-8")
+    result = runner.invoke(main, ["parse", "--input", str(path)])
+    assert result.exit_code == 2
+    assert "sentences[0].cups[0]" in result.output
+
+
 def test_no_parse_exit_code(runner, tmp_path):
     path = tmp_path / "raw.json"
     path.write_text(json.dumps({"tokens": [["Alice", "Alice"]]}),

@@ -76,6 +76,46 @@ def test_dangling_mention_rejected():
         load_document(data)
 
 
+ALICE_READS = {
+    "sentences": [{"tokens": ["Alice", "reads", "books"],
+                   "types": [[["n", 0]], [["n", 1], ["s", 0], ["n", -1]],
+                             [["n", 0]]],
+                   "cups": [[0, 1], [3, 4]]}],
+    "corefs": [[[0, 0]], [[0, 2]]]}
+
+
+@pytest.mark.parametrize("sentence, change, location", [
+    (False, {"sentences": 5}, None),
+    (True, {"cups": [[0]]}, "sentences[0].cups[0]"),
+    (True, {"cups": [["x", 1]]}, "sentences[0].cups[0]"),
+    (False, {"corefs": [[["a", 0]]]}, "corefs[0][0]"),
+    (False, {"corefs": [[[-1, 0]]]}, "corefs[0]"),
+    (True, {"tokens": 5}, "sentences[0]"),
+    (False, {"corefs": 5}, "corefs"),
+], ids=["sentences-not-a-list", "short-cup", "cup-not-integers",
+        "mention-not-integers", "negative-mention", "tokens-not-a-list",
+        "corefs-not-a-list"])
+def test_malformed_document_is_a_format_error(sentence, change, location):
+    assert len(load_document(ALICE_READS).sentences) == 1
+    data = json.loads(json.dumps(ALICE_READS))
+    (data["sentences"][0] if sentence else data).update(change)
+    with pytest.raises(FormatError) as err:
+        load_document(data)
+    assert err.value.location == location
+
+
+@pytest.mark.parametrize("raw, location", [
+    ({"cat": 5}, "lexicon[cat]"),
+    ({"cat": {"is_noun": True}}, "lexicon[cat]"),
+    ([["cat", [["n", 0]]]], None),
+], ids=["not-a-list-or-object", "no-types", "not-an-object"])
+def test_malformed_lexicon_is_a_format_error(raw, location):
+    assert Lexicon({"cat": [[["n", 0]]]}).entries["cat"]
+    with pytest.raises(FormatError) as err:
+        Lexicon(raw)
+    assert err.value.location == location
+
+
 def test_mention_in_two_chains_rejected():
     with pytest.raises(FormatError):
         CorefMap([[(0, 0)], [(0, 0)]])

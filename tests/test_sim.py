@@ -11,11 +11,12 @@ from discocirc.errors import CapExceeded, UnboundSymbol, ZeroNorm
 from discocirc.frames import Box, NounState, SentenceDiagram
 from discocirc.ingest import CorefMap
 from discocirc.pipeline import PipelineConfig, run
-from discocirc.sim import (TrainConfig, _apply, _bce_ddist, _blocks,
-                           _evaluate, _forward, _gradient, _skeleton, bce,
+from discocirc.sim import (TrainConfig, _Plan, _apply, _bce_ddist,
+                           _evaluate, _forward, _gradient, _prepare, bce,
                            evaluate_accuracy, gate_matrix, gradient,
                            load_dataset, simulate, train)
-from util import circuit_unitary, classification_dataset, shift_rule_oracle
+from util import (circuit_unitary, classification_dataset, shift_rule_oracle,
+                  train_oracle)
 
 rng = np.random.default_rng(42)
 
@@ -265,8 +266,8 @@ def test_blocks_partition_the_gates_on_at_most_two_qubits():
                     Gate("CX", (0, 1)), Gate("H", (2,)),
                     Gate("CRz", (2, 1), "c"), Gate("Rz", (0,), "d"),
                     Gate("Ry", (1,), 0.3), Gate("H", (3,))])
-    assert _blocks(c) == [((0, 1), [0, 2, 5]), ((2, 1), [3, 4, 6]),
-                          ((3,), [1, 7])]
+    assert _Plan(c).blocks == [((0, 1), [0, 2, 5]), ((2, 1), [3, 4, 6]),
+                               ((3,), [1, 7])]
     story = run({"tokens": [["Alice", "reads", "books"],
                             ["Bob", "loves", "music"],
                             ["She", "bought", "bikes"],
@@ -276,7 +277,7 @@ def test_blocks_partition_the_gates_on_at_most_two_qubits():
                 PipelineConfig(ansatz=AnsatzConfig("sim4")))
     text = classification_dataset(1, seed=3)[0][0]
     for circuit, gates, blocks in ((story, 66, 14), (text, 34, 6)):
-        partition = _blocks(circuit)
+        partition = _Plan(circuit).blocks
         assert (len(circuit.gates), len(partition)) == (gates, blocks)
         assert sorted(i for _, idx in partition for i in idx) \
             == list(range(gates))
@@ -324,20 +325,25 @@ def test_fused_shift_rule_matches_the_per_gate_oracle():
         circuits, params = _random_group(
             local, int(local.integers(1, 8)), int(local.integers(1, 4)))
         c = circuits[0]
-        assert len({_skeleton(circuit) for circuit in circuits}) == 1
+        table, plans, slots = _prepare(circuits, params)
+        plan = plans[0]
+        assert all(p is plan for p in plans)
         try:
-            fwd = _forward(circuits, params)
+            fwd = _forward(plan, table[np.array(slots)])
         except ZeroNorm:
             continue
         if np.min(fwd.success) < 1e-3:
             continue
         groups += 1
         dl = local.normal(size=fwd.raw.shape)
-        fused = _gradient(circuits, params, fwd, dl, "parameter_shift")
+        fused = _gradient(plan, np.array(slots), table, fwd, dl,
+                          "parameter_shift")
         oracle = shift_rule_oracle(circuits, params, dl)
-        assert [list(g) for g in fused] == [list(g) for g in oracle]
+        index = {sym: k for k, sym in enumerate(params)}
         for got, want in zip(fused, oracle):
-            assert all(abs(got[s] - want[s]) < 1e-12 for s in want)
+            # each row's gradient lands in the slots of its symbols only
+            assert set(np.flatnonzero(got)) <= {index[s] for s in want}
+            assert all(abs(got[index[s]] - want[s]) < 1e-12 for s in want)
         # what the draws covered
         gates = c.gates
         seen |= {g.name for g in gates}
@@ -353,7 +359,7 @@ def test_fused_shift_rule_matches_the_per_gate_oracle():
             seen.add("postselection")
         if not c.outputs:
             seen.add("no outputs")
-        blocks = _blocks(c)
+        blocks = plan.blocks
         if {len(qubits) for qubits, _ in blocks} == {1, 2}:
             seen.add("lone qubit")
         if any(len(gates[idx[-1]].qubits) == 1
@@ -395,21 +401,25 @@ def test_stacked_batch_matches_single_circuits(amplitudes, monkeypatch):
                 PipelineConfig(ansatz=AnsatzConfig("sim4")))
     texts = classification_dataset(3, seed=21)
     batch = [texts[0], (story, 0), texts[1], texts[2]]
-    keys = [_skeleton(c) for c, _ in batch]
-    assert keys[0] == keys[2] == keys[3] != keys[1]
     local = np.random.default_rng(17)
     params = {sym: float(local.uniform(0, 2 * np.pi))
               for c, _ in batch for sym in c.symbols}
+    table, plans, slots = _prepare([c for c, _ in batch], params)
+    assert plans[0] is plans[2] is plans[3] is not plans[1]
+    labels = [label for _, label in batch]
+    index = {sym: k for k, sym in enumerate(params)}
     for method in ("adjoint", "parameter_shift"):
-        results = _evaluate(batch, params, method)
+        results = _evaluate(range(len(batch)), plans, slots, labels, table,
+                            method)
         assert len(results) == len(batch)
         for (c, label), (loss, correct, grads) in zip(batch, results):
             dist, _ = simulate(c, params)
             assert abs(loss - bce(float(dist[1]), label)) < 1e-12
             assert correct == int((dist[1] >= 0.5) == bool(label))
             single = gradient(c, params, _bce_ddist(dist, label), method)
-            assert list(grads) == list(single)
-            assert max(abs(grads[s] - single[s]) for s in single) < 1e-12
+            assert set(np.flatnonzero(grads)) <= {index[s] for s in single}
+            assert max(abs(grads[index[s]] - single[s])
+                       for s in single) < 1e-12
 
 
 # --- training ---------------------------------------------------------------
@@ -440,6 +450,55 @@ def test_training_is_deterministic():
                                  learning_rate=0.01, seed=7))
     (p1, h1), (p2, h2) = once(), once()
     assert p1 == p2 and h1.rows == h2.rows
+
+
+def _wide_story(pronoun_sentences: int):
+    """A story on 5 + ``pronoun_sentences`` qubits: two subjects, their
+    objects and a reflexive spider copy."""
+    verbs = ["bought", "found", "plays", "likes", "writes"]
+    objects = ["bikes", "clues", "piano", "bread", "code"]
+    sentences = [["Alice", "reads", "books"], ["Bob", "loves", "music"]]
+    sentences += [["She" if i % 2 == 0 else "He", verbs[i], objects[i]]
+                  for i in range(pronoun_sentences)]
+    sentences.append(["She", "saw", "herself"])
+    return run({"tokens": sentences},
+               PipelineConfig(ansatz=AnsatzConfig("sim4")))
+
+
+def _assert_trains_like_the_oracle(dataset, cfg):
+    params, history = train(dataset, cfg)
+    want, oracle = train_oracle(dataset, cfg)
+    assert list(params) == list(want)
+    assert all(abs(params[s] - want[s]) < 1e-10 for s in want)
+    # the first circuit declares its symbols first: training moved them
+    assert max(abs(params[s] - value)
+               for s, value in dataset[0][0].symbols.items()) > 1e-3
+    assert len(history.rows) == len(oracle.rows) == cfg.epochs
+    for row, expected in zip(history.rows, oracle.rows):
+        assert row[0] == expected[0]
+        assert all(abs(a - b) < 1e-10 for a, b in zip(row[1:], expected[1:]))
+
+
+def test_training_matches_the_sample_by_sample_oracle_on_two_topic_texts():
+    dataset = classification_dataset(30, seed=5)
+    _assert_trains_like_the_oracle(dataset, TrainConfig(
+        epochs=3, batch_size=5, learning_rate=0.05, seed=3,
+        gradient="adjoint"))
+
+
+def test_training_matches_the_oracle_on_mixed_skeletons():
+    # four story widths and the two-topic texts: several plans in a batch,
+    # and symbols shared between stories and with the texts
+    stories = [_wide_story(k) for k in range(2, 6)]
+    assert [c.n_qubits for c in stories] == [7, 8, 9, 10]
+    texts = classification_dataset(6, seed=4)
+    shared = {s for c in stories for s in c.symbols} \
+        & {s for c, _ in texts for s in c.symbols}
+    assert shared
+    dataset = [(c, i % 2) for i, c in enumerate(stories)] + texts
+    _assert_trains_like_the_oracle(dataset, TrainConfig(
+        epochs=2, batch_size=3, learning_rate=0.05, seed=8,
+        gradient="parameter_shift"))
 
 
 def test_history_csv(tmp_path):

@@ -8,6 +8,7 @@ independent oracle for tree building and type recovery;
 ``random_loopy_diagram`` adds the loopy diagrams no tree encodes.  The
 dense ``circuit_unitary`` is the matching oracle for the simulator,
 ``shift_rule_oracle`` the per-gate one for its fused shift rule,
+``train_oracle`` the sample-by-sample one for its trainer,
 ``resolve_pronouns_oracle`` the back-scan one for the pronoun resolver,
 ``validate_diagram_oracle`` the pairwise one for the crossing check,
 and ``replay`` replays a text diagram's layers to recover its wire order.
@@ -26,7 +27,9 @@ from discocirc.frames import Perm, Spider, element_wires
 from discocirc.grammar import (PregroupDiagram, PregroupType, SimpleType,
                                ValidationReport, can_contract)
 from discocirc.ingest import CorefMap, Document, Lexicon, Mention
-from discocirc.sim import _SHIFTS, _apply, _forward, gate_matrix
+from discocirc.sim import (_SHIFTS, History, _apply, _bce_ddist, _forward,
+                           _prepare, bce, evaluate_accuracy, gate_matrix,
+                           gradient, simulate)
 from discocirc.trees import PregroupTreeNode, compound_type
 
 
@@ -274,14 +277,14 @@ def shift_rule_oracle(circuits, params: dict,
     ways and every later gate replayed on the (B, 2, 2^n) stack of
     shifted pairs; each symbol sums its gates' terms in gate order."""
     c = circuits[0]
-    fwd = _forward(circuits, params)
-    n = max(c.n_qubits, 1)
-    kept, outcome, _ = fwd.outcomes
+    table, [plan, *_], slots = _prepare(circuits, params)
+    fwd = _forward(plan, table[np.array(slots)])
+    n = plan.n
     s = fwd.success[:, None]
     weights = dloss_ddist / s \
         - np.sum(dloss_ddist * fwd.raw, axis=1, keepdims=True) / s ** 2
     observable = np.zeros((len(circuits), 2 ** n))
-    observable[:, kept] = weights[:, outcome]
+    observable[:, plan.kept] = weights[:, plan.outcome]
     contrib = np.zeros((len(circuits), len(c.gates)))
     psi = np.zeros((len(circuits), 2 ** n), dtype=complex)
     psi[:, 0] = 1.0
@@ -305,6 +308,53 @@ def shift_rule_oracle(circuits, params: dict,
             grad[sym] += term
         grads.append(grad)
     return grads
+
+
+def train_oracle(dataset, cfg) -> tuple[dict, History]:
+    """``train`` one sample at a time, the oracle for its plans, slots and
+    Adam on arrays: the same draws, then per sample the public
+    ``simulate`` and ``gradient`` with Adam over a dict of symbols."""
+    rng = np.random.default_rng(cfg.seed)
+    order = rng.permutation(len(dataset))
+    split = max(1, int(round(len(dataset) * 0.8)))
+    train_set = [dataset[i] for i in order[:split]]
+    test_set = [dataset[i] for i in order[split:]]
+    params: dict[str, float] = {}
+    for circuit, _ in dataset:
+        for sym, value in circuit.symbols.items():
+            params.setdefault(sym, value)
+    m, v = dict.fromkeys(params, 0.0), dict.fromkeys(params, 0.0)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    history = History()
+    for epoch in range(1, cfg.epochs + 1):
+        batch_order = rng.permutation(len(train_set))
+        losses, corrects = [], 0
+        for start in range(0, len(train_set), cfg.batch_size):
+            picks = batch_order[start:start + cfg.batch_size]
+            grad_sum = dict.fromkeys(params, 0.0)
+            for i in picks:
+                c, label = train_set[i]
+                dist, _ = simulate(c, params)
+                losses.append(bce(float(dist[1]), label))
+                corrects += int((dist[1] >= 0.5) == bool(label))
+                for sym, g in gradient(c, params, _bce_ddist(dist, label),
+                                       cfg.gradient).items():
+                    grad_sum[sym] += g
+            step += 1
+            for sym in params:
+                g = grad_sum[sym] / len(picks)
+                m[sym] = beta1 * m[sym] + (1 - beta1) * g
+                v[sym] = beta2 * v[sym] + (1 - beta2) * g * g
+                m_hat = m[sym] / (1 - beta1 ** step)
+                v_hat = v[sym] / (1 - beta2 ** step)
+                params[sym] -= (cfg.learning_rate * m_hat
+                                / (np.sqrt(v_hat) + eps))
+        test_acc = evaluate_accuracy(test_set, params) if test_set \
+            else float("nan")
+        history.rows.append((epoch, float(np.mean(losses)) if losses else 0.0,
+                             corrects / max(len(train_set), 1), test_acc))
+    return params, history
 
 
 # --- wire order of a text diagram -------------------------------------------
