@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, FormatError, UnexpandedFrame
-from .frames import Box, Frame, Identity, Par, Perm, Seq, Spider
+from .frames import Box, Frame, Identity, Par, Perm, Spider
 from .compose import TextDiagram
 
 QUBIT_CAP = 14
@@ -185,11 +185,11 @@ def compile(td: TextDiagram, cfg: AnsatzConfig,
         if isinstance(el, Frame):
             raise UnexpandedFrame(
                 f"frame {el.name!r} reached the compiler")
-        if isinstance(el, (Seq, Par)):
+        if isinstance(el, Par):
             for sub in el.elements:
                 visit(sub)
             return
-        if isinstance(el, (Identity, Perm)) or el is None:
+        if isinstance(el, (Identity, Perm)):
             return
         if isinstance(el, Spider):
             if el.dagger:  # copy: CX onto fresh zeroed registers
@@ -247,9 +247,10 @@ def circuit_from_json(data: dict) -> Circuit:
     Raises FormatError for a missing field, an ``n_qubits`` that is not a
     non-negative integer, a symbol value that is not a finite number, an
     unknown gate, the wrong number of qubits for a gate, a parameterised
-    gate without a parameter, a gate, postselect or output qubit that is
-    out of range or, within one gate, repeated, and a qubit postselected
-    twice.
+    gate without a parameter, a parameter that is neither a symbol name
+    nor a finite number, a gate, postselect or output qubit that is not an
+    integer in range or, within one gate, repeated, and a qubit
+    postselected twice.
     """
     try:
         c = Circuit(
@@ -264,17 +265,25 @@ def circuit_from_json(data: dict) -> Circuit:
         raise FormatError(f"malformed circuit: {exc!r}") from exc
     if type(c.n_qubits) is not int or c.n_qubits < 0:
         raise FormatError(f"not a qubit count: {c.n_qubits!r}", "n_qubits")
+
+    def finite(value) -> bool:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            return False
+
     for name, value in c.symbols.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
+        if not finite(value):
             raise FormatError(f"not a finite number: {value!r}",
                               f"symbols[{name!r}]")
 
     def check_qubits(qubits, where):
         for qb in qubits:
-            if not isinstance(qb, int) or not 0 <= qb < c.n_qubits:
+            if type(qb) is not int or not 0 <= qb < c.n_qubits:
                 raise FormatError(
-                    f"qubit {qb!r} outside 0..{c.n_qubits - 1}", where)
+                    f"qubit {qb!r} is not one of 0..{c.n_qubits - 1}", where)
 
     for i, g in enumerate(c.gates):
         where = f"gates[{i}]"
@@ -288,9 +297,13 @@ def circuit_from_json(data: dict) -> Circuit:
             raise FormatError(f"repeated qubit in {list(g.qubits)}", where)
         if g.name in PARAMETRIC_GATES and g.param is None:
             raise FormatError(f"{g.name} needs a parameter", where)
+        if g.param is not None and not isinstance(g.param, str) \
+                and not finite(g.param):
+            raise FormatError(f"parameter {g.param!r} is neither a symbol "
+                              "name nor a finite number", where)
     postselected = set()
     for i, p in enumerate(c.postselect):
-        if len(p) != 2 or p[1] not in (0, 1):
+        if len(p) != 2 or isinstance(p[1], bool) or p[1] not in (0, 1):
             raise FormatError(f"postselect entry {list(p)} is not "
                               "[qubit, 0 or 1]", f"postselect[{i}]")
         check_qubits(p[:1], f"postselect[{i}]")

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from .errors import ChainMismatch
 from .frames import (
     Box,
-    Empty,
     Frame,
     Identity,
     NounState,
@@ -143,8 +142,6 @@ def text_diagram_to_json(td: TextDiagram) -> dict:
                     "components": [enc(c) for c in el.components]}
         if isinstance(el, Identity):
             return {"kind": "id", "wires": list(el.wires)}
-        if isinstance(el, Empty):
-            return {"kind": "empty"}
         if isinstance(el, Perm):
             return {"kind": "perm", "wires": list(el.wires),
                     "positions": list(el.positions)}
@@ -153,7 +150,7 @@ def text_diagram_to_json(td: TextDiagram) -> dict:
                     "out_wire": el.out_wire, "dagger": el.dagger}
         if isinstance(el, Par):
             return {"kind": "par", "elements": [enc(c) for c in el.elements]}
-        return {"kind": "seq", "elements": [enc(c) for c in el.elements]}
+        raise TypeError(f"not a diagram element: {el!r}")
 
     return {
         "states": [

@@ -212,12 +212,6 @@ def document_to_json(doc: Document) -> dict:
     return data
 
 
-def save_document(doc: Document, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(document_to_json(doc), f, indent=1)
-        f.write("\n")
-
-
 def _matchings(wires, budget):
     """Cup sets over ``wires`` leaving exactly the ``budget`` types free.
 

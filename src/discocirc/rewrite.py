@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import FormatError
-from .grammar import PregroupDiagram, PregroupType, SimpleType
+from .grammar import N, S, PregroupDiagram, PregroupType, SimpleType, Ty
 from .ingest import CorefMap, Mention
 from .trees import PregroupTreeNode
 
@@ -54,8 +54,9 @@ class RewriteReport:
 
 
 def rewrite_tree(root: PregroupTreeNode, rule: RewriteRule) -> RewriteReport:
-    """Apply one rule bottom-up into fresh nodes, leaving ``root`` as it
-    was; non-matching trees pass through unchanged.
+    """Apply one rule bottom-up.  Nodes are immutable, so the result
+    shares every subtree in which the rule fired nowhere with ``root``;
+    when it fires nowhere at all, the result is ``root`` itself.
 
     A node is contracted with its single child when the node matches the
     rule's type and words, the child carries the same output type, and
@@ -68,13 +69,17 @@ def rewrite_tree(root: PregroupTreeNode, rule: RewriteRule) -> RewriteReport:
     def visit(node: PregroupTreeNode) -> tuple[PregroupTreeNode, int]:
         nonlocal total
         new_children = []
+        changed = False
         chain_merges = 0
         for child in node.children:
             new_child, merges = visit(child)
+            if new_child is not child:
+                changed = True
             new_children.append(new_child)
             chain_merges = merges  # only a single child can chain upward
-        node = PregroupTreeNode(node.word, node.token_index, node.out_type,
-                                new_children)
+        if changed:
+            node = PregroupTreeNode(node.word, node.token_index,
+                                    node.out_type, tuple(new_children))
         if (len(node.children) == 1
                 and node.out_type in rule.match_types
                 and node.children[0].out_type == node.out_type
@@ -97,10 +102,6 @@ def rewrite_tree(root: PregroupTreeNode, rule: RewriteRule) -> RewriteReport:
     return RewriteReport(tree, total)
 
 
-_N = PregroupType([SimpleType("n")])
-_S = PregroupType([SimpleType("s")])
-
-
 def builtin_rules() -> list[RewriteRule]:
     """The stock rules: determiner removal, auxiliary removal and
     noun-modifier merging."""
@@ -108,21 +109,21 @@ def builtin_rules() -> list[RewriteRule]:
         RewriteRule(
             name="determiner",
             match_words=frozenset({"a", "an", "the"}),
-            match_types=frozenset({_N}),
+            match_types=frozenset({Ty(N)}),
             word_merger="last",
             max_depth=1,
         ),
         RewriteRule(
             name="auxiliary",
             match_words=frozenset({"has", "does", "is", "was", "had", "will"}),
-            match_types=frozenset({_S}),
+            match_types=frozenset({Ty(S)}),
             word_merger="last",
             max_depth=1,
         ),
         RewriteRule(
             name="noun_modification",
             match_words=None,
-            match_types=frozenset({_N}),
+            match_types=frozenset({Ty(N)}),
             word_merger="merge",
             max_depth=2,
         ),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .compose import TextDiagram
 from .errors import UnexpandedFrame
-from .frames import Box, Frame, Identity, Par, Seq
+from .frames import Box, Frame, Identity, Par
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def _expand_element(el, cfg: SandwichConfig) -> list:
             layers += _expand_element(comp, cfg)
             layers.append(Box(top_name, el.wires))
         return layers
-    if isinstance(el, (Seq, Par)):
+    if isinstance(el, Par):
         layers = []
         for sub in el.elements:
             layers += _expand_element(sub, cfg)
@@ -51,7 +51,7 @@ def _expand_element(el, cfg: SandwichConfig) -> list:
 def _has_frame(el) -> bool:
     if isinstance(el, Frame):
         return True
-    if isinstance(el, (Seq, Par)):
+    if isinstance(el, Par):
         return any(_has_frame(sub) for sub in el.elements)
     return False
 
@@ -69,9 +69,8 @@ def expand_frames(td: TextDiagram, cfg: SandwichConfig) -> TextDiagram:
         else:
             new_layers.append(layer)
     result = TextDiagram(td.states, new_layers, dict(td.chain_order))
-    for layer in result.layers:
-        if _has_frame(layer):
-            raise UnexpandedFrame("frame survived expansion")
+    if count_frames(result):
+        raise UnexpandedFrame("frame survived expansion")
     return result
 
 

@@ -10,20 +10,22 @@ recovered from the node and its children's output types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .grammar import PregroupDiagram, PregroupType, reduce
 
 TREE_MEMO_SIZE = 1024  # (types, cups) shapes whose forest is kept
 
 
-@dataclass
-class PregroupTreeNode:
+class PregroupTreeNode(NamedTuple):
+    """An immutable tree node; trees share their unchanged subtrees."""
+
     word: str
     token_index: int
     out_type: PregroupType
-    children: list["PregroupTreeNode"] = field(default_factory=list)
+    children: tuple["PregroupTreeNode", ...] = ()
 
     def walk(self):
         """Yield this node and all descendants, depth-first pre-order."""
@@ -72,7 +74,8 @@ def build_trees(d: PregroupDiagram) -> TreeBuildReport:
 
     No word is read except to label its node, so each valid (types, cups)
     is built once per process (the last ``TREE_MEMO_SIZE`` shapes used
-    are kept), and each call gets fresh nodes and ``removed_cups``.
+    are kept); each call relabels the kept forest with its own words and
+    gets its own ``forest`` and ``removed_cups`` lists.
     """
     shape = _shape_trees(d.with_words([""] * len(d.tokens)))
     words = d.words
@@ -82,8 +85,8 @@ def build_trees(d: PregroupDiagram) -> TreeBuildReport:
 
 @lru_cache(maxsize=TREE_MEMO_SIZE)
 def _shape_trees(d: PregroupDiagram) -> TreeBuildReport:
-    """The uncopied report of a word-free diagram, i.e. of its types and
-    cups; ``__wrapped__`` builds it without the memo."""
+    """The report of a word-free diagram, i.e. of its types and cups;
+    ``__wrapped__`` builds it without the memo."""
     reduce(d)  # raises InvalidDiagram
 
     wire_types = d.wire_types
@@ -121,13 +124,11 @@ def _shape_trees(d: PregroupDiagram) -> TreeBuildReport:
         edges[v].append((u, run))
 
     def grow(tok: int, out_wires, above: int | None) -> PregroupTreeNode:
-        node = PregroupTreeNode(d.tokens[tok][0], tok, PregroupType(
-            wire_types[w] for w in sorted(out_wires)))
-        for child, run in sorted(edges[tok]):
-            if child != above:
-                node.children.append(grow(child, (
-                    w for cup in run for w in cup if owner[w] == child), tok))
-        return node
+        out_type = PregroupType(wire_types[w] for w in sorted(out_wires))
+        return PregroupTreeNode(d.tokens[tok][0], tok, out_type, tuple([
+            grow(child, (w for cup in run for w in cup if owner[w] == child),
+                 tok)
+            for child, run in sorted(edges[tok]) if child != above]))
 
     forest = []
     rooted = {find(h) for h in heads}
@@ -139,11 +140,11 @@ def _shape_trees(d: PregroupDiagram) -> TreeBuildReport:
 
 
 def relabel(node: PregroupTreeNode, words) -> PregroupTreeNode:
-    """A fresh copy of a tree whose node of token ``i`` carries
-    ``words[i]``, with the same output types and child order."""
-    return PregroupTreeNode(words[node.token_index], node.token_index,
-                            node.out_type,
-                            [relabel(child, words) for child in node.children])
+    """The tree whose node of token ``i`` carries ``words[i]``, with the
+    same output types and child order: one new node per node."""
+    return PregroupTreeNode(
+        words[node.token_index], node.token_index, node.out_type,
+        tuple([relabel(child, words) for child in node.children]))
 
 
 def compound_type(node: PregroupTreeNode) -> PregroupType:

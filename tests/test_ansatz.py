@@ -201,9 +201,23 @@ def test_malformed_circuit_json_is_a_format_error(change):
     ({"n_qubits": 1.5}, "n_qubits"),
     ({"symbols": {"a": "x"}}, "symbols['a']"),
     ({"symbols": {"a": float("nan")}}, "symbols['a']"),
+    ({"symbols": {"a": 10 ** 400}}, "symbols['a']"),
     ({"postselect": [[0, 0], [0, 1]]}, "postselect[1]"),
+    ({"gates": [{"name": "Rx", "qubits": [0], "param": [1]}]}, "gates[0]"),
+    ({"gates": [{"name": "Rx", "qubits": [0], "param": float("nan")}]},
+     "gates[0]"),
+    ({"gates": [{"name": "Rx", "qubits": [0], "param": True}]}, "gates[0]"),
+    ({"gates": [{"name": "Rx", "qubits": [0], "param": 10 ** 400}]},
+     "gates[0]"),
+    ({"gates": [{"name": "H", "qubits": [True]}]}, "gates[0]"),
+    ({"postselect": [[False, 0]]}, "postselect[0]"),
+    ({"postselect": [[1, True]]}, "postselect[0]"),
+    ({"outputs": [True]}, "outputs"),
 ], ids=["negative-width", "fractional-width", "text-symbol", "nan-symbol",
-        "postselected-twice"])
+        "huge-symbol", "postselected-twice", "list-param", "nan-param",
+        "boolean-param", "huge-param", "boolean-gate-qubit",
+        "boolean-postselect-qubit", "boolean-postselect-bit",
+        "boolean-output-qubit"])
 def test_malformed_circuit_json_names_the_location(change, location):
     data = {"n_qubits": 3, "gates": [{"name": "Rx", "qubits": [0],
                                       "param": "a"}],

@@ -261,6 +261,21 @@ def test_train_malformed_circuit_exit_code(runner, tmp_path):
     assert "FormatError" in result.output
 
 
+def test_train_non_numeric_param_exit_code(runner, tmp_path):
+    dataset = write_dataset(runner, tmp_path)
+    records = [json.loads(line) for line in dataset.read_text().splitlines()]
+    # a list parameter used to load and then fail in the simulator
+    gates = records[1]["circuit"]["gates"]
+    i = next(k for k, g in enumerate(gates) if "param" in g)
+    gates[i]["param"] = [1]
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records),
+                       encoding="utf-8")
+    result = runner.invoke(main, ["train", "--input", str(dataset),
+                                  "--epochs", "1"])
+    assert result.exit_code == 2
+    assert "FormatError" in result.output and f"gates[{i}]" in result.output
+
+
 MALFORMED_LINES = {
     "not JSON": lambda record: json.dumps(record)[:-1],
     "no label": lambda record: json.dumps(

@@ -7,12 +7,11 @@ from discocirc.compose import (compose_document, text_diagram_to_dot,
                                text_diagram_to_json, wire_box_sequences)
 from discocirc.errors import ChainMismatch
 from discocirc.frames import (Box, Identity, NounState, Par, Perm,
-                              SentenceDiagram, Spider, element_wires,
-                              sentence_diagram)
+                              SentenceDiagram, Spider, sentence_diagram)
 from discocirc.ingest import CorefMap, Lexicon, load_document, parse_text
 from discocirc.pipeline import PipelineConfig, diagrams, ingest, treeize
 from discocirc.trees import build_trees
-from util import apply_layer, replay, wire_order
+from util import apply_layer, element_wires, replay, wire_order
 
 FIXTURES = "tests/fixtures"
 

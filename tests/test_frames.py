@@ -3,13 +3,12 @@ import random
 import pytest
 
 from discocirc.errors import EmptySentence
-from discocirc.frames import (Box, Empty, Frame, Identity, Par,
-                              dump_element, element_wires, iter_boxes,
-                              map_wires, min_frequency_filter, prune_boxes,
-                              sentence_diagram, sentence_to_dot)
+from discocirc.frames import (Box, Frame, Identity, Par, dump_element,
+                              iter_boxes, map_wires, min_frequency_filter,
+                              sentence_diagram)
 from discocirc.ingest import CorefMap, Lexicon, load_document
 from discocirc.trees import build_trees
-from util import random_loopy_diagram
+from util import element_wires, random_loopy_diagram
 
 FIXTURES = "tests/fixtures"
 
@@ -76,23 +75,16 @@ def test_min_frequency_filter_drops_rare_chains():
 
 
 def test_prune_matches_direct_generation(lex):
-    # pruning the full diagram equals generating with the noun removed
+    # "It has a large basket": the frame over the basket keeps only boxes
+    # on the removed wire, so each lowers to nothing and the verb frame
+    # degrades to a box over the surviving noun
     full = lower("bike_rewrites.json", lex, sentence=1)
-    basket_token = 4
-    pruned = prune_boxes(full.body, frozenset({basket_token}))
+    assert full.body == Frame("has", (0, 4), (
+        Frame("a", (4,), (Box("large", (4,)),)),))
     direct = lower("bike_rewrites.json", lex, sentence=1,
-                   remove=frozenset({basket_token}))
-    assert pruned == direct.body
-
-
-def test_prune_degrades_empty_frame_to_box():
-    frame = Frame("f", (0, 1), (Box("g", (1,)),))
-    pruned = prune_boxes(frame, frozenset({1}))
-    assert pruned == Box("f", (0,))
-
-
-def test_prune_to_nothing():
-    assert prune_boxes(Box("g", (1,)), frozenset({1})) == Empty()
+                   remove=frozenset({4}))
+    assert [n.word for n in direct.nouns] == ["It"]
+    assert direct.body == Box("has", (0,))
 
 
 def test_map_wires_relabels_everything():
@@ -107,8 +99,6 @@ def test_dumps_render(lex):
     sd = lower("bike_rewrites.json", lex)
     text = dump_element(sd.body)
     assert text.splitlines()[0].startswith("frame bought")
-    dot = sentence_to_dot(sd)
-    assert dot.startswith("digraph") and "bought" in dot
 
 
 def test_wires_are_sorted_on_loopy_trees():

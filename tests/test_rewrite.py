@@ -23,7 +23,7 @@ def chain(words, ty=N_TYPE):
     """A single-branch tree word_0 -> word_1 -> ... with one out type."""
     node = PregroupTreeNode(words[-1], len(words) - 1, ty)
     for i in range(len(words) - 2, -1, -1):
-        node = PregroupTreeNode(words[i], i, ty, [node])
+        node = PregroupTreeNode(words[i], i, ty, (node,))
     return node
 
 
@@ -36,9 +36,10 @@ def test_determiner_rule_drops_article():
 
 
 def test_rule_leaves_non_matching_words_alone():
-    report = rewrite_tree(chain(["blue", "bike"]), builtin_rule("determiner"))
+    tree = chain(["blue", "bike"])
+    report = rewrite_tree(tree, builtin_rule("determiner"))
     assert report.merges == 0
-    assert report.tree.word == "blue"
+    assert report.tree is tree  # a rule that fires nowhere copies nothing
 
 
 def test_word_merger_merge():
@@ -68,6 +69,20 @@ def test_original_tree_untouched():
     tree = chain(["the", "bike"])
     rewrite_tree(tree, builtin_rule("determiner"))
     assert tree.word == "the" and tree.children[0].word == "bike"
+
+
+def test_rewrite_shares_every_subtree_off_the_merged_path():
+    # "Alice bought a blue bike": only the article merges with its child
+    doc = load_document(f"{FIXTURES}/bike_rewrites.json")
+    [root] = build_trees(doc.sentences[0]).forest
+    report = rewrite_tree(root, builtin_rule("determiner"))
+    assert report.merges == 1
+    alice, article = root.children
+    [old_blue] = article.children
+    new_alice, blue = report.tree.children
+    assert (article.word, blue.word, blue.token_index) == ("a", "blue", 3)
+    assert new_alice is alice
+    assert blue.children[0] is old_blue.children[0]  # the bike leaf
 
 
 def test_bad_rule_configs():

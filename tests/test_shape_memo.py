@@ -283,8 +283,11 @@ def test_mutating_one_report_leaves_the_others(lex, names):
             assert before == want
             for node in [n for root in reports[i].forest
                          for n in root.walk()]:
-                node.word = "changed"
-                node.children.append(PregroupTreeNode("x", 99, node.out_type))
+                with pytest.raises(AttributeError):
+                    node.word = "changed"
+                with pytest.raises(AttributeError):
+                    node.children.append(
+                        PregroupTreeNode("x", 99, node.out_type))
             reports[i].forest.append(PregroupTreeNode("y", 98, PregroupType()))
             reports[i].removed_cups.append((97, 98))
             after = [(forest_to_json(r.forest), list(r.removed_cups))

@@ -11,7 +11,8 @@ dense ``circuit_unitary`` is the matching oracle for the simulator,
 ``train_oracle`` the sample-by-sample one for its trainer,
 ``resolve_pronouns_oracle`` the back-scan one for the pronoun resolver,
 ``validate_diagram_oracle`` the pairwise one for the crossing check,
-and ``replay`` replays a text diagram's layers to recover its wire order.
+and ``replay`` replays a text diagram's layers, through the wires each
+touches (``element_wires``), to recover its wire order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from discocirc.compose import TextDiagram
 from discocirc.errors import ChainMismatch
-from discocirc.frames import Perm, Spider, element_wires
+from discocirc.frames import Box, Frame, Identity, Par, Perm, Spider
 from discocirc.grammar import (PregroupDiagram, PregroupType, SimpleType,
                                ValidationReport, can_contract)
 from discocirc.ingest import CorefMap, Document, Lexicon, Mention
@@ -44,15 +45,14 @@ def random_tree(rng: random.Random, n_tokens: int) -> PregroupTreeNode:
 
     def build(lo: int, hi: int, root_ty: PregroupType) -> PregroupTreeNode:
         root = rng.randrange(lo, hi)
-        node = PregroupTreeNode(words[root], root, root_ty)
+        children = []
         for side_lo, side_hi in ((lo, root), (root + 1, hi)):
             pos = side_lo
             while pos < side_hi:
                 end = rng.randint(pos + 1, side_hi)
-                node.children.append(build(pos, end, out_ty()))
+                children.append(build(pos, end, out_ty()))
                 pos = end
-        node.children.sort(key=lambda c: c.token_index)
-        return node
+        return PregroupTreeNode(words[root], root, root_ty, tuple(children))
 
     return build(0, n_tokens, PregroupType([SimpleType("s")]))
 
@@ -358,6 +358,22 @@ def train_oracle(dataset, cfg) -> tuple[dict, History]:
 
 
 # --- wire order of a text diagram -------------------------------------------
+
+def element_wires(el) -> tuple:
+    """The wire ids an element touches (domain side)."""
+    if isinstance(el, (Box, Frame, Identity, Perm)):
+        return el.wires
+    if isinstance(el, Spider):
+        return (el.out_wire,) if el.dagger else tuple(el.in_wires)
+    if isinstance(el, Par):
+        seen = []
+        for sub in el.elements:
+            for w in element_wires(sub):
+                if w not in seen:
+                    seen.append(w)
+        return tuple(seen)
+    raise TypeError(f"not a diagram element: {el!r}")
+
 
 def apply_layer(order: list, layer) -> list:
     """Wire order after a layer (permutations reorder, spiders change
