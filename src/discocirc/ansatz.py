@@ -4,12 +4,14 @@ Each wire gets a fixed number of qubits; noun states and boxes become
 ansatz blocks (IQP or a hardware-efficient Rx/Rz/CRx pattern), spider
 copies and merges become CX pairs with postselection.  Gates find a wire's
 qubits by its id, so wire permutations are relabellings and compile to no
-gates.  Parameters are named "<box>__<arity>__<idx>"
-so boxes of the same word and width share weights.
+gates.  Parameters are named "<box>__<arity>__<idx>" so boxes of the
+same word and width share weights; each block with fresh symbols draws
+their values as one vector from the config's seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -93,55 +95,15 @@ def sim4_block(n: int, L: int, symbols: list[str]) -> list[Gate]:
     return gates
 
 
-def block_symbol_count(kind: str, n: int, L: int) -> int:
-    if kind == "iqp":
-        return 3 if n == 1 else L * (n - 1)
-    return L * (3 * n - 1)
-
-
 def append_merge_box(td: TextDiagram) -> TextDiagram:
     """Append the width-w merge box combining all wires into one.
 
     The compiler turns it into an ansatz block over every qubit followed
     by postselection of all but the last wire's qubits.
     """
-    wires = tuple(sorted(td.chain_order, key=td.chain_order.get))
+    wires = tuple(s.chain_id for s in td.states)
     merge = Box(f"merge_{len(wires)}", wires, merge=True)
-    return TextDiagram(td.states, td.layers + [merge],
-                       dict(td.chain_order))
-
-
-class _SymbolTable:
-    def __init__(self, cfg: AnsatzConfig):
-        self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed)
-        self.values: dict[str, float] = {}
-        self.occurrences: dict[tuple[str, int], int] = {}
-        # the names of each (name, n_qubits) block, whose values were all
-        # minted when it was first seen
-        self.names: dict[tuple[str, int], list[str]] = {}
-
-    def block(self, name: str, n_qubits: int) -> list[str]:
-        """Symbol names for one block occurrence, minting values for
-        fresh symbols in creation order."""
-        arity = n_qubits // self.cfg.qubits_per_wire
-        if not self.cfg.share_parameters:
-            occ = self.occurrences.get((name, arity), 0)
-            self.occurrences[(name, arity)] = occ + 1
-            if occ:
-                name = f"{name}.{occ}"
-        key = name, n_qubits
-        names = self.names.get(key)
-        if names is None:
-            count = block_symbol_count(self.cfg.kind, n_qubits,
-                                       self.cfg.layers)
-            names = self.names[key] = [
-                f"{name}__{arity}__{i}" for i in range(count)]
-            for sym in names:
-                if sym not in self.values:
-                    self.values[sym] = float(
-                        self.rng.uniform(0.0, 2 * np.pi))
-        return names
+    return TextDiagram(td.states, td.layers + [merge])
 
 
 def compile(td: TextDiagram, cfg: AnsatzConfig,
@@ -149,7 +111,7 @@ def compile(td: TextDiagram, cfg: AnsatzConfig,
     """Lower a frame-free text diagram to a parameterised circuit."""
     q = cfg.qubits_per_wire
     block_fn = iqp_block if cfg.kind == "iqp" else sim4_block
-    table = _SymbolTable(cfg)
+    rng = np.random.default_rng(cfg.seed)
 
     circuit = Circuit(n_qubits=0)
     qubits_of: dict[object, list[int]] = {}
@@ -163,20 +125,33 @@ def compile(td: TextDiagram, cfg: AnsatzConfig,
         qubits_of[wire] = qbs
         return qbs
 
-    # one gate layout per block width, its symbols given by position
-    layouts: dict[int, list[tuple]] = {}
+    # one gate list per block width, each symbolic gate's param its
+    # symbol index
+    layouts: dict[int, list[Gate]] = {}
+    occurrences: dict[tuple[str, int], int] = {}
 
     def emit_block(name: str, qbs: list[int]):
-        syms = table.block(name, len(qbs))
+        arity = len(qbs) // q
+        if not cfg.share_parameters:
+            occ = occurrences.get((name, arity), 0)
+            occurrences[(name, arity)] = occ + 1
+            if occ:
+                name = f"{name}.{occ}"
         layout = layouts.get(len(qbs))
         if layout is None:
-            layout = layouts[len(qbs)] = [
-                (g.name, g.qubits, g.param) for g in
-                block_fn(len(qbs), cfg.layers, range(len(syms)))]
+            layout = layouts[len(qbs)] = block_fn(
+                len(qbs), cfg.layers, itertools.count())
+        syms = [f"{name}__{arity}__{g.param}"
+                for g in layout if g.param is not None]
+        # a block's symbols are all fresh or all known: draw fresh values
+        # in creation order, as one vector
+        if syms[0] not in circuit.symbols:
+            circuit.symbols.update(zip(
+                syms, rng.uniform(0.0, 2 * np.pi, len(syms)).tolist()))
         circuit.gates += [
-            Gate(gate, tuple(map(qbs.__getitem__, qubits)),
-                 None if k is None else syms[k])
-            for gate, qubits, k in layout]
+            Gate(g.name, tuple(map(qbs.__getitem__, g.qubits)),
+                 None if g.param is None else syms[g.param])
+            for g in layout]
 
     for state in td.states:
         emit_block(state.word, alloc(state.chain_id))
@@ -223,7 +198,6 @@ def compile(td: TextDiagram, cfg: AnsatzConfig,
     post = {qb for qb, _ in circuit.postselect}
     circuit.outputs = sorted(
         qb for qbs in qubits_of.values() for qb in qbs if qb not in post)
-    circuit.symbols = table.values
     return circuit
 
 
@@ -252,6 +226,8 @@ def circuit_from_json(data: dict) -> Circuit:
     integer in range or, within one gate, repeated, and a qubit
     postselected twice.
     """
+    if not isinstance(data, dict):
+        raise FormatError("a circuit must be a JSON object")
     try:
         c = Circuit(
             n_qubits=data["n_qubits"],

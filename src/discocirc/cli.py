@@ -13,7 +13,7 @@ from .ansatz import QUBIT_CAP, AnsatzConfig, circuit_to_json, dump_circuit
 from .compose import text_diagram_to_dot, text_diagram_to_json
 from .errors import (CapExceeded, DiscocircError, FormatError, NoParse,
                      UnboundSymbol, ZeroNorm)
-from .ingest import Lexicon, document_to_json, lexicon_parse
+from .ingest import Lexicon, document_to_json, lexicon_parse, read_json
 from .pipeline import PipelineConfig, resolve_rewrites, run
 from .sandwich import SandwichConfig
 from .sim import TrainConfig, load_dataset, train
@@ -111,9 +111,8 @@ def parse(input_path, lexicon_path, fmt, out, all_parses):
     """Ingest (or mini-parse) a document and dump it."""
     try:
         cfg = _config(lexicon_path)
-        with open(input_path, encoding="utf-8") as f:
-            raw = json.load(f)
-        if all_parses and "tokens" in raw:
+        raw = read_json(input_path)
+        if all_parses and isinstance(raw, dict) and "tokens" in raw:
             parses = {
                 " ".join(tokens): [
                     {"types": [str(ty) for _, ty in d.tokens],
@@ -138,8 +137,7 @@ def tree(input_path, lexicon_path, fmt, out, rewrites):
     """Build pregroup trees and dump the forest."""
     try:
         cfg = _config(lexicon_path, rewrites)
-        with open(input_path, encoding="utf-8") as f:
-            reports = run(json.load(f), cfg, stage="tree")
+        reports = run(read_json(input_path), cfg, stage="tree")
         if fmt == "text":
             text = "\n".join(dump_tree(root)
                              for rep in reports for root in rep.forest)
@@ -163,8 +161,7 @@ def diagram(input_path, lexicon_path, fmt, out, rewrites, min_noun_frequency,
     try:
         cfg = _config(lexicon_path, rewrites, min_noun_frequency,
                       remove_nouns)
-        with open(input_path, encoding="utf-8") as f:
-            td = run(json.load(f), cfg, stage="diagram")
+        td = run(read_json(input_path), cfg, stage="diagram")
         if fmt == "dot":
             text = text_diagram_to_dot(td)
         else:
@@ -177,8 +174,9 @@ def diagram(input_path, lexicon_path, fmt, out, rewrites, min_noun_frequency,
 def _circuit_options(f):
     f = click.option("--ansatz", "ansatz_kind",
                      type=click.Choice(["iqp", "sim4"]), default="iqp")(f)
-    f = click.option("--qubits-per-wire", type=int, default=1)(f)
-    f = click.option("--layers", type=int, default=1)(f)
+    f = click.option("--qubits-per-wire", type=click.IntRange(min=1),
+                     default=1)(f)
+    f = click.option("--layers", type=click.IntRange(min=1), default=1)(f)
     f = click.option("--no-share", is_flag=True,
                      help="Give every box occurrence its own parameters.")(f)
     f = click.option("--foliated", is_flag=True,
@@ -211,8 +209,7 @@ def circuit(input_path, lexicon_path, fmt, out, rewrites, min_noun_frequency,
             max_qubits=max_qubits)
 
         def one(path):
-            with open(path, encoding="utf-8") as f:
-                c = run(json.load(f), cfg, stage="circuit")
+            c = run(read_json(path), cfg, stage="circuit")
             return dump_circuit(c) if fmt == "text" \
                 else json.dumps(circuit_to_json(c), indent=1)
 

@@ -16,7 +16,7 @@ mentions use (chain_id, k) copy ids.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ChainMismatch
 from .frames import (
@@ -42,7 +42,11 @@ class TextDiagram:
 
     states: list[NounState]
     layers: list
-    chain_order: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def chain_order(self) -> dict[int, int]:
+        """Chain id -> introduction position, which is its state's index."""
+        return {s.chain_id: i for i, s in enumerate(self.states)}
 
 
 def compose_document(sentences: list[SentenceDiagram | None],
@@ -114,7 +118,7 @@ def compose_document(sentences: list[SentenceDiagram | None],
         if routed:
             layers.append(Perm(wires, tuple(position[c] for c in wires)))
 
-    return TextDiagram(states, layers, position)
+    return TextDiagram(states, layers)
 
 
 def wire_box_sequences(td: TextDiagram) -> dict[int, list[str]]:

@@ -9,7 +9,7 @@ class FormatError(DiscocircError):
     """Malformed interchange or lexicon input."""
 
     def __init__(self, message, location=None):
-        self.location = location
+        self.message, self.location = message, location
         if location is not None:
             message = f"{message} (at {location})"
         super().__init__(message)

@@ -101,8 +101,7 @@ class Lexicon:
 
     @staticmethod
     def load(path) -> "Lexicon":
-        with open(path, encoding="utf-8") as f:
-            return Lexicon(json.load(f))
+        return Lexicon(read_json(path))
 
     @staticmethod
     def builtin() -> "Lexicon":
@@ -121,21 +120,29 @@ def _type_to_json(ty: PregroupType) -> list:
     return [[t.base, t.z] for t in ty]
 
 
+def read_json(path):
+    """The JSON value in the file at ``path``; a FormatError naming the
+    file when it cannot be read or is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as exc:
+        raise FormatError(f"cannot read: {exc.strerror}", str(path)) from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise FormatError(f"invalid JSON: {exc}", str(path)) from None
+
+
 def load_document(source) -> Document:
-    """Load an interchange document from a path, stream or parsed dict."""
-    if isinstance(source, dict):
-        data = source
-    elif isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as f:
-            try:
-                data = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON: {exc}", str(source)) from None
-    else:
+    """Load an interchange document from a path, stream or parsed value."""
+    if isinstance(source, (str, Path)):
+        data = read_json(source)
+    elif hasattr(source, "read"):
         try:
             data = json.load(source)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON: {exc}") from None
+    else:
+        data = source
 
     if not isinstance(data, dict) \
             or not isinstance(data.get("sentences"), (list, tuple)):

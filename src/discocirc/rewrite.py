@@ -9,12 +9,11 @@ subject and linking the copies through the coreference map.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import FormatError
 from .grammar import N, S, PregroupDiagram, PregroupType, SimpleType, Ty
-from .ingest import CorefMap, Mention
+from .ingest import CorefMap, Mention, read_json
 from .trees import PregroupTreeNode
 
 WORD_MERGERS = ("merge", "first", "last")
@@ -140,8 +139,9 @@ def builtin_rule(name: str) -> RewriteRule:
 def load_rule(path) -> RewriteRule:
     """Load a rule from a JSON file
     {name, match_words, match_types, word_merger, max_depth}."""
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise FormatError("a rule file holds one JSON object", str(path))
     try:
         words = data.get("match_words")
         types = frozenset(

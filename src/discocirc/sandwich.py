@@ -68,7 +68,7 @@ def expand_frames(td: TextDiagram, cfg: SandwichConfig) -> TextDiagram:
             new_layers += _expand_element(layer, cfg)
         else:
             new_layers.append(layer)
-    result = TextDiagram(td.states, new_layers, dict(td.chain_order))
+    result = TextDiagram(td.states, new_layers)
     if count_frames(result):
         raise UnexpandedFrame("frame survived expansion")
     return result

@@ -44,6 +44,7 @@ import numpy as np
 from .ansatz import (PARAMETRIC_GATES, QUBIT_CAP, Circuit,
                      circuit_from_json)
 from .errors import CapExceeded, FormatError, UnboundSymbol, ZeroNorm
+from .ingest import read_json
 
 log = logging.getLogger(__name__)
 
@@ -547,7 +548,9 @@ def load_dataset(path) -> list[tuple[Circuit, int]]:
     "circuit_path"} per line, the label 0 or 1.
 
     Raises FormatError, naming the line, for a line that is not a JSON
-    object, a missing or other label, and a record with no circuit.
+    object, a missing or other label, a record with no circuit, a
+    ``circuit_path`` that cannot be read or is not JSON, and a circuit
+    ``circuit_from_json`` rejects.
     """
     out = []
     base = Path(path).parent
@@ -567,14 +570,14 @@ def load_dataset(path) -> list[tuple[Circuit, int]]:
             if label not in (0, 1):
                 raise FormatError(f"label must be 0 or 1, got {label!r}",
                                   where)
-            if "circuit" in record:
-                data = record["circuit"]
-            elif "circuit_path" in record:
-                with open(base / record["circuit_path"],
-                          encoding="utf-8") as g:
-                    data = json.load(g)
-            else:
+            if "circuit" not in record and "circuit_path" not in record:
                 raise FormatError(
                     'record has neither "circuit" nor "circuit_path"', where)
-            out.append((circuit_from_json(data), int(label)))
+            try:
+                data = record["circuit"] if "circuit" in record \
+                    else read_json(base / str(record["circuit_path"]))
+                out.append((circuit_from_json(data), int(label)))
+            except FormatError as exc:
+                inner = f", {exc.location}" if exc.location else ""
+                raise FormatError(exc.message, where + inner) from None
     return out

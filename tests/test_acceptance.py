@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from discocirc.ansatz import (AnsatzConfig, Circuit, append_merge_box,
-                              block_symbol_count, compile, iqp_block,
-                              sim4_block)
+                              compile, iqp_block, sim4_block)
 from discocirc.compose import compose_document, wire_box_sequences
 from discocirc.frames import (iter_boxes, min_frequency_filter,
                               sentence_diagram)
@@ -26,8 +25,8 @@ from discocirc.rewrite import builtin_rule, rewrite_tree
 from discocirc.sandwich import SandwichConfig, count_frames, expand_frames
 from discocirc.sim import TrainConfig, gradient, train
 from discocirc.trees import build_trees, compound_type
-from util import (circuit_unitary, classification_dataset, random_diagram,
-                  wire_order)
+from util import (block_symbol_count, circuit_unitary,
+                  classification_dataset, random_diagram, wire_order)
 
 FIXTURES = "tests/fixtures"
 

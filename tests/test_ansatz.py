@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from discocirc.ansatz import (AnsatzConfig, Circuit, Gate, append_merge_box,
-                              block_symbol_count, circuit_from_json,
-                              circuit_to_json, compile, dump_circuit,
-                              iqp_block, sim4_block)
+                              circuit_from_json, circuit_to_json, compile,
+                              dump_circuit, iqp_block, sim4_block)
 from discocirc.compose import compose_document
 from discocirc.errors import CapExceeded, FormatError, UnexpandedFrame
 from discocirc.frames import (Box, Frame, NounState, SentenceDiagram)
 from discocirc.ingest import CorefMap
+from util import block_symbol_count
 
 
 def simple_diagram(n_wires=2, box_name="loves"):

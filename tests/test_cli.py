@@ -170,6 +170,68 @@ def test_malformed_cup_exit_code(runner, tmp_path):
     assert "sentences[0].cups[0]" in result.output
 
 
+
+@pytest.mark.parametrize("command", ["parse", "tree", "diagram", "circuit"])
+@pytest.mark.parametrize("text", ['{"sentences": [', "[1]"],
+                         ids=["not JSON", "a list"])
+def test_input_that_is_no_document_exit_code(runner, tmp_path, command,
+                                              text):
+    path = tmp_path / "broken.json"
+    path.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, [command, "--input", str(path)])
+    assert result.exit_code == 2
+    assert "FormatError" in result.output
+    if text != "[1]":
+        assert str(path) in result.output
+
+
+def test_batch_file_not_json_exit_code(runner, tmp_path):
+    src = tmp_path / "docs"
+    src.mkdir()
+    (src / "a.json").write_text(
+        open(f"{FIXTURES}/reading.json", encoding="utf-8").read(),
+        encoding="utf-8")
+    (src / "b.json").write_text("{", encoding="utf-8")
+    result = runner.invoke(main, ["circuit", "--input",
+                                  f"{FIXTURES}/reading.json",
+                                  "--batch", str(src)])
+    assert result.exit_code == 2
+    assert "FormatError" in result.output
+    assert str(src / "b.json") in result.output
+
+
+def test_lexicon_not_json_exit_code(runner, tmp_path):
+    path = tmp_path / "lex.json"
+    path.write_text("{", encoding="utf-8")
+    result = runner.invoke(main, ["parse", "--input",
+                                  f"{FIXTURES}/reading.json",
+                                  "--lexicon", str(path)])
+    assert result.exit_code == 2
+    assert "FormatError" in result.output and str(path) in result.output
+
+
+@pytest.mark.parametrize("text", ["{", '[{"name": "x"}]', "", None],
+                         ids=["not JSON", "a list", "empty", "missing"])
+def test_rule_file_that_is_no_rule_exit_code(runner, tmp_path, text):
+    path = tmp_path / "rule.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, ["tree", "--input",
+                                  f"{FIXTURES}/reading.json",
+                                  "--rewrites", str(path)])
+    assert result.exit_code == 2
+    assert "FormatError" in result.output and str(path) in result.output
+
+
+@pytest.mark.parametrize("option", ["--qubits-per-wire", "--layers"])
+def test_count_options_reject_zero(runner, option):
+    result = runner.invoke(main, ["circuit", "--input",
+                                  f"{FIXTURES}/reading.json", option, "0"])
+    assert result.exit_code == 2
+    assert "Invalid value" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_no_parse_exit_code(runner, tmp_path):
     path = tmp_path / "raw.json"
     path.write_text(json.dumps({"tokens": [["Alice", "Alice"]]}),
@@ -283,6 +345,13 @@ MALFORMED_LINES = {
     "no circuit": lambda record: json.dumps(
         {k: v for k, v in record.items() if k != "circuit"}),
     "label 2": lambda record: json.dumps(dict(record, label=2)),
+    "circuit 5": lambda record: json.dumps(dict(record, circuit=5)),
+    "circuit a list": lambda record: json.dumps(dict(record, circuit=[])),
+    "circuit_path missing": lambda record: json.dumps(
+        {"label": 0, "circuit_path": "missing.json"}),
+    # the dataset itself: JSON lines are no single JSON value
+    "circuit_path not JSON": lambda record: json.dumps(
+        {"label": 0, "circuit_path": "data.jsonl"}),
 }
 
 

@@ -13,6 +13,7 @@ dense ``circuit_unitary`` is the matching oracle for the simulator,
 ``validate_diagram_oracle`` the pairwise one for the crossing check,
 and ``replay`` replays a text diagram's layers, through the wires each
 touches (``element_wires``), to recover its wire order.
+``block_symbol_count`` is the closed-form symbol count of an ansatz block.
 """
 
 from __future__ import annotations
@@ -243,6 +244,15 @@ def classification_dataset(n_texts: int, seed: int = 0):
         td = diagrams(doc, treeize(doc, cfg), cfg)
         dataset.append((circuit(td, cfg), label))
     return dataset
+
+
+def block_symbol_count(kind: str, n: int, L: int) -> int:
+    """Symbols an ``n``-qubit, ``L``-layer block takes, in closed form; the
+    oracle the block-shape tests check ``iqp_block`` and ``sim4_block``
+    against."""
+    if kind == "iqp":
+        return 3 if n == 1 else L * (n - 1)
+    return L * (3 * n - 1)
 
 
 def circuit_unitary(c, params: dict) -> np.ndarray:
