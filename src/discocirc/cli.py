@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from .ansatz import QUBIT_CAP, AnsatzConfig, circuit_to_json, dump_circuit
 from .compose import text_diagram_to_dot, text_diagram_to_json
 from .errors import (CapExceeded, DiscocircError, FormatError, NoParse,
                      UnboundSymbol, ZeroNorm)
-from .ingest import Lexicon, document_to_json, lexicon_parse, read_json
+from .ingest import (Lexicon, check_tokens, document_to_json,
+                     lexicon_parse, read_json)
 from .pipeline import PipelineConfig, resolve_rewrites, run
 from .sandwich import SandwichConfig
 from .sim import TrainConfig, load_dataset, train
@@ -120,7 +122,7 @@ def parse(input_path, lexicon_path, fmt, out, all_parses):
                     for d in lexicon_parse(tokens, cfg.lexicon,
                                            all_parses=True)
                 ]
-                for tokens in raw["tokens"]
+                for tokens in check_tokens(raw["tokens"])
             }
             _emit(json.dumps(parses, indent=1), out)
             return
@@ -226,13 +228,21 @@ def circuit(input_path, lexicon_path, fmt, out, rewrites, min_noun_frequency,
         _fail(exc)
 
 
+def _finite_rate(ctx, param, value):
+    # FloatRange lets NaN and infinity through
+    if not 0 <= value < math.inf:
+        raise click.BadParameter("must be a finite number >= 0")
+    return value
+
+
 @main.command(name="train")
 @click.option("--input", "input_path", required=True,
               type=click.Path(exists=True),
               help="JSON-lines dataset of circuits and labels.")
-@click.option("--epochs", type=int, default=60)
-@click.option("--batch-size", type=int, default=10)
-@click.option("--learning-rate", type=float, default=0.01)
+@click.option("--epochs", type=click.IntRange(min=1), default=60)
+@click.option("--batch-size", type=click.IntRange(min=1), default=10)
+@click.option("--learning-rate", type=float, default=0.01,
+              callback=_finite_rate)
 @click.option("--gradient", type=click.Choice(
     ["parameter_shift", "adjoint", "finite_diff"]),
     default="parameter_shift")

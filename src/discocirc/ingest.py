@@ -335,6 +335,22 @@ def resolve_pronouns(doc: Document, lex: Lexicon) -> CorefMap:
     return CorefMap(chains)
 
 
+def check_tokens(sentences):
+    """``sentences``, the raw token input of a JSON document; a
+    FormatError naming ``tokens``, ``tokens[i]`` or ``tokens[i][j]``
+    unless it is a list of lists of strings."""
+    if not isinstance(sentences, list):
+        raise FormatError("not a list of sentences", "tokens")
+    for i, tokens in enumerate(sentences):
+        if not isinstance(tokens, list):
+            raise FormatError("not a list of tokens", f"tokens[{i}]")
+        for j, word in enumerate(tokens):
+            if not isinstance(word, str):
+                raise FormatError(f"not a string: {word!r}",
+                                  f"tokens[{i}][{j}]")
+    return sentences
+
+
 def parse_text(sentences: list[list[str]], lex: Lexicon,
                text: str | None = None) -> Document:
     """Parse pre-tokenised sentences with ``lexicon_parse`` (whose memo

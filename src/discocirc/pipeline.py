@@ -16,7 +16,8 @@ from .ansatz import (QUBIT_CAP, AnsatzConfig, Circuit, append_merge_box,
 from .compose import TextDiagram, compose_document
 from .errors import EmptySentence
 from .frames import min_frequency_filter, sentence_diagram
-from .ingest import CorefMap, Document, Lexicon, load_document, parse_text
+from .ingest import (CorefMap, Document, Lexicon, check_tokens,
+                     load_document, parse_text)
 from .rewrite import (RewriteRule, builtin_rule, coordination_rewrite,
                       load_rule, rewrite_tree)
 from .sandwich import SandwichConfig, expand_frames
@@ -55,7 +56,8 @@ def ingest(source, lex: Lexicon) -> Document:
     mini parser when the input carries 'tokens' instead of 'sentences'."""
     if isinstance(source, dict) and "sentences" not in source \
             and "tokens" in source:
-        return parse_text(source["tokens"], lex, source.get("text"))
+        return parse_text(check_tokens(source["tokens"]), lex,
+                          source.get("text"))
     doc = load_document(source)
     complete_chains(doc, lex)
     return doc

@@ -48,11 +48,11 @@ from .ingest import read_json
 
 log = logging.getLogger(__name__)
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
-_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-_CX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 _I = np.eye(2)
+_FIXED = {"H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+          "SWAP": np.eye(4, dtype=complex)[[0, 2, 1, 3]],
+          "CX": np.eye(4, dtype=complex)[[0, 1, 3, 2]]}
 
 
 def gate_matrix(name: str,
@@ -61,12 +61,8 @@ def gate_matrix(name: str,
     or one angle, one matrix per angle, shape theta.shape + (d, d), for an
     array of angles.  A parameterised gate without an angle is a
     ValueError."""
-    if name == "H":
-        return _H
-    if name == "CX":
-        return _CX
-    if name == "SWAP":
-        return _SWAP
+    if name in _FIXED:
+        return _FIXED[name]
     if theta is None and name in PARAMETRIC_GATES:
         raise ValueError(f"{name} gate needs an angle")
     theta = np.asarray(theta, dtype=float)
@@ -263,12 +259,7 @@ def simulate(c: Circuit, params: dict) -> tuple[np.ndarray, float]:
     no amplitude.
     """
     table, [plan], [slots] = _prepare([c], params)
-    return _read(plan, table[slots])
-
-
-def _read(plan: _Plan, angles: np.ndarray) -> tuple[np.ndarray, float]:
-    """``simulate`` of one circuit of ``plan`` at its gates' angles."""
-    fwd = _forward(plan, angles[None])
+    fwd = _forward(plan, table[slots][None])
     return fwd.raw[0] / fwd.success[0], float(fwd.success[0])
 
 
@@ -344,9 +335,9 @@ def _gradient(plan: _Plan, slots: np.ndarray, table: np.ndarray,
         grad = np.zeros((rows, size))
         for r, row in enumerate(slots):
             for k in set(row[plan.symbolic].tolist()):
-                up, down = (np.dot(dloss_ddist[r], _read(plan, np.where(
-                    np.arange(size) == k, table + h, table)[row])[0])
-                    for h in (FD_STEP, -FD_STEP))
+                steps = np.outer([FD_STEP, -FD_STEP], row == k)
+                fwd = _forward(plan, table[row] + steps)
+                up, down = fwd.raw / fwd.success[:, None] @ dloss_ddist[r]
                 grad[r, k] = (up - down) / (2 * FD_STEP)
         return grad
     if method not in ("parameter_shift", "adjoint"):
@@ -408,12 +399,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
 
 
 EPS = 1e-12
-# a training group's stacked state holds at most this many amplitudes (a
+# a group's stacked state holds at most this many amplitudes (a
 # wider group runs in chunks): the adjoint's (B, 2, 2^n) stack twice as
 # many, the shift rule's (B, 2 p_k, 2^n) stack 2 p_k times as many
 STACK_AMPLITUDES = 2 ** QUBIT_CAP
@@ -429,9 +420,7 @@ def _bce_ddist(dist: np.ndarray, label: int) -> np.ndarray:
     if len(dist) != 2:
         raise ValueError("binary classification needs a 1-qubit output")
     p1 = min(max(float(dist[1]), EPS), 1 - EPS)
-    d = np.zeros(2)
-    d[1] = -label / p1 + (1 - label) / (1 - p1)
-    return d
+    return np.array([0.0, -label / p1 + (1 - label) / (1 - p1)])
 
 
 @dataclass
@@ -448,34 +437,45 @@ class History:
             sys.stdout.write(text)
 
 
-def _evaluate(picks, plans: list[_Plan], slots: list[np.ndarray],
-              labels: list[int], table: np.ndarray,
-              grad_method: str) -> list[tuple]:
-    """Loss, correctness and gradient over the angle table of each picked
-    sample, in pick order.
-
-    The picks that share a plan run as one stacked group, in chunks of at
-    most STACK_AMPLITUDES amplitudes.
-    """
+def _forwards(picks, plans, slots, table):
+    """Run the picked samples that share a plan as one stacked group, in
+    chunks of at most STACK_AMPLITUDES amplitudes; yields (plan, positions
+    in ``picks``, (B, G) slots, _Forward) per chunk."""
     groups: dict[_Plan, list[int]] = {}
     for pos, i in enumerate(picks):
         groups.setdefault(plans[i], []).append(pos)
-    results = [None] * len(picks)
     for plan, positions in groups.items():
         rows = max(1, STACK_AMPLITUDES >> plan.n)
         for start in range(0, len(positions), rows):
             chunk = positions[start:start + rows]
             group = np.array([slots[picks[pos]] for pos in chunk])
-            fwd = _forward(plan, table[group])
-            dists = fwd.raw / fwd.success[:, None]
-            ys = [labels[picks[pos]] for pos in chunk]
-            dloss = np.array([_bce_ddist(dist, y)
-                              for dist, y in zip(dists, ys)])
-            grads = _gradient(plan, group, table, fwd, dloss, grad_method)
-            for pos, dist, y, grad in zip(chunk, dists, ys, grads):
-                results[pos] = (bce(float(dist[1]), y),
-                                int((dist[1] >= 0.5) == bool(y)), grad)
+            yield plan, chunk, group, _forward(plan, table[group])
+
+
+def _evaluate(picks, plans, slots, labels, table, grad_method) -> list:
+    """Loss, correctness, gradient over the angle table and postselection
+    success of each picked sample, in pick order."""
+    results = [None] * len(picks)
+    for plan, chunk, group, fwd in _forwards(picks, plans, slots, table):
+        dists = fwd.raw / fwd.success[:, None]
+        ys = [labels[picks[pos]] for pos in chunk]
+        dloss = np.array([_bce_ddist(dist, y) for dist, y in zip(dists, ys)])
+        grads = _gradient(plan, group, table, fwd, dloss, grad_method)
+        for pos, dist, y, g, s in zip(chunk, dists, ys, grads, fwd.success):
+            results[pos] = (bce(float(dist[1]), y),
+                            int((dist[1] >= 0.5) == bool(y)), g, float(s))
     return results
+
+
+def _score(picks, plans, slots, labels, table) -> tuple[float, np.ndarray]:
+    """Accuracy (NaN for no picks) and, in pick order, postselection
+    success of the picked samples, from their forward passes alone."""
+    correct, success = 0, np.zeros(len(picks))
+    for _, chunk, _, fwd in _forwards(picks, plans, slots, table):
+        ys = np.array([labels[picks[pos]] for pos in chunk], dtype=bool)
+        correct += int(np.sum((fwd.raw[:, 1] / fwd.success >= 0.5) == ys))
+        success[chunk] = fwd.success
+    return correct / len(picks) if len(picks) else float("nan"), success
 
 
 def train(dataset: list[tuple[Circuit, int]],
@@ -485,13 +485,12 @@ def train(dataset: list[tuple[Circuit, int]],
     The dataset is shuffled and split 80/20 into train/test with the
     config seed; all circuits share one parameter vector (the union of
     their declared symbols, each at its first declared value).  Batches
-    index into the plans and slots, prepared once.
+    and the test split index into the plans and slots, prepared once.
     """
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(dataset))
     split = max(1, int(round(len(dataset) * 0.8)))
     train_set = order[:split]
-    test_set = [dataset[i] for i in order[split:]]
 
     symbols: dict[str, float] = {}
     for circuit, _ in dataset:
@@ -508,39 +507,39 @@ def train(dataset: list[tuple[Circuit, int]],
 
     for epoch in range(1, cfg.epochs + 1):
         batch_order = rng.permutation(len(train_set))
-        losses, corrects = [], 0
+        losses, corrects, successes = [], 0, []
         for start in range(0, len(train_set), cfg.batch_size):
             picks = train_set[batch_order[start:start + cfg.batch_size]]
-            results = _evaluate(picks, plans, slots, labels, table,
-                                cfg.gradient)
-            for loss, correct, _ in results:
-                losses.append(loss)
-                corrects += correct
+            loss, correct, grads, success = zip(*_evaluate(
+                picks, plans, slots, labels, table, cfg.gradient))
+            losses += loss
+            corrects += sum(correct)
+            successes += success
             step += 1
-            g = sum(grad for _, _, grad in results)[:len(params)] / len(picks)
+            g = sum(grads)[:len(params)] / len(picks)
             m = beta1 * m + (1 - beta1) * g
             v = beta2 * v + (1 - beta2) * g * g
             m_hat = m / (1 - beta1 ** step)
             v_hat = v / (1 - beta2 ** step)
             params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        train_loss = float(np.mean(losses)) if losses else 0.0
-        train_acc = corrects / max(len(train_set), 1)
-        test_acc = evaluate_accuracy(test_set,
-                                     dict(zip(symbols, params.tolist())))
-        history.rows.append((epoch, train_loss, train_acc, test_acc))
-        log.info("epoch %d: loss %.4f train_acc %.3f test_acc %.3f",
-                 epoch, train_loss, train_acc, test_acc)
+        test_acc, held = _score(order[split:], plans, slots, labels, table)
+        history.rows.append((epoch, float(np.mean(losses)) if losses else 0.0,
+                             corrects / max(len(train_set), 1), test_acc))
+        if log.isEnabledFor(logging.INFO):  # np.median imports numpy.ma
+            stats = [f(s) if len(s) else np.nan for s in (successes, held)
+                     for f in (np.min, np.median)]
+            log.info("epoch %d: loss %.4f train_acc %.3f test_acc %.3f; "
+                     "success train min %.3g p50 %.3g, test min %.3g p50 %.3g",
+                     *history.rows[-1], *stats)
     return dict(zip(symbols, params.tolist())), history
 
 
 def evaluate_accuracy(dataset, params) -> float:
-    if not dataset:
-        return float("nan")
-    correct = 0
-    for circuit, label in dataset:
-        dist, _ = simulate(circuit, params)
-        correct += int((dist[1] >= 0.5) == bool(label))
-    return correct / len(dataset)
+    """The share of ``dataset``'s (circuit, label) pairs classified right
+    at ``params``, NaN for none; raises like ``simulate``."""
+    table, plans, slots = _prepare([c for c, _ in dataset], params)
+    return _score(range(len(dataset)), plans, slots,
+                  [label for _, label in dataset], table)[0]
 
 
 def load_dataset(path) -> list[tuple[Circuit, int]]:

@@ -395,3 +395,30 @@ def test_format_error_names_its_location_once(runner, tmp_path):
     assert result.output.strip() == ('FormatError: record has neither '
                                       '"circuit" nor "circuit_path" '
                                       '(at line 1)')
+
+
+@pytest.mark.parametrize("all_parses", [False, True])
+@pytest.mark.parametrize("tokens,where", [
+    (5, "tokens"), ("Alice", "tokens"), (["Alice reads books"], "tokens[0]"),
+    ([["Alice", "reads", "books"], ["Alice", 3]], "tokens[1][1]")])
+def test_raw_tokens_that_are_no_token_lists_exit_code(runner, tmp_path,
+                                                       tokens, where,
+                                                       all_parses):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({"tokens": tokens}), encoding="utf-8")
+    result = runner.invoke(main, ["parse", "--input", str(path)]
+                           + ["--all-parses"] * all_parses)
+    assert result.exit_code == 2
+    assert "FormatError" in result.output
+    assert f"(at {where})" in result.output
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--epochs", "0"), ("--batch-size", "0"), ("--learning-rate", "nan"),
+    ("--learning-rate", "inf"), ("--learning-rate", "-0.1")])
+def test_train_rejects_bad_options(runner, tmp_path, option, value):
+    dataset = write_dataset(runner, tmp_path)
+    result = runner.invoke(main, ["train", "--input", str(dataset),
+                                  option, value])
+    assert result.exit_code == 2
+    assert "Invalid value" in result.output and option in result.output

@@ -12,8 +12,8 @@ from discocirc.frames import Box, NounState, SentenceDiagram
 from discocirc.ingest import CorefMap
 from discocirc.pipeline import PipelineConfig, run
 from discocirc.sim import (TrainConfig, _Plan, _apply, _bce_ddist,
-                           _evaluate, _forward, _gradient, _prepare, bce,
-                           evaluate_accuracy, gate_matrix, gradient,
+                           _evaluate, _forward, _gradient, _prepare, _score,
+                           bce, evaluate_accuracy, gate_matrix, gradient,
                            load_dataset, simulate, train)
 from util import (circuit_unitary, classification_dataset, shift_rule_oracle,
                   train_oracle)
@@ -412,8 +412,10 @@ def test_stacked_batch_matches_single_circuits(amplitudes, monkeypatch):
         results = _evaluate(range(len(batch)), plans, slots, labels, table,
                             method)
         assert len(results) == len(batch)
-        for (c, label), (loss, correct, grads) in zip(batch, results):
-            dist, _ = simulate(c, params)
+        for (c, label), (loss, correct, grads, success) in zip(batch,
+                                                               results):
+            dist, want = simulate(c, params)
+            assert abs(success - want) < 1e-12
             assert abs(loss - bce(float(dist[1]), label)) < 1e-12
             assert correct == int((dist[1] >= 0.5) == bool(label))
             single = gradient(c, params, _bce_ddist(dist, label), method)
@@ -501,6 +503,84 @@ def test_training_matches_the_oracle_on_mixed_skeletons():
         gradient="parameter_shift"))
 
 
+@pytest.mark.parametrize("amplitudes", [sim.STACK_AMPLITUDES, 2 * 2 ** 4])
+def test_held_out_scoring_matches_single_circuits(amplitudes, monkeypatch):
+    # the texts run as one stack or in chunks of two, each story width as a
+    # group of one; accuracy and success must be simulate's, circuit by
+    # circuit
+    monkeypatch.setattr(sim, "STACK_AMPLITUDES", amplitudes)
+    forwards = []
+
+    def counted(plan, thetas):
+        forwards.append(len(thetas))
+        return _forward(plan, thetas)
+
+    monkeypatch.setattr(sim, "_forward", counted)
+    stories = [(_wide_story(k), k % 2) for k in range(2, 6)]
+    texts = classification_dataset(9, seed=12)
+    dataset = texts[:5] + stories + texts[5:]
+    local = np.random.default_rng(19)
+    params = {sym: float(local.uniform(0, 2 * np.pi))
+              for c, _ in dataset for sym in c.symbols}
+    singles = [simulate(c, params) for c, _ in dataset]
+    correct = [(dist[1] >= 0.5) == bool(label)
+               for (dist, _), (_, label) in zip(singles, dataset)]
+    assert 0 < sum(correct) < len(dataset)
+    forwards.clear()
+    assert evaluate_accuracy(dataset, params) == sum(correct) / len(dataset)
+    assert sorted(forwards) == ([1] * 4 + [9] if amplitudes > 2 ** 10
+                                else [1] * 5 + [2] * 4)
+    table, plans, slots = _prepare([c for c, _ in dataset], params)
+    picks = np.array([11, 0, 6, 5, 12, 2])
+    acc, success = _score(picks, plans, slots,
+                          [label for _, label in dataset], table)
+    assert acc == np.mean([correct[i] for i in picks])
+    assert max(abs(success - [singles[i][1] for i in picks])) < 1e-12
+    assert np.isnan(evaluate_accuracy([], params))
+
+
+def test_zero_norm_held_out_circuit_stops_training():
+    c = fixture_circuit("sim4", 2, 1, seed=10)
+    # qubit 0 is postselected on 1 but never leaves |0>
+    dead = Circuit(2, [Gate("Ry", (1,), "z")], postselect=[(0, 1)],
+                   outputs=[1], symbols={"z": 0.3})
+    cfg = TrainConfig(epochs=1, batch_size=5, seed=0)
+    held_out = np.random.default_rng(cfg.seed).permutation(5)[4]
+    dataset = [(c, i % 2) for i in range(5)]
+    train(dataset, cfg)
+    dataset[held_out] = (dead, 0)
+    with pytest.raises(ZeroNorm):
+        train(dataset, cfg)
+
+
+def test_epoch_log_reports_postselection_success(caplog):
+    # at learning rate 0 the parameters stay put, so the training and
+    # held-out successes are simulate's at the declared values
+    dataset = [(_wide_story(k), k % 2) for k in range(1, 4)] \
+        + classification_dataset(7, seed=13)
+    cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.0, seed=5)
+    order = np.random.default_rng(cfg.seed).permutation(len(dataset))
+    split = int(round(len(dataset) * 0.8))
+    params = {}
+    for c, _ in dataset:
+        for sym, value in c.symbols.items():
+            params.setdefault(sym, value)
+    success = [simulate(c, params)[1] for c, _ in dataset]
+    want = [f"{f([success[i] for i in part]):.3g}"
+            for part in (order[:split], order[split:])
+            for f in (np.min, np.median)]
+    with caplog.at_level("INFO", logger="discocirc.sim"):
+        _, history = train(dataset, cfg)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("epoch ")]
+    assert len(lines) == 2
+    for line, row in zip(lines, history.rows):
+        assert line == (f"epoch {row[0]}: loss {row[1]:.4f} train_acc "
+                        f"{row[2]:.3f} test_acc {row[3]:.3f}; success train "
+                        f"min {want[0]} p50 {want[1]}, test min {want[2]} "
+                        f"p50 {want[3]}")
+
+
 def test_history_csv(tmp_path):
     c = fixture_circuit("sim4", 1, 1, seed=8)
     _, history = train([(c, 1)], TrainConfig(epochs=2, batch_size=1,
@@ -534,8 +614,9 @@ def test_bce_and_accuracy():
 def test_bad_train_config():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-1)
+    for rate in (-1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=rate)
     # training is Adam on binary cross-entropy; neither is a setting
     with pytest.raises(TypeError):
         TrainConfig(optimizer="sgd")

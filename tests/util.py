@@ -30,8 +30,7 @@ from discocirc.grammar import (PregroupDiagram, PregroupType, SimpleType,
                                ValidationReport, can_contract)
 from discocirc.ingest import CorefMap, Document, Lexicon, Mention
 from discocirc.sim import (_SHIFTS, History, _apply, _bce_ddist, _forward,
-                           _prepare, bce, evaluate_accuracy, gate_matrix,
-                           gradient, simulate)
+                           _prepare, bce, gate_matrix, gradient, simulate)
 from discocirc.trees import PregroupTreeNode, compound_type
 
 
@@ -323,7 +322,8 @@ def shift_rule_oracle(circuits, params: dict,
 def train_oracle(dataset, cfg) -> tuple[dict, History]:
     """``train`` one sample at a time, the oracle for its plans, slots and
     Adam on arrays: the same draws, then per sample the public
-    ``simulate`` and ``gradient`` with Adam over a dict of symbols."""
+    ``simulate`` and ``gradient`` with Adam over a dict of symbols, and
+    the held-out split scored circuit by circuit with ``simulate``."""
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(dataset))
     split = max(1, int(round(len(dataset) * 0.8)))
@@ -360,8 +360,9 @@ def train_oracle(dataset, cfg) -> tuple[dict, History]:
                 v_hat = v[sym] / (1 - beta2 ** step)
                 params[sym] -= (cfg.learning_rate * m_hat
                                 / (np.sqrt(v_hat) + eps))
-        test_acc = evaluate_accuracy(test_set, params) if test_set \
-            else float("nan")
+        test_acc = float(np.mean([
+            (simulate(c, params)[0][1] >= 0.5) == bool(label)
+            for c, label in test_set])) if test_set else float("nan")
         history.rows.append((epoch, float(np.mean(losses)) if losses else 0.0,
                              corrects / max(len(train_set), 1), test_acc))
     return params, history
