@@ -43,6 +43,15 @@ class Circuit:
     symbols: dict[str, float] = field(default_factory=dict)
     outputs: list[int] = field(default_factory=list)
 
+    @property
+    def readout(self) -> list[int]:
+        """The qubits an outcome reads, most significant first: the
+        outputs, by default every qubit not postselected (of at least one,
+        as the simulator runs a circuit of none on one)."""
+        post = {qubit for qubit, _ in self.postselect}
+        return self.outputs or [q for q in range(max(self.n_qubits, 1))
+                                if q not in post]
+
 
 @dataclass(frozen=True)
 class AnsatzConfig:

@@ -18,7 +18,7 @@ from .ingest import (Lexicon, check_tokens, document_to_json,
                      lexicon_parse, read_json)
 from .pipeline import PipelineConfig, resolve_rewrites, run
 from .sandwich import SandwichConfig
-from .sim import TrainConfig, load_dataset, train
+from .sim import GRADIENT_METHODS, TrainConfig, load_dataset, train
 from .trees import dump_tree, forest_to_json, tree_to_dot
 
 log = logging.getLogger(__name__)
@@ -243,9 +243,8 @@ def _finite_rate(ctx, param, value):
 @click.option("--batch-size", type=click.IntRange(min=1), default=10)
 @click.option("--learning-rate", type=float, default=0.01,
               callback=_finite_rate)
-@click.option("--gradient", type=click.Choice(
-    ["parameter_shift", "adjoint", "finite_diff"]),
-    default="parameter_shift")
+@click.option("--gradient", type=click.Choice(GRADIENT_METHODS),
+              default="parameter_shift")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), default=None,
               help="History CSV path (default stdout).")

@@ -2,31 +2,31 @@
 
 Circuits with one gate skeleton (the same width, the same gates on the
 same qubits, symbols in the same places, the same postselection and
-outputs) share one plan: each gate's name and qubits, the gates of each
-parameterised kind, the positions of the symbolic gates, the outcome map
-and the shift rule's blocks, all worked out once.  Angles come from one
-table: the parameter vector, then NaN for the fixed gates and the literal
-angles.  A circuit's slots index each gate's angle in the table, so a
-group's (B, G) angles are one gather, ``table[slots]``, and a gradient is
-one scatter-add of per-gate terms into the slots.  ``train`` prepares its
-dataset once and runs Adam on the vector.
+outputs) share one plan: each gate's name, qubits and move, the gates of
+each parameterised kind, the positions of the symbolic gates, the outcome
+map and the shift rule's blocks, all worked out once.  Angles come from
+one table: the parameter vector, then NaN for the fixed gates and the
+literal angles.  A circuit's slots index each gate's angle in the table,
+so a group's (B, G) angles are one gather, ``table[slots]``, a gradient
+is one scatter-add of per-gate terms into the slots, and ``train`` runs
+Adam on the vector.
 
 A group runs as one stacked state of shape (B, 2^n), one row per circuit,
-in chunks of at most STACK_AMPLITUDES amplitudes.  Postselected qubits
-are projected out and the rest renormalized, with the success
-probability reported; the outputs default to every other qubit.
+in chunks of at most STACK_AMPLITUDES amplitudes.  Each gate leaves its
+qubits last in the state's layout, and the next moves its own there with
+one copy, or none; the state returns to qubit order 0..n-1 (0 the most
+significant bit) once, for readout: postselected qubits are projected
+out, the rest renormalized with the success probability reported, and
+the outputs default to every other qubit.
 
-Gradients come from three methods: central finite differences, circuit
-by circuit; exact two-term parameter shifts (every parameterised gate
-here is generated by an involution up to global phase, so the +-pi/2
-rule is exact); and the adjoint method, one reverse sweep through the
-circuit.  The exact methods fold the renormalization's quotient rule into
-the weights of a single diagonal observable and run on the whole group:
-the adjoint sweep carries each row's state and costate as a (B, 2, 2^n)
-stack.  The shift rule fuses the gates into blocks on at most two qubits,
-one 4x4 product each; a block's variants with one of its p parameterised
-gates shifted either way are built in 4x4 space and run, as one
-(B, 2p, 2^n) stack, through the fused later blocks only.
+Gradients come from central finite differences, circuit by circuit;
+exact two-term parameter shifts (each parameterised gate here is
+generated by an involution up to global phase); and one adjoint sweep of
+each row's state and costate as a (B, 2, 2^n) stack.  The exact methods
+fold the renormalization into one diagonal observable.  The shift rule
+fuses the gates into blocks on at most two qubits; a block's variants
+with one of its p parameterised gates shifted either way are built in
+4x4 space and run, as one (B, 2p, 2^n) stack, through the later blocks.
 """
 
 from __future__ import annotations
@@ -93,36 +93,31 @@ def gate_matrix(name: str,
     raise ValueError(f"unknown gate {name!r}")
 
 
-def _apply(psi: np.ndarray, matrix: np.ndarray, qubits: tuple,
-           n: int) -> np.ndarray:
-    """Apply a 1- or 2-qubit gate to a state of shape (2^n,) or a stack of
-    states (..., 2^n); qubit 0 is the most significant bit.
+def _moves(order: tuple, steps) -> tuple[list, tuple]:
+    """From qubit order ``order``, the view (shape, axes) putting each
+    step's qubits last in turn (None if they are), and the final order."""
+    shape, moves = (-1,) + (2,) * len(order), []
+    for qubits in steps:
+        new = tuple([q for q in order if q not in qubits]) + tuple(qubits)
+        moves.append(None if new == order else
+                     (shape, (0, *[1 + order.index(q) for q in new])))
+        order = new
+    return moves, order
 
-    A (d, d) matrix acts on every state.  A (B, d, d) stack acts on a
-    stack whose leading axis has length B, matrix b on the states of row
-    b.  The gate's axes of the state's view go last, so the gate is one
-    matrix product, whatever the distance between its qubits.
-    """
-    if len(qubits) == 1:
-        view = psi.reshape(-1, 2, 2 ** (n - qubits[0] - 1))
-        axes = back = (0, 2, 1)
-    else:
-        a, b = qubits
-        if a > b:
-            a, b = b, a
-            matrix = matrix.reshape(-1, 2, 2, 2, 2) \
-                .transpose(0, 2, 1, 4, 3).reshape(matrix.shape)
-        view = psi.reshape(-1, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1))
-        axes, back = (0, 2, 4, 1, 3), (0, 3, 1, 4, 2)
-    moved = view.transpose(axes)
-    if matrix.ndim == 2:
-        out = moved.reshape(-1, len(matrix)) @ matrix.T
-    else:
-        # row b of a C-ordered stack is the b-th of B equal blocks of the
-        # view's leading axis
-        out = moved.reshape(len(matrix), -1, matrix.shape[-1]) \
-            @ matrix.transpose(0, 2, 1)
-    return out.reshape(moved.shape).transpose(back).reshape(psi.shape)
+
+def _reorder(psi: np.ndarray, move) -> np.ndarray:
+    """A state or stack of states (..., 2^n) laid out anew by ``move``."""
+    return psi if move is None \
+        else psi.reshape(move[0]).transpose(move[1]).reshape(psi.shape)
+
+
+def _gate(psi: np.ndarray, matrix: np.ndarray, move) -> np.ndarray:
+    """A 1- or 2-qubit gate on a state (2^n,) or stack (..., 2^n) laid out
+    by ``move`` with its qubits last, where they stay: a (d, d) matrix acts
+    on every state, a (B, d, d) stack's b-th on row b of the leading axis."""
+    rows = len(matrix) if matrix.ndim == 3 else 1
+    return (_reorder(psi, move).reshape(rows, -1, matrix.shape[-1])
+            @ matrix.swapaxes(-1, -2)).reshape(psi.shape)
 
 
 class _Plan:
@@ -136,6 +131,9 @@ class _Plan:
         self.n = n = max(c.n_qubits, 1)
         self.gates = [(g.name, g.qubits, isinstance(g.param, str))
                       for g in c.gates]
+        # each gate's move from |0...0>, then the move back to 0..n-1
+        self.moves = _moves(tuple(range(n)), [g.qubits for g in c.gates]
+                            + [tuple(range(n))])[0]
         self.symbolic = np.flatnonzero([gate[2] for gate in self.gates])
         kinds: dict[str, list[int]] = {}
         for i, (name, _, _) in enumerate(self.gates):
@@ -150,19 +148,16 @@ class _Plan:
         keep = np.ones(2 ** n, dtype=bool)
         for qubit, bit in c.postselect:
             keep &= (basis >> (n - 1 - qubit)) & 1 == bit
-        post = {qubit for qubit, _ in c.postselect}
-        outputs = c.outputs or [qb for qb in range(n) if qb not in post]
         outcome = np.zeros(2 ** n, dtype=np.intp)
-        for qubit in outputs:
+        for qubit in c.readout:
             outcome = 2 * outcome + ((basis >> (n - 1 - qubit)) & 1)
         self.kept = np.flatnonzero(keep)
         self.outcome = outcome[self.kept]
-        self.size = 2 ** len(outputs)
+        self.size = 2 ** len(c.readout)
 
-    def matrices(self, thetas: np.ndarray) -> list[np.ndarray]:
-        """Every gate's matrix for a group's (B, G) angles: (d, d) for a
-        fixed gate or a group of one, else a (B, d, d) stack."""
-        angles = thetas.T if len(thetas) > 1 else thetas[0]
+    def matrices(self, angles: np.ndarray) -> list[np.ndarray]:
+        """Every gate's matrix for (G, ...) angles, one row per gate: (d, d)
+        for a fixed gate, else shape angles.shape[1:] + (d, d)."""
         out = list(self.fixed)
         for name, idx in self.kinds.items():
             for i, m in zip(idx, gate_matrix(name, angles[idx])):
@@ -187,12 +182,25 @@ class _Plan:
             last[q].extend(waiting.pop(q, []))
         return blocks + [((q,), idx) for q, idx in waiting.items()]
 
+    @cached_property
+    def block_moves(self) -> tuple[list, tuple]:
+        # each block's move, and the move from 0..n-1 to the last's order
+        moves, end = _moves(tuple(range(self.n)), [q for q, _ in self.blocks])
+        return moves, _moves(tuple(range(self.n)), [end])[0][0]
 
-def _prepare(circuits: list[Circuit], params: dict) -> tuple:
+    @cached_property
+    def back(self) -> list:  # each gate's move in reverse running order
+        return _moves(tuple(range(self.n)),
+                      [q for _, q, _ in reversed(self.gates)])[0]
+
+
+def _prepare(circuits: list[Circuit], params: dict,
+             binary: bool = False) -> tuple:
     """The angle table (the values of ``params`` in its order, NaN, the
     literal angles), and each circuit's plan, shared by its skeleton, and
-    slots.  Raises CapExceeded, UnboundSymbol for a symbol with no value
-    and ValueError for a parameterised gate without an angle."""
+    slots.  Raises CapExceeded, UnboundSymbol for a symbol with no value,
+    ValueError for a parameterised gate without an angle and, if
+    ``binary``, for an outcome of more than one qubit."""
     index = dict(zip(params, range(len(params))))
     table = [*params.values(), np.nan]
     cache: dict[tuple, _Plan] = {}
@@ -203,6 +211,8 @@ def _prepare(circuits: list[Circuit], params: dict) -> tuple:
                tuple(c.postselect), tuple(c.outputs))
         if key not in cache:
             cache[key] = _Plan(c)
+            if binary and cache[key].size != 2:
+                raise ValueError("a binary label needs a 1-qubit output")
         plans.append(cache[key])
         row = []
         for g in c.gates:
@@ -222,9 +232,8 @@ def _prepare(circuits: list[Circuit], params: dict) -> tuple:
 
 
 class _Forward(NamedTuple):
-    """One forward pass of a group of circuits with one plan: the angles
-    (one row per circuit) and matrices of every gate, the final states,
-    and each row's raw outcome probabilities and success probability."""
+    """One forward pass of a group with one plan: each row's angles, every
+    gate's matrices, the final states, raw outcomes and successes."""
     thetas: np.ndarray
     matrices: list
     state: np.ndarray
@@ -236,11 +245,13 @@ def _forward(plan: _Plan, thetas: np.ndarray) -> _Forward:
     """Run a group of one plan at its (B, G) angles from |0...0> as one
     stacked state and read it out; raises ZeroNorm when a postselected
     branch carries (numerically) no amplitude."""
-    matrices = plan.matrices(thetas)
+    # a group of one shares its (d, d) matrices like fixed gates
+    matrices = plan.matrices(thetas.T if len(thetas) > 1 else thetas[0])
     state = np.zeros((len(thetas), 2 ** plan.n), dtype=complex)
     state[:, 0] = 1.0
-    for (_, qubits, _), m in zip(plan.gates, matrices):
-        state = _apply(state, m, qubits, plan.n)
+    for m, move in zip(matrices, plan.moves):
+        state = _gate(state, m, move)
+    state = _reorder(state, plan.moves[-1])
     probs = np.abs(state[:, plan.kept]) ** 2
     success = np.sum(probs, axis=1)
     if np.min(success) < 1e-30:
@@ -253,11 +264,8 @@ def _forward(plan: _Plan, thetas: np.ndarray) -> _Forward:
 
 
 def simulate(c: Circuit, params: dict) -> tuple[np.ndarray, float]:
-    """Renormalized output distribution and postselection probability.
-
-    Raises ZeroNorm when the postselected branch carries (numerically)
-    no amplitude.
-    """
+    """Renormalized output distribution and postselection probability;
+    raises ZeroNorm when the postselected branch carries (numerically) none."""
     table, [plan], [slots] = _prepare([c], params)
     fwd = _forward(plan, table[slots][None])
     return fwd.raw[0] / fwd.success[0], float(fwd.success[0])
@@ -265,6 +273,7 @@ def simulate(c: Circuit, params: dict) -> tuple[np.ndarray, float]:
 
 # --- gradients --------------------------------------------------------------
 
+GRADIENT_METHODS = ("parameter_shift", "adjoint", "finite_diff")
 FD_STEP = 1e-6
 _SHIFTS = np.array([np.pi / 2, -np.pi / 2])
 
@@ -287,35 +296,31 @@ def _widen(m: np.ndarray, on: tuple, qubits: tuple) -> np.ndarray:
     return wide.reshape(m.shape[:-2] + (4, 4))
 
 
-def _fuse(plan: _Plan, fwd: _Forward, qubits: tuple, idx: list[int]) -> tuple:
-    """A block's qubits, symbolic gates and matrix, and the variants (gates
-    after) G(theta +- pi/2) (gates before) of its p symbolic gates, one per
-    row, gate and sign: (B * 2p, d, d)."""
+def _fuse(plan: _Plan, fwd: _Forward, pairs: list, qubits: tuple,
+          idx: list[int]) -> tuple:
+    """A block's symbolic gates and matrix, and the variants (gates after)
+    G(theta +- pi/2) (gates before) of its p symbolic gates, (B, 2p, d, d),
+    from ``pairs``, each gate's matrices at its two shifted angles."""
     fused = np.eye(2 ** len(qubits))
     shifted, variants = [], np.zeros((len(fwd.thetas), 0) + fused.shape)
     for i in idx:
-        name, on, symbolic = plan.gates[i]
+        _, on, symbolic = plan.gates[i]
         m = _widen(fwd.matrices[i], on, qubits)
         variants = m[..., None, :, :] @ variants
         if symbolic:
             shifted.append(i)
-            pair = gate_matrix(name, fwd.thetas[:, i, None] + _SHIFTS)
             variants = np.concatenate([variants, _widen(
-                pair, on, qubits) @ fused[..., None, :, :]], 1)
+                pairs[i], on, qubits) @ fused[..., None, :, :]], 1)
         fused = m @ fused
-    return qubits, shifted, fused, variants.reshape(-1, *fused.shape[-2:])
+    return shifted, fused, variants
 
 
 def gradient(c: Circuit, params: dict, dloss_ddist: np.ndarray,
              method: str = "parameter_shift") -> dict[str, float]:
-    """Gradient of a loss with known distribution-sensitivity, by symbol.
-
-    ``dloss_ddist`` is dL/d(normalized distribution) w.  With raw outcome
-    probabilities r and success s = sum(r), dL = sum_o c_o dr_o where
-    c_o = w_o/s - (w.r)/s^2: the renormalization's quotient rule folds
-    into one diagonal observable, differentiated either by shifting one
-    gate angle at a time or by one adjoint sweep.
-    """
+    """Gradient, by symbol, of a loss with dL/d(normalized distribution)
+    ``dloss_ddist`` = w.  With raw outcome probabilities r and success
+    s = sum(r), dL = sum_o c_o dr_o, c_o = w_o/s - (w.r)/s^2: a diagonal
+    observable, differentiated by shifting angles or by an adjoint sweep."""
     table, [plan], [slots] = _prepare([c], params)
     w = np.asarray(dloss_ddist, dtype=float)[None]
     grad = dict(zip(params, _gradient(
@@ -340,7 +345,7 @@ def _gradient(plan: _Plan, slots: np.ndarray, table: np.ndarray,
                 up, down = fwd.raw / fwd.success[:, None] @ dloss_ddist[r]
                 grad[r, k] = (up - down) / (2 * FD_STEP)
         return grad
-    if method not in ("parameter_shift", "adjoint"):
+    if method not in GRADIENT_METHODS:
         raise ValueError(f"unknown gradient method {method!r}")
 
     n = plan.n
@@ -349,37 +354,42 @@ def _gradient(plan: _Plan, slots: np.ndarray, table: np.ndarray,
         - np.sum(dloss_ddist * fwd.raw, axis=1, keepdims=True) / s ** 2
     observable = np.zeros((rows, 2 ** n))
     observable[:, plan.kept] = weights[:, plan.outcome]
-    # contrib[r, i]: what gate i adds to the derivative of row r's loss
-    # by the gate's symbol
+    # contrib[r, i]: gate i's term of row r's derivative by its symbol
     contrib = np.zeros((rows, len(plan.gates)))
     if method == "parameter_shift":
-        # psi is the state before block k; the (B, 2 p_k, 2^n) stack of
-        # its shifted variants runs through the later blocks only
-        blocks = [_fuse(plan, fwd, *block) for block in plan.blocks]
+        # psi is the state before block k; its (B, 2 p_k, 2^n) stack of
+        # shifted variants, one product from psi's moved copy, runs through
+        # the later blocks to the observable, laid out in their last order
+        pairs = plan.matrices(fwd.thetas.T[..., None] + _SHIFTS)
+        blocks = [(*_fuse(plan, fwd, pairs, *block), move)
+                  for block, move in zip(plan.blocks, plan.block_moves[0])]
+        observable = _reorder(observable, plan.block_moves[1])
         psi = np.zeros((rows, 2 ** n), dtype=complex)
         psi[:, 0] = 1.0
-        for k, (qubits, shifted, fused, variants) in enumerate(blocks):
+        for k, (shifted, fused, variants, move) in enumerate(blocks):
+            moved = _reorder(psi, move)
             if shifted:
-                stack = _apply(np.repeat(psi[:, None], 2 * len(shifted), 1),
-                               variants, qubits, n)
-                for later, _, lm, _ in blocks[k + 1:]:
-                    stack = _apply(stack, lm, later, n)
+                stack = (moved.reshape(rows, 1, -1, variants.shape[-1])
+                         @ variants.swapaxes(-1, -2)).reshape(rows, -1, 2 ** n)
+                for _, later, _, later_move in blocks[k + 1:]:
+                    stack = _gate(stack, later, later_move)
                 expect = (np.abs(stack) ** 2 @ observable[:, :, None])[..., 0]
                 contrib[:, shifted] = (expect[:, ::2] - expect[:, 1::2]) / 2
-            psi = _apply(psi, fused, qubits, n)
+            psi = _gate(moved, fused, None)
     else:
         # reverse sweep: uncompute psi and carry
         # lam = (later gates)^dag M psi, stacked as one (B, 2, 2^n) pair;
         # each gate adds 2 Re<lam|dG|psi_before> = Im<lam|P|psi_after>
         pair = np.stack([fwd.state, observable * fwd.state], axis=1)
-        for i in reversed(range(len(plan.gates))):
+        for i, move in zip(reversed(range(len(plan.gates))), plan.back):
             name, qubits, symbolic = plan.gates[i]
+            pair = _reorder(pair, move)
             if symbolic:
-                moved = _apply(pair[:, 0], _GENERATORS[name], qubits, n)
-                contrib[:, i] = np.sum(pair[:, 1].conj() * moved,
-                                       axis=1).imag
-            pair = _apply(pair, fwd.matrices[i].conj().swapaxes(-1, -2),
-                          qubits, n)
+                turned = pair[:, 0].reshape(rows, -1, 2 ** len(qubits)) \
+                    @ _GENERATORS[name].T
+                contrib[:, i] = (pair[:, 1].conj()
+                                 * turned.reshape(rows, -1)).sum(1).imag
+            pair = _gate(pair, fwd.matrices[i].conj().swapaxes(-1, -2), None)
     # scatter-add each row's terms into their slots, in visiting order
     terms = plan.symbolic[::-1] if method == "adjoint" else plan.symbolic
     flat = np.arange(rows)[:, None] * size + slots[:, terms]
@@ -401,26 +411,19 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and >= 0")
+        if self.gradient not in GRADIENT_METHODS:
+            raise ValueError(f"unknown gradient method {self.gradient!r}")
 
 
 EPS = 1e-12
-# a group's stacked state holds at most this many amplitudes (a
-# wider group runs in chunks): the adjoint's (B, 2, 2^n) stack twice as
-# many, the shift rule's (B, 2 p_k, 2^n) stack 2 p_k times as many
+# a group's stacked state holds at most this many amplitudes, a wider one
+# runs in chunks (the adjoint's stack twice, the shift rule's 2 p_k times)
 STACK_AMPLITUDES = 2 ** QUBIT_CAP
 
 
 def bce(p1: float, label: int) -> float:
     p1 = min(max(p1, EPS), 1 - EPS)
     return -(label * np.log(p1) + (1 - label) * np.log(1 - p1))
-
-
-def _bce_ddist(dist: np.ndarray, label: int) -> np.ndarray:
-    """dL/d(distribution) for a two-outcome distribution."""
-    if len(dist) != 2:
-        raise ValueError("binary classification needs a 1-qubit output")
-    p1 = min(max(float(dist[1]), EPS), 1 - EPS)
-    return np.array([0.0, -label / p1 + (1 - label) / (1 - p1)])
 
 
 @dataclass
@@ -458,8 +461,10 @@ def _evaluate(picks, plans, slots, labels, table, grad_method) -> list:
     results = [None] * len(picks)
     for plan, chunk, group, fwd in _forwards(picks, plans, slots, table):
         dists = fwd.raw / fwd.success[:, None]
-        ys = [labels[picks[pos]] for pos in chunk]
-        dloss = np.array([_bce_ddist(dist, y) for dist, y in zip(dists, ys)])
+        ys = np.array([labels[picks[pos]] for pos in chunk])
+        # dL/d(distribution) of each row's binary cross entropy
+        p1 = np.clip(dists[:, 1], EPS, 1 - EPS)
+        dloss = np.stack([0 * p1, -ys / p1 + (1 - ys) / (1 - p1)], axis=1)
         grads = _gradient(plan, group, table, fwd, dloss, grad_method)
         for pos, dist, y, g, s in zip(chunk, dists, ys, grads, fwd.success):
             results[pos] = (bce(float(dist[1]), y),
@@ -480,13 +485,11 @@ def _score(picks, plans, slots, labels, table) -> tuple[float, np.ndarray]:
 
 def train(dataset: list[tuple[Circuit, int]],
           cfg: TrainConfig) -> tuple[dict[str, float], History]:
-    """Adam on mean binary cross entropy over the 1-qubit output.
-
-    The dataset is shuffled and split 80/20 into train/test with the
-    config seed; all circuits share one parameter vector (the union of
-    their declared symbols, each at its first declared value).  Batches
-    and the test split index into the plans and slots, prepared once.
-    """
+    """Adam on mean binary cross entropy over the 1-qubit output.  The
+    dataset is shuffled and split 80/20 into train/test with the config
+    seed; all circuits share one parameter vector (the union of their
+    declared symbols, each at its first declared value).  Batches and the
+    test split index into the plans and slots, prepared once."""
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(dataset))
     split = max(1, int(round(len(dataset) * 0.8)))
@@ -496,7 +499,7 @@ def train(dataset: list[tuple[Circuit, int]],
     for circuit, _ in dataset:
         for sym, value in circuit.symbols.items():
             symbols.setdefault(sym, value)
-    table, plans, slots = _prepare([c for c, _ in dataset], symbols)
+    table, plans, slots = _prepare([c for c, _ in dataset], symbols, True)
     labels = [label for _, label in dataset]
     # a view: Adam's steps write the head of the table
     params = table[:len(symbols)]
@@ -537,45 +540,42 @@ def train(dataset: list[tuple[Circuit, int]],
 def evaluate_accuracy(dataset, params) -> float:
     """The share of ``dataset``'s (circuit, label) pairs classified right
     at ``params``, NaN for none; raises like ``simulate``."""
-    table, plans, slots = _prepare([c for c, _ in dataset], params)
+    table, plans, slots = _prepare([c for c, _ in dataset], params, True)
     return _score(range(len(dataset)), plans, slots,
                   [label for _, label in dataset], table)[0]
 
 
 def load_dataset(path) -> list[tuple[Circuit, int]]:
-    """JSON-lines dataset: {"text_id", "label", "circuit" or
-    "circuit_path"} per line, the label 0 or 1.
-
-    Raises FormatError, naming the line, for a line that is not a JSON
-    object, a missing or other label, a record with no circuit, a
+    """JSON-lines dataset: {"text_id", "label", "circuit" or "circuit_path"}
+    per line, the label 0 or 1.  Raises FormatError, naming the line, for a
+    line that is not a JSON object, a missing or other label, no circuit, a
     ``circuit_path`` that cannot be read or is not JSON, and a circuit
-    ``circuit_from_json`` rejects.
-    """
+    ``circuit_from_json`` rejects or that reads out other than one qubit."""
     out = []
     base = Path(path).parent
     with open(path, encoding="utf-8") as f:
         for number, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             where = f"line {number}"
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"not JSON: {exc}", where) from exc
-            if not isinstance(record, dict):
-                raise FormatError("not a JSON object", where)
-            label = record.get("label")
-            if label not in (0, 1):
-                raise FormatError(f"label must be 0 or 1, got {label!r}",
-                                  where)
-            if "circuit" not in record and "circuit_path" not in record:
-                raise FormatError(
-                    'record has neither "circuit" nor "circuit_path"', where)
-            try:
+                if not isinstance(record, dict):
+                    raise FormatError("not a JSON object")
+                label = record.get("label")
+                if label not in (0, 1):
+                    raise FormatError(f"label must be 0 or 1, got {label!r}")
+                if "circuit" not in record and "circuit_path" not in record:
+                    raise FormatError(
+                        'record has neither "circuit" nor "circuit_path"')
                 data = record["circuit"] if "circuit" in record \
                     else read_json(base / str(record["circuit_path"]))
-                out.append((circuit_from_json(data), int(label)))
+                c = circuit_from_json(data)
+                if len(c.readout) != 1:
+                    raise FormatError(f"{len(c.readout)}-qubit readout, not 1")
+                out.append((c, int(label)))
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"not JSON: {exc}", where) from exc
             except FormatError as exc:
                 inner = f", {exc.location}" if exc.location else ""
                 raise FormatError(exc.message, where + inner) from None

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def test_batch_compiles_directory(runner, tmp_path):
     src.mkdir()
     for name in ("reading", "treasure_hunt"):
         src.joinpath(f"{name}.json").write_text(
-            open(f"{FIXTURES}/{name}.json", encoding="utf-8").read(),
+            Path(f"{FIXTURES}/{name}.json").read_text(encoding="utf-8"),
             encoding="utf-8")
     out = tmp_path / "circuits"
     out.mkdir()
@@ -189,7 +190,7 @@ def test_batch_file_not_json_exit_code(runner, tmp_path):
     src = tmp_path / "docs"
     src.mkdir()
     (src / "a.json").write_text(
-        open(f"{FIXTURES}/reading.json", encoding="utf-8").read(),
+        Path(f"{FIXTURES}/reading.json").read_text(encoding="utf-8"),
         encoding="utf-8")
     (src / "b.json").write_text("{", encoding="utf-8")
     result = runner.invoke(main, ["circuit", "--input",
@@ -352,6 +353,12 @@ MALFORMED_LINES = {
     # the dataset itself: JSON lines are no single JSON value
     "circuit_path not JSON": lambda record: json.dumps(
         {"label": 0, "circuit_path": "data.jsonl"}),
+    # a binary label needs a 1-qubit readout; without outputs it is every
+    # qubit not postselected
+    "two outputs": lambda record: json.dumps(dict(
+        record, circuit=dict(record["circuit"], outputs=[0, 1]))),
+    "no outputs, no postselection": lambda record: json.dumps(dict(
+        record, circuit=dict(record["circuit"], outputs=[], postselect=[]))),
 }
 
 
@@ -365,6 +372,17 @@ def test_train_malformed_dataset_line_exit_code(runner, tmp_path, case):
                                   "--epochs", "1"])
     assert result.exit_code == 2
     assert "FormatError" in result.output and "line 3" in result.output
+
+
+def test_train_gradient_choices_are_the_simulators(runner, tmp_path):
+    from discocirc.sim import GRADIENT_METHODS
+    [option] = [p for p in main.commands["train"].params
+                if p.name == "gradient"]
+    assert tuple(option.type.choices) == GRADIENT_METHODS
+    dataset = write_dataset(runner, tmp_path)
+    result = runner.invoke(main, ["train", "--input", str(dataset),
+                                  "--gradient", "bogus"])
+    assert result.exit_code == 2
 
 
 def test_train_command_adjoint_matches_parameter_shift(runner, tmp_path):

@@ -8,7 +8,8 @@ from discocirc.compose import (compose_document, text_diagram_to_dot,
 from discocirc.errors import ChainMismatch
 from discocirc.frames import (Box, Identity, NounState, Par, Perm,
                               SentenceDiagram, Spider, sentence_diagram)
-from discocirc.ingest import CorefMap, Lexicon, load_document, parse_text
+from discocirc.ingest import (CorefMap, Lexicon, load_document, parse_text,
+                              read_json)
 from discocirc.pipeline import PipelineConfig, diagrams, ingest, treeize
 from discocirc.trees import build_trees
 from util import apply_layer, element_wires, replay, wire_order
@@ -92,7 +93,7 @@ def test_empty_sentences_skipped(lex):
 
 
 def test_unchained_nouns_get_their_own_wires(lex):
-    raw = json.load(open(f"{FIXTURES}/treasure_hunt.json", encoding="utf-8"))
+    raw = read_json(f"{FIXTURES}/treasure_hunt.json")
     raw["corefs"] = []
     doc = ingest(raw, lex)
     td = diagrams(doc, treeize(doc, PipelineConfig()), PipelineConfig())
@@ -103,7 +104,7 @@ def test_unchained_nouns_get_their_own_wires(lex):
 
 
 def test_empty_chain_is_dropped_before_numbering(lex):
-    raw = json.load(open(f"{FIXTURES}/treasure_hunt.json", encoding="utf-8"))
+    raw = read_json(f"{FIXTURES}/treasure_hunt.json")
     cfg = PipelineConfig()
     want_doc = ingest(raw, lex)
     want = diagrams(want_doc, treeize(want_doc, cfg), cfg)
@@ -115,7 +116,7 @@ def test_empty_chain_is_dropped_before_numbering(lex):
 
 
 def test_sentence_emptied_by_filtering_adds_no_layer(lex):
-    raw = json.load(open(f"{FIXTURES}/treasure_hunt.json", encoding="utf-8"))
+    raw = read_json(f"{FIXTURES}/treasure_hunt.json")
     cfg = PipelineConfig(remove_nouns=["It", "treasure"])
     doc = ingest(raw, lex)
     td = diagrams(doc, treeize(doc, cfg), cfg)

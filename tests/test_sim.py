@@ -11,12 +11,12 @@ from discocirc.errors import CapExceeded, UnboundSymbol, ZeroNorm
 from discocirc.frames import Box, NounState, SentenceDiagram
 from discocirc.ingest import CorefMap
 from discocirc.pipeline import PipelineConfig, run
-from discocirc.sim import (TrainConfig, _Plan, _apply, _bce_ddist,
-                           _evaluate, _forward, _gradient, _prepare, _score,
-                           bce, evaluate_accuracy, gate_matrix, gradient,
-                           load_dataset, simulate, train)
-from util import (circuit_unitary, classification_dataset, shift_rule_oracle,
-                  train_oracle)
+from discocirc.sim import (TrainConfig, _evaluate, _forward, _gradient,
+                           _Plan, _prepare, _score, bce, evaluate_accuracy,
+                           gate_matrix, gradient, load_dataset, simulate,
+                           train)
+from util import (bce_ddist, circuit_unitary, classification_dataset,
+                  shift_rule_oracle, train_oracle)
 
 rng = np.random.default_rng(42)
 
@@ -137,47 +137,60 @@ def test_circuit_unitary_oracle_agrees_with_simulation():
     assert np.allclose(dist, np.abs(amps) ** 2, atol=1e-12)
 
 
+def _run_kernel(states, matrices, steps, n):
+    """``sim._gate`` over gates on ``steps``' qubits, carrying the qubit
+    order from gate to gate, then the result laid out in the order
+    0..n-1; and each gate's move."""
+    order, moves = tuple(range(n)), []
+    for m, qubits in zip(matrices, steps):
+        [move], new = sim._moves(order, [qubits])
+        assert new == tuple(q for q in order if q not in qubits) + qubits
+        states = sim._gate(states, m, move)
+        order, moves = new, moves + [move]
+    assert (moves, order) == sim._moves(tuple(range(n)), steps)
+    [home], _ = sim._moves(order, [tuple(range(n))])
+    return sim._reorder(states, home), moves
+
+
 def test_kernel_matches_dense_oracle_on_every_placement():
-    # every gate kind on every qubit and every ordered pair: control above
-    # and below the target, adjacent and not; one matrix shared by every
-    # row, and a (B, d, d) stack with one matrix per row
+    # every gate kind on every qubit and every ordered pair (control above
+    # and below the target, adjacent and not), after a gate elsewhere and
+    # then once more, when its qubits already sit last and it copies
+    # nothing; on one state, a (B,) and a (B, k) stack, with one matrix
+    # shared by every state and with a (B, d, d) stack, one per row
     local = np.random.default_rng(5)
+    rows = 3
     for n in range(1, 6):
         placements = [(q,) for q in range(n)]
         placements += itertools.permutations(range(n), 2)
         for qubits in placements:
+            first = placements[local.integers(len(placements))]
             names = ("H", "Rx", "Ry", "Rz") if len(qubits) == 1 \
                 else ("CX", "SWAP", "CRz", "CRx")
             for name in names:
-                fixed = name in ("H", "CX", "SWAP")
-                thetas = [None] * 3 if fixed \
-                    else local.uniform(0, 2 * np.pi, size=3)
-                Us = [circuit_unitary(
-                    Circuit(n, [Gate(name, qubits,
-                                     None if fixed else float(t))]), {})
-                    for t in thetas]
-                m = gate_matrix(name, thetas[0])
-                per_row = np.stack([m] * 3) if fixed \
-                    else gate_matrix(name, thetas)
-                assert per_row.shape == (3,) + m.shape
-                states = local.normal(size=(3, 2 ** n)) \
-                    + 1j * local.normal(size=(3, 2 ** n))
-                stacked = _apply(states, m, qubits, n)
-                assert stacked.shape == states.shape
-                for row, state in zip(stacked, states):
-                    one = _apply(state, m, qubits, n)
-                    assert np.max(np.abs(one - Us[0] @ state)) < 1e-12
-                    assert np.max(np.abs(row - one)) < 1e-12
-                # per-row matrices on one state per row, and on a pair
-                pairs = np.stack([states, states[::-1].conj()], axis=1)
-                rows = _apply(states, per_row, qubits, n)
-                row_pairs = _apply(pairs, per_row, qubits, n)
-                assert rows.shape == states.shape
-                assert row_pairs.shape == pairs.shape
-                for U, row, state, out, pair in zip(Us, rows, states,
-                                                    row_pairs, pairs):
-                    assert np.max(np.abs(row - U @ state)) < 1e-12
-                    assert np.max(np.abs(out - pair @ U.T)) < 1e-12
+                kinds = ["Ry" if len(first) == 1 else "CRx", name, name]
+                steps = [first, qubits, qubits]
+                thetas = local.uniform(0, 2 * np.pi, size=(rows, 3))
+                gates = [[Gate(kind, q, None if kind in ("H", "CX", "SWAP")
+                               else float(t))
+                          for kind, q, t in zip(kinds, steps, row)]
+                         for row in thetas]
+                Us = [circuit_unitary(Circuit(n, row), {}) for row in gates]
+                shared = [gate_matrix(g.name, g.param) for g in gates[0]]
+                per_row = [np.stack([gate_matrix(g.name, g.param)
+                                     for g in column])
+                           for column in zip(*gates)]
+                for lead in [(), (rows,), (rows, 2)]:
+                    states = local.normal(size=lead + (2 ** n,)) \
+                        + 1j * local.normal(size=lead + (2 ** n,))
+                    out, moves = _run_kernel(states, shared, steps, n)
+                    assert moves[2] is None
+                    assert out.shape == states.shape
+                    assert np.max(np.abs(out - states @ Us[0].T)) < 1e-12
+                    if lead:
+                        out, _ = _run_kernel(states, per_row, steps, n)
+                        for U, row, state in zip(Us, out, states):
+                            assert np.max(np.abs(row - state @ U.T)) < 1e-12
 
 
 # --- gradients --------------------------------------------------------------
@@ -418,7 +431,7 @@ def test_stacked_batch_matches_single_circuits(amplitudes, monkeypatch):
             assert abs(success - want) < 1e-12
             assert abs(loss - bce(float(dist[1]), label)) < 1e-12
             assert correct == int((dist[1] >= 0.5) == bool(label))
-            single = gradient(c, params, _bce_ddist(dist, label), method)
+            single = gradient(c, params, bce_ddist(dist, label), method)
             assert set(np.flatnonzero(grads)) <= {index[s] for s in single}
             assert max(abs(grads[index[s]] - single[s])
                        for s in single) < 1e-12
@@ -604,6 +617,53 @@ def test_dataset_loading(tmp_path):
     assert label == 1 and loaded == c
 
 
+def test_dataset_loading_refuses_a_readout_of_other_than_one_qubit(
+        tmp_path):
+    import json
+    from discocirc.ansatz import circuit_to_json
+    from discocirc.errors import FormatError
+    c = fixture_circuit("sim4", 2, 1, seed=3)
+    assert c.postselect == [(0, 0)] and c.outputs == [1]
+    # no outputs: the readout defaults to the qubits not postselected
+    fine = circuit_to_json(Circuit(2, c.gates, c.postselect, c.symbols))
+    cases = {"outputs [0, 1]": dict(circuit_to_json(c), outputs=[0, 1]),
+             "no outputs, no postselection": dict(fine, postselect=[])}
+    for case, bad in cases.items():
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps({"label": 0, "circuit": data})
+                                + "\n" for data in (fine, bad, fine)),
+                        encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            load_dataset(path)
+        assert info.value.location == "line 2", case
+        assert "2-qubit readout" in info.value.message, case
+    path.write_text(json.dumps({"label": 1, "circuit": fine}) + "\n",
+                    encoding="utf-8")
+    [(loaded, _)] = load_dataset(path)
+    assert loaded.readout == [1]
+
+
+def test_training_refuses_multi_qubit_outcomes_before_simulating(
+        monkeypatch):
+    def no_forward(plan, thetas):
+        raise AssertionError("simulated")
+
+    c = fixture_circuit("sim4", 2, 1, seed=3)
+    good = [(c, i % 2) for i in range(4)]
+    for bad in (Circuit(2, c.gates, c.postselect, c.symbols, [0, 1]),
+                Circuit(2, c.gates, [], c.symbols)):
+        assert len(bad.readout) == 2
+        dataset = good + [(bad, 0)]
+        monkeypatch.setattr(sim, "_forward", no_forward)
+        with pytest.raises(ValueError, match="1-qubit output"):
+            train(dataset, TrainConfig(epochs=1, batch_size=2))
+        with pytest.raises(ValueError, match="1-qubit output"):
+            evaluate_accuracy(dataset, c.symbols)
+        monkeypatch.undo()
+        # simulate still reads any number of qubits
+        assert len(simulate(bad, c.symbols)[0]) == 4
+
+
 def test_bce_and_accuracy():
     assert bce(0.5, 1) == pytest.approx(np.log(2))
     c = fixture_circuit("sim4", 1, 1, seed=9)
@@ -614,6 +674,10 @@ def test_bce_and_accuracy():
 def test_bad_train_config():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    with pytest.raises(ValueError, match="bogus"):
+        TrainConfig(gradient="bogus")
+    for method in sim.GRADIENT_METHODS:
+        assert TrainConfig(gradient=method).gradient == method
     for rate in (-1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=rate)

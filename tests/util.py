@@ -7,8 +7,9 @@ result is valid and non-crossing by construction, which makes it an
 independent oracle for tree building and type recovery;
 ``random_loopy_diagram`` adds the loopy diagrams no tree encodes.  The
 dense ``circuit_unitary`` is the matching oracle for the simulator,
-``shift_rule_oracle`` the per-gate one for its fused shift rule,
-``train_oracle`` the sample-by-sample one for its trainer,
+``shift_rule_oracle`` the per-gate one for its fused shift rule (with its
+own gate kernel, ``_apply``), ``train_oracle`` the sample-by-sample one
+for its trainer (with its own ``bce_ddist``),
 ``resolve_pronouns_oracle`` the back-scan one for the pronoun resolver,
 ``validate_diagram_oracle`` the pairwise one for the crossing check,
 and ``replay`` replays a text diagram's layers, through the wires each
@@ -29,8 +30,8 @@ from discocirc.frames import Box, Frame, Identity, Par, Perm, Spider
 from discocirc.grammar import (PregroupDiagram, PregroupType, SimpleType,
                                ValidationReport, can_contract)
 from discocirc.ingest import CorefMap, Document, Lexicon, Mention
-from discocirc.sim import (_SHIFTS, History, _apply, _bce_ddist, _forward,
-                           _prepare, bce, gate_matrix, gradient, simulate)
+from discocirc.sim import (EPS, _SHIFTS, History, _forward, _prepare, bce,
+                           gate_matrix, gradient, simulate)
 from discocirc.trees import PregroupTreeNode, compound_type
 
 
@@ -279,6 +280,37 @@ def _embed(matrix: np.ndarray, qubits: tuple, n: int) -> np.ndarray:
     return big.reshape(2 ** n, 2 ** n)
 
 
+def _apply(psi: np.ndarray, matrix: np.ndarray, qubits: tuple,
+           n: int) -> np.ndarray:
+    """Apply a 1- or 2-qubit gate to a state of shape (2^n,) or a stack of
+    states (..., 2^n), qubit 0 the most significant bit, and lay the
+    result out in that order again: the shift-rule oracle's own kernel,
+    apart from the simulator's.
+
+    A (d, d) matrix acts on every state.  A (B, d, d) stack acts on a
+    stack whose leading axis has length B, matrix b on the states of row
+    b.
+    """
+    if len(qubits) == 1:
+        view = psi.reshape(-1, 2, 2 ** (n - qubits[0] - 1))
+        axes = back = (0, 2, 1)
+    else:
+        a, b = qubits
+        if a > b:
+            a, b = b, a
+            matrix = matrix.reshape(-1, 2, 2, 2, 2) \
+                .transpose(0, 2, 1, 4, 3).reshape(matrix.shape)
+        view = psi.reshape(-1, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1))
+        axes, back = (0, 2, 4, 1, 3), (0, 3, 1, 4, 2)
+    moved = view.transpose(axes)
+    if matrix.ndim == 2:
+        out = moved.reshape(-1, len(matrix)) @ matrix.T
+    else:
+        out = moved.reshape(len(matrix), -1, matrix.shape[-1]) \
+            @ matrix.transpose(0, 2, 1)
+    return out.reshape(moved.shape).transpose(back).reshape(psi.shape)
+
+
 def shift_rule_oracle(circuits, params: dict,
                       dloss_ddist: np.ndarray) -> list[dict]:
     """The per-gate two-term shift rule, the oracle for the simulator's
@@ -319,6 +351,13 @@ def shift_rule_oracle(circuits, params: dict,
     return grads
 
 
+def bce_ddist(dist: np.ndarray, label: int) -> np.ndarray:
+    """dL/d(distribution) of binary cross entropy on a two-outcome
+    distribution, the oracle's own."""
+    p1 = min(max(float(dist[1]), EPS), 1 - EPS)
+    return np.array([0.0, -label / p1 + (1 - label) / (1 - p1)])
+
+
 def train_oracle(dataset, cfg) -> tuple[dict, History]:
     """``train`` one sample at a time, the oracle for its plans, slots and
     Adam on arrays: the same draws, then per sample the public
@@ -348,7 +387,7 @@ def train_oracle(dataset, cfg) -> tuple[dict, History]:
                 dist, _ = simulate(c, params)
                 losses.append(bce(float(dist[1]), label))
                 corrects += int((dist[1] >= 0.5) == bool(label))
-                for sym, g in gradient(c, params, _bce_ddist(dist, label),
+                for sym, g in gradient(c, params, bce_ddist(dist, label),
                                        cfg.gradient).items():
                     grad_sum[sym] += g
             step += 1
