@@ -15,7 +15,7 @@ from .compose import text_diagram_to_dot, text_diagram_to_json
 from .errors import (CapExceeded, DiscocircError, FormatError, NoParse,
                      UnboundSymbol, ZeroNorm)
 from .ingest import (Lexicon, check_tokens, document_to_json,
-                     lexicon_parse, read_json)
+                     lexicon_parse, read_json, write_text)
 from .pipeline import PipelineConfig, resolve_rewrites, run
 from .sandwich import SandwichConfig
 from .sim import GRADIENT_METHODS, TrainConfig, load_dataset, train
@@ -49,7 +49,7 @@ def _fail(exc: Exception):
 
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        write_text(out, text + "\n")
     else:
         click.echo(text)
 
@@ -216,11 +216,13 @@ def circuit(input_path, lexicon_path, fmt, out, rewrites, min_noun_frequency,
                 else json.dumps(circuit_to_json(c), indent=1)
 
         if batch:
-            paths = sorted(Path(batch).glob("*.json"))
+            # skip the circuits an earlier run wrote into this directory
+            paths = sorted(path for path in Path(batch).glob("*.json")
+                           if not path.name.endswith(".circuit.json"))
             artifacts = [one(path) for path in paths]
             for path, text in zip(paths, artifacts):
                 target = Path(out or batch) / (path.stem + ".circuit.json")
-                target.write_text(text + "\n", encoding="utf-8")
+                write_text(target, text + "\n")
                 log.info("compiled %s -> %s", path.name, target.name)
         else:
             _emit(one(input_path), out)
@@ -260,8 +262,7 @@ def train_cmd(input_path, epochs, batch_size, learning_rate, gradient,
                           seed=seed)
         params, history = train(dataset, cfg)
         if params_out:
-            Path(params_out).write_text(
-                json.dumps(params, indent=1) + "\n", encoding="utf-8")
+            write_text(params_out, json.dumps(params, indent=1) + "\n")
         history.to_csv(out)
     except (DiscocircError, ValueError) as exc:
         if isinstance(exc, DiscocircError):

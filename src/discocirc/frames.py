@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptySentence
 from .ingest import CorefMap
@@ -21,39 +22,33 @@ log = logging.getLogger(__name__)
 
 # --- diagram elements -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     name: str
     wires: tuple
     merge: bool = False  # merge boxes postselect all but their last wire
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     name: str
     wires: tuple
     components: tuple
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     wires: tuple
 
 
-@dataclass(frozen=True)
-class Seq:  # built by nothing; perfbench/workloads.py imports it
+class Seq(NamedTuple):  # built by nothing; perfbench/workloads.py imports it
     elements: tuple
 
 
-@dataclass(frozen=True)
-class Par:
+class Par(NamedTuple):
     """Side-by-side elements covering a full layer."""
 
     elements: tuple
 
 
-@dataclass(frozen=True)
-class Perm:
+class Perm(NamedTuple):
     """Reordering of the current wires that names only the wires it moves:
     ``wires`` are taken out of the wire order, and then ``wires[k]`` is put
     back so that it ends up at index ``positions[k]``, the other wires
@@ -64,8 +59,7 @@ class Perm:
     positions: tuple
 
 
-@dataclass(frozen=True)
-class Spider:
+class Spider(NamedTuple):
     """Frobenius merge of ``in_wires`` into ``out_wire``; the dagger reads
     the other way round (a copy)."""
 
@@ -108,8 +102,7 @@ def iter_boxes(el):
 
 # --- sentence diagrams ------------------------------------------------------
 
-@dataclass(frozen=True)
-class NounState:
+class NounState(NamedTuple):
     word: str
     sentence_index: int
     token_index: int
@@ -122,39 +115,36 @@ class SentenceDiagram:
     body: object  # Box, Frame, Identity or Par
 
 
-def _is_trivial(el) -> bool:
-    return el is None or isinstance(el, Identity)
-
-
 def _lower(node: PregroupTreeNode, remove: frozenset,
            noun_tokens: frozenset, sentence_index: int, nouns: list):
     """Lower a pregroup tree to (body element or None, its nouns' token
     indices in order), appending its noun states to ``nouns``.
 
-    Noun leaves become identity wires plus a noun state; noun leaves in
-    ``remove`` lower to None.  A node whose children contribute no
-    sub-diagram becomes a box over its nouns' wires, otherwise a frame
-    containing the surviving sub-diagrams.
+    A noun leaf lowers to no element: it adds its wire and its noun
+    state, or nothing when it is in ``remove``.  A node whose children
+    contribute no sub-diagram becomes a box over its nouns' wires,
+    otherwise a frame containing the surviving sub-diagrams.
     """
-    if node.is_leaf() and node.token_index in noun_tokens:
-        if node.token_index in remove:
+    word, token, _, children = node
+    if not children and token in noun_tokens:
+        if token in remove:
             return None, ()
-        nouns.append(NounState(node.word, sentence_index, node.token_index))
-        return Identity((node.token_index,)), (node.token_index,)
+        nouns.append(NounState(word, sentence_index, token))
+        return None, (token,)
 
     subdiags, wires = [], []
-    for child in node.children:
+    for child in children:
         el, below = _lower(child, remove, noun_tokens, sentence_index, nouns)
-        if not _is_trivial(el):
+        if el is not None:
             subdiags.append(el)
         wires.extend(below)
     wires = tuple(sorted(wires))
     if not subdiags:
         if not wires:
-            log.warning("dropping zero-wire box %r", node.word)
+            log.warning("dropping zero-wire box %r", word)
             return None, ()
-        return Box(node.word, wires), wires
-    return Frame(node.word, wires, tuple(subdiags)), wires
+        return Box(word, wires), wires
+    return Frame(word, wires, tuple(subdiags)), wires
 
 
 def sentence_diagram(forest: list[PregroupTreeNode],
@@ -169,7 +159,7 @@ def sentence_diagram(forest: list[PregroupTreeNode],
     bodies, nouns = [], []
     for root in forest:
         el, _ = _lower(root, remove, noun_tokens, sentence_index, nouns)
-        if not _is_trivial(el):
+        if el is not None:
             bodies.append(el)
     nouns.sort(key=lambda n: n.token_index)
     if not nouns:

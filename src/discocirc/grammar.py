@@ -12,27 +12,33 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidDiagram
 
 BASES = ("n", "s", "t")
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
+class _SimpleFields(NamedTuple):
+    # a NamedTuple class may not define __new__, so SimpleType, which
+    # checks its base there, subclasses this one
+    base: str
+    z: int = 0
+
+
+class SimpleType(_SimpleFields):
     """A base grammar symbol with an adjoint order.
 
     ``z == 0`` is the plain type, ``z == -1`` its left adjoint and
     ``z == +1`` its right adjoint; higher |z| are iterated adjoints.
     """
 
-    base: str
-    z: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.base not in BASES:
-            raise ValueError(f"unknown base type {self.base!r}")
+    def __new__(cls, base: str, z: int = 0):
+        if base not in BASES:
+            raise ValueError(f"unknown base type {base!r}")
+        return tuple.__new__(cls, (base, z))
 
     @property
     def l(self) -> "SimpleType":
@@ -63,51 +69,39 @@ def can_contract(a: SimpleType, b: SimpleType) -> bool:
     return a.base == b.base and b.z == a.z + 1
 
 
-@dataclass(frozen=True)
-class PregroupType:
+class PregroupType(tuple):
     """An ordered sequence of simple types; empty is the monoid unit."""
 
-    factors: tuple[SimpleType, ...] = ()
+    __slots__ = ()
 
-    def __init__(self, factors: Iterable[SimpleType] = ()):
-        object.__setattr__(self, "factors", tuple(factors))
+    def __new__(cls, factors: Iterable[SimpleType] = ()):
+        return tuple.__new__(cls, factors)
 
-    def __hash__(self):
-        # computed once: types are hashed many times as parts of memo keys
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(self.factors)
-        return h
-
-    def __getstate__(self):
-        # str hashes differ between processes, so a pickle leaves the
-        # cached hash out
-        return {"factors": self.factors}
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    def __iter__(self) -> Iterator[SimpleType]:
-        return iter(self.factors)
+    @property
+    def factors(self) -> tuple[SimpleType, ...]:
+        return tuple(self)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return PregroupType(self.factors[i])
-        return self.factors[i]
+            return PregroupType(tuple.__getitem__(self, i))
+        return tuple.__getitem__(self, i)
 
     def __matmul__(self, other: "PregroupType") -> "PregroupType":
-        return PregroupType(self.factors + other.factors)
+        return PregroupType(tuple.__add__(self, other))
+
+    def __repr__(self):
+        return f"PregroupType(factors={tuple(self)!r})"
 
     @property
     def l(self) -> "PregroupType":
-        return PregroupType(tuple(t.l for t in reversed(self.factors)))
+        return PregroupType(t.l for t in reversed(self))
 
     @property
     def r(self) -> "PregroupType":
-        return PregroupType(tuple(t.r for t in reversed(self.factors)))
+        return PregroupType(t.r for t in reversed(self))
 
     def __str__(self):
-        return "@".join(str(t) for t in self.factors) if self.factors else "1"
+        return "@".join(map(str, self)) if self else "1"
 
     @staticmethod
     def parse(text: str) -> "PregroupType":
@@ -159,8 +153,8 @@ class PregroupDiagram:
         cups = tuple(sorted([(i, j) if i <= j else (j, i) for i, j in cups]))
         wire_types, owners = [], []
         for t, (_, ty) in enumerate(tokens):
-            wire_types.extend(ty.factors)
-            owners.extend([t] * len(ty.factors))
+            wire_types.extend(ty)
+            owners.extend([t] * len(ty))
         free = set(range(len(owners)))
         free.difference_update(*cups)
         init = object.__setattr__

@@ -132,6 +132,15 @@ def read_json(path):
         raise FormatError(f"invalid JSON: {exc}", str(path)) from None
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the file at ``path``; a FormatError naming the
+    file when it cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot write: {exc.strerror}", str(path)) from None
+
+
 def load_document(source) -> Document:
     """Load an interchange document from a path, stream or parsed value."""
     if isinstance(source, (str, Path)):

@@ -161,7 +161,7 @@ def load_rule(path) -> RewriteRule:
 def _is_conjunction(ty: PregroupType) -> bool:
     if len(ty) != 3:
         return False
-    a, b, c = ty.factors
+    a, b, c = ty
     return (a.base == b.base == c.base and b.z == 0
             and a.z == 1 and c.z == -1)
 

@@ -44,7 +44,7 @@ import numpy as np
 from .ansatz import (PARAMETRIC_GATES, QUBIT_CAP, Circuit,
                      circuit_from_json)
 from .errors import CapExceeded, FormatError, UnboundSymbol, ZeroNorm
-from .ingest import read_json
+from .ingest import read_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -435,7 +435,7 @@ class History:
         text = "epoch,train_loss,train_acc,test_acc\n" + "".join(
             f"{e},{l:.6f},{a:.4f},{t:.4f}\n" for e, l, a, t in self.rows)
         if path:
-            Path(path).write_text(text, encoding="utf-8")
+            write_text(path, text)
         else:
             sys.stdout.write(text)
 

@@ -152,6 +152,25 @@ def test_batch_compiles_directory(runner, tmp_path):
         ["reading.circuit.json", "treasure_hunt.circuit.json"]
 
 
+def test_batch_runs_twice_into_its_own_directory(runner, tmp_path):
+    # without --out the circuits land next to the documents; the second
+    # run must not read them as documents
+    src = tmp_path / "docs"
+    src.mkdir()
+    src.joinpath("reading.json").write_text(
+        Path(f"{FIXTURES}/reading.json").read_text(encoding="utf-8"),
+        encoding="utf-8")
+    outputs = []
+    for _ in range(2):
+        result = runner.invoke(main, ["circuit", "--input",
+                                      f"{FIXTURES}/reading.json",
+                                      "--batch", str(src)])
+        assert result.exit_code == 0, result.output
+        outputs.append({p.name: p.read_text() for p in src.iterdir()})
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[1]) == ["reading.circuit.json", "reading.json"]
+
+
 def test_format_error_exit_code(runner, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"sentences": "nope"}', encoding="utf-8")
@@ -440,3 +459,31 @@ def test_train_rejects_bad_options(runner, tmp_path, option, value):
                                   option, value])
     assert result.exit_code == 2
     assert "Invalid value" in result.output and option in result.output
+
+
+@pytest.mark.parametrize("command,target", [
+    (["circuit", "--out", "{missing}/a.json"], "{missing}/a.json"),
+    (["diagram", "--out", "{missing}/a.json"], "{missing}/a.json"),
+    (["circuit", "--batch", "{docs}", "--out", "{missing}"],
+     "{missing}/reading.circuit.json"),
+    (["train", "--epochs", "1", "--out", "{missing}/h.csv"],
+     "{missing}/h.csv"),
+    (["train", "--epochs", "1", "--params-out", "{missing}/p.json"],
+     "{missing}/p.json")])
+def test_unwritable_output_exit_code(runner, tmp_path, command, target):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    docs.joinpath("reading.json").write_text(
+        Path(f"{FIXTURES}/reading.json").read_text(encoding="utf-8"),
+        encoding="utf-8")
+    source = write_dataset(runner, tmp_path) if command[0] == "train" \
+        else f"{FIXTURES}/reading.json"
+    paths = {"missing": tmp_path / "missing" / "dir", "docs": docs}
+    args = [arg.format(**paths) for arg in command]
+    result = runner.invoke(main, args[:1] + ["--input", str(source)]
+                           + args[1:])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip() == (
+        "FormatError: cannot write: No such file or directory "
+        f"(at {target.format(**paths)})")

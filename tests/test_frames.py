@@ -1,9 +1,11 @@
+import pickle
 import random
 
 import pytest
 
 from discocirc.errors import EmptySentence
-from discocirc.frames import (Box, Frame, Identity, Par, dump_element,
+from discocirc.frames import (Box, Frame, Identity, NounState, Par, Perm,
+                              Spider, dump_element,
                               iter_boxes, map_wires, min_frequency_filter,
                               sentence_diagram)
 from discocirc.ingest import CorefMap, Lexicon, load_document
@@ -118,3 +120,41 @@ def test_wires_are_sorted_on_loopy_trees():
         assert tokens == sorted(tokens)
         for el in iter_boxes(sd.body):
             assert list(el.wires) == sorted(el.wires)
+
+
+# one value of every element kind and of a noun state, as (type,
+# positional arguments, the same as keyword arguments)
+VALUES = [
+    (Box, ("f", (0, 2), True), {"name": "f", "wires": (0, 2), "merge": True}),
+    (Frame, ("f", (0,), (Box("g", (0,)),)),
+     {"name": "f", "wires": (0,), "components": (Box("g", (0,)),)}),
+    (Identity, ((1, 2),), {"wires": (1, 2)}),
+    (Par, ((Box("g", (0,)), Box("h", (1,))),),
+     {"elements": (Box("g", (0,)), Box("h", (1,)))}),
+    (Perm, ((3, 1), (0, 2)), {"wires": (3, 1), "positions": (0, 2)}),
+    (Spider, ((4, (4, 1)), 4, True),
+     {"in_wires": (4, (4, 1)), "out_wire": 4, "dagger": True}),
+    (NounState, ("Alice", 1, 0, 3),
+     {"word": "Alice", "sentence_index": 1, "token_index": 0,
+      "chain_id": 3}),
+]
+
+
+@pytest.mark.parametrize("kind,args,kwargs", VALUES,
+                         ids=[kind.__name__ for kind, _, _ in VALUES])
+def test_elements_are_immutable_values(kind, args, kwargs):
+    value = kind(*args)
+    assert value == kind(**kwargs)
+    assert hash(value) == hash(kind(*args))
+    for name in kwargs:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert value == kind(**kwargs)
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is kind and copy == value
+
+
+def test_defaults_are_kept():
+    assert Box("f", (0,)).merge is False
+    assert Spider((0, (0, 1)), 0).dagger is False
+    assert NounState("Alice", 0, 0).chain_id == -1

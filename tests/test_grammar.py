@@ -66,6 +66,21 @@ def test_concatenation():
     ty = Ty(N) @ Ty(S)
     assert list(ty) == [N, S]
     assert len(ty) == 2
+    assert isinstance(ty, PregroupType)
+
+
+def test_type_slices_and_factors():
+    ty = PregroupType.parse("n.r@s@n.l")
+    assert isinstance(ty[1:], PregroupType) and ty[1:] == Ty(S, N.l)
+    assert isinstance(ty[::-1], PregroupType)
+    assert ty[1] == S and ty[-1] == N.l
+    assert type(ty.factors) is tuple and ty.factors == (N.r, S, N.l)
+    assert str(ty[:0]) == "1"
+    copy = pickle.loads(pickle.dumps(ty))
+    assert type(copy) is PregroupType and copy == ty
+    assert type(copy[0]) is SimpleType
+    with pytest.raises(ValueError):
+        SimpleType("x", 1)
 
 
 TRANSITIVE = PregroupType.parse("n.r@s@n.l")
@@ -189,7 +204,8 @@ def test_crossing_check_matches_pairwise_oracle():
 
 
 def test_pickled_type_hashes_in_another_process():
-    # a type's hash is cached, and str hashes differ between processes
+    # str hashes differ between processes, so a type pickled in one must
+    # hash by its factors in another
     ty = PregroupType.parse("n.r@s@n.l")
     blob = pickle.dumps({ty: "verb"})
     code = ("import pickle, sys; from discocirc.grammar import PregroupType; "

@@ -105,6 +105,21 @@ def test_zero_norm_postselection():
         simulate(c, {})
 
 
+@pytest.mark.parametrize("theta,dead", [(2e-20, True), (2e-10, False)])
+def test_zero_norm_threshold(theta, dead):
+    # Ry(theta) leaves sin(theta / 2)^2 on |1>: ~1e-40 is below the
+    # 1e-30 floor, ~1e-20 is above it
+    c = Circuit(n_qubits=2, gates=[Gate("Ry", (0,), "t")],
+                postselect=[(0, 1)], outputs=[1])
+    if dead:
+        with pytest.raises(ZeroNorm):
+            simulate(c, {"t": theta})
+    else:
+        dist, success = simulate(c, {"t": theta})
+        assert success == pytest.approx(theta ** 2 / 4)
+        assert np.allclose(dist, [1, 0])
+
+
 def test_unbound_symbol():
     c = Circuit(n_qubits=1, gates=[Gate("Rx", (0,), "t")], outputs=[0])
     with pytest.raises(UnboundSymbol):
@@ -455,6 +470,23 @@ def test_zero_learning_rate_is_inert():
     assert params == dict(c.symbols)
     losses = [row[1] for row in history.rows]
     assert losses[0] == pytest.approx(losses[-1])
+
+
+def test_training_holds_out_a_rounded_fifth(monkeypatch):
+    # 7 samples: 0.8 * 7 = 5.6 rounds to 6 training samples, so exactly
+    # one is held out
+    held_out = []
+
+    def recorded(picks, *args):
+        held_out.append(list(picks))
+        return _score(picks, *args)
+
+    monkeypatch.setattr(sim, "_score", recorded)
+    c = fixture_circuit("sim4", 2, 1, seed=6)
+    params, history = train([(c, i % 2) for i in range(7)],
+                            TrainConfig(epochs=2, batch_size=3, seed=0))
+    assert [len(picks) for picks in held_out] == [1, 1]
+    assert len({tuple(picks) for picks in held_out}) == 1
 
 
 def test_training_is_deterministic():
