@@ -8,7 +8,6 @@ from .grammar import (
     PregroupType,
     SimpleType,
     Ty,
-    adjoint,
     can_contract,
     reduce,
     validate_diagram,

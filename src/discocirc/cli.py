@@ -257,6 +257,9 @@ def train_cmd(input_path, epochs, batch_size, learning_rate, gradient,
     """Train shared circuit parameters on a labelled dataset."""
     try:
         dataset = load_dataset(input_path)
+        for target in (out, params_out):
+            if target:  # an unwritable target fails before training
+                write_text(target, "", mode="a")
         cfg = TrainConfig(epochs=epochs, batch_size=batch_size,
                           learning_rate=learning_rate, gradient=gradient,
                           seed=seed)

@@ -69,7 +69,8 @@ class Spider(NamedTuple):
 
 
 def map_wires(el, fn):
-    """Relabel every wire id of an element through ``fn``."""
+    """Relabel every wire id of a sentence body element (Box, Frame,
+    Identity or Par) through ``fn``."""
     if isinstance(el, Box):
         return Box(el.name, tuple(map(fn, el.wires)), el.merge)
     if isinstance(el, Identity):
@@ -77,11 +78,6 @@ def map_wires(el, fn):
     if isinstance(el, Frame):
         return Frame(el.name, tuple(fn(w) for w in el.wires),
                      tuple(map_wires(c, fn) for c in el.components))
-    if isinstance(el, Perm):
-        return Perm(tuple(fn(w) for w in el.wires), el.positions)
-    if isinstance(el, Spider):
-        return Spider(tuple(fn(w) for w in el.in_wires), fn(el.out_wire),
-                      el.dagger)
     if isinstance(el, Par):
         return Par(tuple(map_wires(c, fn) for c in el.elements))
     raise TypeError(f"not a diagram element: {el!r}")

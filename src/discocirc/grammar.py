@@ -11,7 +11,8 @@ sentence wire.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidDiagram
@@ -53,15 +54,6 @@ class SimpleType(_SimpleFields):
             return self.base
         suffix = (".l" if self.z < 0 else ".r") * abs(self.z)
         return self.base + suffix
-
-
-def adjoint(t: SimpleType, direction: str) -> SimpleType:
-    """Return the left or right adjoint of a simple type."""
-    if direction == "left":
-        return t.l
-    if direction == "right":
-        return t.r
-    raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
 
 
 def can_contract(a: SimpleType, b: SimpleType) -> bool:
@@ -134,43 +126,38 @@ class PregroupDiagram:
 
     Wire offsets index the concatenation of all tokens' factors, left to
     right.  Each offset appears in at most one cup.  The wire layout
-    (``wire_types``, each wire's owning token and ``free_wires``) is
-    computed once, on construction; it follows from the tokens and cups,
-    so equality, hashing and repr leave it out.
+    (``wire_types``, ``wire_owners`` and ``free_wires``) follows from the
+    tokens and cups: each is computed on its first read and kept.  A
+    sentence's shape, all that parsing and tree building depend on, is
+    ``(types, cups)``.
     """
 
     tokens: tuple[tuple[str, PregroupType], ...]
     cups: tuple[tuple[int, int], ...]
-    wire_types: tuple[SimpleType, ...] = field(
-        init=False, repr=False, compare=False)
-    wire_owners: tuple[int, ...] = field(
-        init=False, repr=False, compare=False)
-    free_wires: tuple[int, ...] = field(
-        init=False, repr=False, compare=False)
 
     def __init__(self, tokens, cups=()):
-        tokens = tuple([(w, t) for w, t in tokens])
-        cups = tuple(sorted([(i, j) if i <= j else (j, i) for i, j in cups]))
-        wire_types, owners = [], []
-        for t, (_, ty) in enumerate(tokens):
-            wire_types.extend(ty)
-            owners.extend([t] * len(ty))
-        free = set(range(len(owners)))
-        free.difference_update(*cups)
-        init = object.__setattr__
-        init(self, "tokens", tokens)
-        init(self, "cups", cups)
-        init(self, "wire_types", tuple(wire_types))
-        init(self, "wire_owners", tuple(owners))
-        init(self, "free_wires", tuple(sorted(free)))
+        object.__setattr__(self, "tokens", tuple([(w, t) for w, t in tokens]))
+        object.__setattr__(self, "cups", tuple(sorted(
+            [(i, j) if i <= j else (j, i) for i, j in cups])))
 
-    def with_words(self, words) -> "PregroupDiagram":
-        """This diagram with token ``i`` carrying ``words[i]``; the types,
-        cups and wire layout are shared, not recomputed."""
-        diagram = object.__new__(PregroupDiagram)
-        diagram.__dict__.update(self.__dict__, tokens=tuple(
-            zip(words, [ty for _, ty in self.tokens], strict=True)))
-        return diagram
+    @property
+    def types(self) -> tuple[PregroupType, ...]:
+        return tuple(ty for _, ty in self.tokens)
+
+    @cached_property
+    def wire_types(self) -> tuple[SimpleType, ...]:
+        return tuple(t for _, ty in self.tokens for t in ty)
+
+    @cached_property
+    def wire_owners(self) -> tuple[int, ...]:
+        """The index of the token owning each wire."""
+        return tuple(i for i, (_, ty) in enumerate(self.tokens) for _ in ty)
+
+    @cached_property
+    def free_wires(self) -> tuple[int, ...]:
+        cupped = {w for cup in self.cups for w in cup}
+        return tuple(w for w in range(len(self.wire_owners))
+                     if w not in cupped)
 
     @property
     def words(self) -> tuple[str, ...]:

@@ -132,11 +132,12 @@ def read_json(path):
         raise FormatError(f"invalid JSON: {exc}", str(path)) from None
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` to the file at ``path``; a FormatError naming the
-    file when it cannot be written."""
+def write_text(path, text: str, mode: str = "w") -> None:
+    """Write ``text`` to the file at ``path``, or append it with mode
+    ``"a"``; a FormatError naming the file when it cannot be written."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, mode, encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise FormatError(f"cannot write: {exc.strerror}", str(path)) from None
 
@@ -258,10 +259,10 @@ def lexicon_parse(tokens: list[str], lex: Lexicon,
 
     Exhaustive over per-token type choices (lexicon order) and non-crossing
     matchings (shortest span first); the first solution wins unless
-    ``all_parses`` asks for every one.  The winner is memoised per process
-    by the tokens' lexicon entries at call time (the last
-    ``PARSE_MEMO_SIZE`` sequences used); failures and ``all_parses`` are
-    always searched.
+    ``all_parses`` asks for every one.  The winning ``(types, cups)`` is
+    memoised per process by the tokens' lexicon entries at call time (the
+    last ``PARSE_MEMO_SIZE`` sequences used) and given each call's words;
+    failures and ``all_parses`` are always searched.
     """
     if len(tokens) > PARSER_TOKEN_CAP:
         raise NoParse(
@@ -274,18 +275,20 @@ def lexicon_parse(tokens: list[str], lex: Lexicon,
     entries = tuple(tuple(lex.entries[w]) for w in tokens)
     if all_parses:
         solutions = list(dict.fromkeys(
-            d.with_words(tokens) for d in _parses(entries)))
+            PregroupDiagram(zip(tokens, types), cups)
+            for types, cups in _parses(entries)))
         if solutions:
             return solutions
     else:
         with contextlib.suppress(StopIteration):  # nothing reduces
-            return _first_parse(entries).with_words(tokens)
+            types, cups = _first_parse(entries)
+            return PregroupDiagram(zip(tokens, types), cups)
     raise NoParse(f"no type assignment of {tokens} reduces to a sentence")
 
 
 def _parses(entries):
-    """Every diagram over one type per token from ``entries`` that reduces
-    to a sentence, in search order, with empty words."""
+    """Every (types, cups), one type per token from ``entries``, that
+    reduces to a sentence, in search order; both are tuples."""
     target = [SimpleType("s")]
     for assignment in itertools.product(*entries):
         wires = []
@@ -295,7 +298,7 @@ def _parses(entries):
                 wires.append((off, t))
                 off += 1
         for cups in _matchings(wires, target):
-            yield PregroupDiagram([("", ty) for ty in assignment], cups)
+            yield assignment, tuple(cups)
 
 
 @functools.lru_cache(maxsize=PARSE_MEMO_SIZE)

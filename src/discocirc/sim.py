@@ -547,36 +547,43 @@ def evaluate_accuracy(dataset, params) -> float:
 
 def load_dataset(path) -> list[tuple[Circuit, int]]:
     """JSON-lines dataset: {"text_id", "label", "circuit" or "circuit_path"}
-    per line, the label 0 or 1.  Raises FormatError, naming the line, for a
-    line that is not a JSON object, a missing or other label, no circuit, a
+    per line, the label 0 or 1.  Raises FormatError naming the file if it
+    cannot be read or is not UTF-8, and naming the line for a line that is
+    not a JSON object, a missing or other label, no circuit, a
     ``circuit_path`` that cannot be read or is not JSON, and a circuit
     ``circuit_from_json`` rejects or that reads out other than one qubit."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")  # the lines iterating f yields
+    except OSError as exc:
+        raise FormatError(f"cannot read: {exc.strerror}", str(path)) from None
+    except ValueError as exc:
+        raise FormatError(f"not UTF-8: {exc}", str(path)) from None
     out = []
     base = Path(path).parent
-    with open(path, encoding="utf-8") as f:
-        for number, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            where = f"line {number}"
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise FormatError("not a JSON object")
-                label = record.get("label")
-                if label not in (0, 1):
-                    raise FormatError(f"label must be 0 or 1, got {label!r}")
-                if "circuit" not in record and "circuit_path" not in record:
-                    raise FormatError(
-                        'record has neither "circuit" nor "circuit_path"')
-                data = record["circuit"] if "circuit" in record \
-                    else read_json(base / str(record["circuit_path"]))
-                c = circuit_from_json(data)
-                if len(c.readout) != 1:
-                    raise FormatError(f"{len(c.readout)}-qubit readout, not 1")
-                out.append((c, int(label)))
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"not JSON: {exc}", where) from exc
-            except FormatError as exc:
-                inner = f", {exc.location}" if exc.location else ""
-                raise FormatError(exc.message, where + inner) from None
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        where = f"line {number}"
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise FormatError("not a JSON object")
+            label = record.get("label")
+            if label not in (0, 1):
+                raise FormatError(f"label must be 0 or 1, got {label!r}")
+            if "circuit" not in record and "circuit_path" not in record:
+                raise FormatError(
+                    'record has neither "circuit" nor "circuit_path"')
+            data = record["circuit"] if "circuit" in record \
+                else read_json(base / str(record["circuit_path"]))
+            c = circuit_from_json(data)
+            if len(c.readout) != 1:
+                raise FormatError(f"{len(c.readout)}-qubit readout, not 1")
+            out.append((c, int(label)))
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"not JSON: {exc}", where) from exc
+        except FormatError as exc:
+            inner = f", {exc.location}" if exc.location else ""
+            raise FormatError(exc.message, where + inner) from None
     return out

@@ -33,9 +33,6 @@ class PregroupTreeNode(NamedTuple):
         for child in self.children:
             yield from child.walk()
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def __repr__(self):
         return (f"PregroupTreeNode({self.word!r}, {self.token_index}, "
                 f"[{self.out_type}], {len(self.children)} children)")
@@ -72,21 +69,25 @@ def build_trees(d: PregroupDiagram) -> TreeBuildReport:
     its wires in the run to its parent.  Children are in token order and
     the roots in sentence order.
 
-    No word is read except to label its node, so each valid (types, cups)
-    is built once per process (the last ``TREE_MEMO_SIZE`` shapes used
-    are kept); each call relabels the kept forest with its own words and
-    gets its own ``forest`` and ``removed_cups`` lists.
+    No word is read except to label its node, so the forest is built
+    once per process for each (types, cups) (the last ``TREE_MEMO_SIZE``
+    shapes used are kept); each call relabels the kept forest with its
+    own words and gets its own ``forest`` and ``removed_cups`` lists.
     """
-    shape = _shape_trees(d.with_words([""] * len(d.tokens)))
+    shape = _shape_trees(d.types, d.cups)
     words = d.words
     return TreeBuildReport([relabel(root, words) for root in shape.forest],
                            list(shape.removed_cups))
 
 
 @lru_cache(maxsize=TREE_MEMO_SIZE)
-def _shape_trees(d: PregroupDiagram) -> TreeBuildReport:
-    """The report of a word-free diagram, i.e. of its types and cups;
-    ``__wrapped__`` builds it without the memo."""
+def _shape_trees(types, cups) -> TreeBuildReport:
+    """``build_trees``' report for these types and cups, with no words."""
+    return _build(PregroupDiagram([("", ty) for ty in types], cups))
+
+
+def _build(d: PregroupDiagram) -> TreeBuildReport:
+    """``build_trees`` without the memo: ``d``'s report, with its words."""
     reduce(d)  # raises InvalidDiagram
 
     wire_types = d.wire_types

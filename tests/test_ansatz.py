@@ -6,10 +6,11 @@ import pytest
 from discocirc.ansatz import (AnsatzConfig, Circuit, Gate, append_merge_box,
                               circuit_from_json, circuit_to_json, compile,
                               dump_circuit, iqp_block, sim4_block)
-from discocirc.compose import compose_document
+from discocirc.compose import TextDiagram, compose_document
 from discocirc.errors import CapExceeded, FormatError, UnexpandedFrame
-from discocirc.frames import (Box, Frame, NounState, SentenceDiagram)
+from discocirc.frames import Box, Frame, NounState, Par, SentenceDiagram
 from discocirc.ingest import CorefMap
+from discocirc.pipeline import PipelineConfig, run
 from util import block_symbol_count
 
 
@@ -237,3 +238,21 @@ def test_compile_deterministic():
     td = append_merge_box(simple_diagram(3))
     cfg = AnsatzConfig("sim4", 1, 2, seed=9)
     assert dump_circuit(compile(td, cfg)) == dump_circuit(compile(td, cfg))
+
+
+def test_two_boxed_trees_compile_as_their_parts_in_turn():
+    """A sentence whose forest is two boxed trees has a ``Par`` body; it
+    compiles to the gates of its boxes one after the other."""
+    n, verb = [["n", 0]], [["n", 1], ["s", 0]]
+    data = {"sentences": [{"tokens": ["Alice", "runs", "Bob", "sleeps"],
+                           "types": [n, verb, n, verb],
+                           "cups": [[0, 1], [3, 4]]}]}
+    cfg = PipelineConfig(ansatz=AnsatzConfig("sim4", 1, 1, seed=3))
+    td = run(data, cfg, stage="diagram")
+    [body] = td.layers
+    assert body == Par((Box("runs", (0,)), Box("sleeps", (1,))))
+    got = compile(td, cfg.ansatz)
+    parts = compile(TextDiagram(td.states, list(body.elements)), cfg.ansatz)
+    assert circuit_to_json(got) == circuit_to_json(parts)
+    assert {s.split("__")[0] for s in got.symbols} == \
+        {"Alice", "Bob", "runs", "sleeps"}

@@ -393,6 +393,24 @@ def test_train_malformed_dataset_line_exit_code(runner, tmp_path, case):
     assert "FormatError" in result.output and "line 3" in result.output
 
 
+@pytest.mark.parametrize("case,message", [
+    ("directory", "cannot read: Is a directory"),
+    ("latin-1", "not UTF-8: 'utf-8' codec can't decode byte 0xe9 in "
+                "position 0: invalid continuation byte")],
+    ids=["directory", "latin-1"])
+def test_train_unreadable_dataset_exit_code(runner, tmp_path, case,
+                                            message):
+    dataset = tmp_path / "data"
+    if case == "directory":
+        dataset.mkdir()
+    else:
+        dataset.write_bytes("é\n".encode("latin-1"))
+    result = runner.invoke(main, ["train", "--input", str(dataset)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip() == f"FormatError: {message} (at {dataset})"
+
+
 def test_train_gradient_choices_are_the_simulators(runner, tmp_path):
     from discocirc.sim import GRADIENT_METHODS
     [option] = [p for p in main.commands["train"].params
@@ -470,7 +488,11 @@ def test_train_rejects_bad_options(runner, tmp_path, option, value):
      "{missing}/h.csv"),
     (["train", "--epochs", "1", "--params-out", "{missing}/p.json"],
      "{missing}/p.json")])
-def test_unwritable_output_exit_code(runner, tmp_path, command, target):
+def test_unwritable_output_exit_code(runner, tmp_path, monkeypatch, command,
+                                    target):
+    trained = []
+    monkeypatch.setattr("discocirc.cli.train",
+                        lambda *args: trained.append(args))
     docs = tmp_path / "docs"
     docs.mkdir()
     docs.joinpath("reading.json").write_text(
@@ -487,3 +509,4 @@ def test_unwritable_output_exit_code(runner, tmp_path, command, target):
     assert result.output.strip() == (
         "FormatError: cannot write: No such file or directory "
         f"(at {target.format(**paths)})")
+    assert trained == []  # the target is checked before training

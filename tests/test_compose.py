@@ -10,7 +10,7 @@ from discocirc.frames import (Box, Identity, NounState, Par, Perm,
                               SentenceDiagram, Spider, sentence_diagram)
 from discocirc.ingest import (CorefMap, Lexicon, load_document, parse_text,
                               read_json)
-from discocirc.pipeline import PipelineConfig, diagrams, ingest, treeize
+from discocirc.pipeline import PipelineConfig, diagrams, ingest, run, treeize
 from discocirc.trees import build_trees
 from util import apply_layer, element_wires, replay, wire_order
 
@@ -213,3 +213,13 @@ def test_json_and_dot_dumps(lex):
             {"kind": "perm", "wires": [0, 2], "positions": [0, 2]}]
     dot = text_diagram_to_dot(td)
     assert dot.startswith("digraph") and "followed" in dot
+
+
+def test_one_noun_sentence_dumps_an_identity_layer(lex):
+    """A sentence that is one noun has an ``Identity`` body over its wire,
+    which the JSON dump writes as an ``id`` layer."""
+    data = {"sentences": [{"tokens": ["Alice"], "types": [[["n", 0]]]}]}
+    td = run(data, PipelineConfig(lexicon=lex), stage="diagram")
+    assert td.layers == [Identity((0,))]
+    assert text_diagram_to_json(td)["layers"] == \
+        [{"kind": "id", "wires": [0]}]

@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 from discocirc import grammar
 from discocirc.errors import InvalidDiagram
 from discocirc.grammar import (N, PregroupDiagram, PregroupType, S,
-                               SimpleType, Ty, adjoint, can_contract,
-                               reduce, validate_diagram)
+                               SimpleType, Ty, can_contract, reduce,
+                               validate_diagram)
 from util import random_diagram, random_loopy_diagram, validate_diagram_oracle
 
 simple_types = st.builds(
@@ -30,7 +30,6 @@ def test_adjoint_round_trip_example():
 def test_adjoints_invert(t):
     assert t.l.r == t
     assert t.r.l == t
-    assert adjoint(adjoint(t, "left"), "right") == t
 
 
 @given(simple_types)

@@ -32,7 +32,7 @@ def test_determiner_rule_drops_article():
     assert report.merges == 1
     assert report.tree.word == "bike"
     assert report.tree.token_index == 1
-    assert report.tree.is_leaf()
+    assert not report.tree.children
 
 
 def test_rule_leaves_non_matching_words_alone():

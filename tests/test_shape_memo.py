@@ -1,10 +1,11 @@
 """Oracle tests for parsing and building trees once per sentence shape.
 
-``lexicon_parse`` memoises, for the whole process, the winning parse of
-each sequence of lexicon entries, and ``build_trees`` the forest of each
-(types, cups).  The oracles do not go through either memo: the first
-solution of ``lexicon_parse(..., all_parses=True)``, which always
-searches, and the raw builder ``trees._shape_trees.__wrapped__``.
+``lexicon_parse`` memoises, for the whole process, the winning
+``(types, cups)`` of each sequence of lexicon entries, and
+``build_trees`` the forest of each ``(types, cups)``.  The oracles do
+not go through either memo: the first solution of
+``lexicon_parse(..., all_parses=True)``, which always searches, and the
+raw builder ``trees._build``, called on the sentence's own diagram.
 """
 
 import json
@@ -133,7 +134,7 @@ def tree_documents(lex) -> list[Document]:
 def per_sentence_trees(doc, rules):
     out = []
     for d in doc.sentences:
-        report = trees._shape_trees.__wrapped__(d)
+        report = trees._build(d)
         forest = report.forest
         for rule in rules:
             forest = [rewrite_tree(root, rule).tree for root in forest]
@@ -263,6 +264,33 @@ def test_mutating_a_returned_diagram_leaves_later_parses(lex):
         (want.wire_types, want.wire_owners, want.free_wires)
 
 
+def test_a_warm_memo_builds_only_the_sentence_and_no_wire_layout(
+        lex, monkeypatch):
+    """A hit in both memos builds one diagram, the sentence's own with its
+    words, and computes none of its wire layout."""
+    build_trees(lexicon_parse(["Alice", "reads", "the", "books"], lex))
+    tokens = ["Bob", "loves", "the", "music"]
+    want = build_trees(oracle_parse(tokens, lex))
+    built = []
+    init = PregroupDiagram.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(PregroupDiagram, "__init__", record)
+    misses = (ingest._first_parse.cache_info().misses,
+              trees._shape_trees.cache_info().misses)
+    d = lexicon_parse(tokens, lex)
+    report = build_trees(d)
+    assert misses == (ingest._first_parse.cache_info().misses,
+                      trees._shape_trees.cache_info().misses)
+    assert len(built) == 1 and built[0] is d
+    assert d.words == tuple(tokens)
+    assert set(vars(d)) == {"tokens", "cups"}
+    assert forest_to_json(report.forest) == forest_to_json(want.forest)
+
+
 @pytest.mark.parametrize("names", RULE_SETS)
 def test_mutating_one_report_leaves_the_others(lex, names):
     cfg = PipelineConfig(lexicon=lex,
@@ -343,7 +371,7 @@ def test_errors_keep_their_messages(lex):
               ("c", PregroupType([s]))]
     nested = PregroupDiagram(tokens, [(0, 3), (1, 2)])
     crossing = PregroupDiagram(tokens, [(0, 2), (1, 3)])
-    want = raised(InvalidDiagram, trees._shape_trees.__wrapped__, crossing)
+    want = raised(InvalidDiagram, trees._build, crossing)
     cfg = PipelineConfig(lexicon=lex)
     for sentences in ([crossing], [nested, crossing], [crossing, nested]):
         doc = Document(sentences, CorefMap([]))

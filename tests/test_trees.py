@@ -29,7 +29,7 @@ def test_transitive_tree_shape():
     assert (root.word, root.token_index, str(root.out_type)) == \
         ("reads", 1, "s")
     assert [c.word for c in root.children] == ["Alice", "books"]
-    assert all(c.is_leaf() for c in root.children)
+    assert not any(c.children for c in root.children)
 
 
 def test_determiner_phrase_tree():
@@ -74,7 +74,7 @@ def test_single_token_sentence():
     d = PregroupDiagram([("Alice", Ty(N))], [])
     report = build_trees(d)
     [root] = report.forest
-    assert root.is_leaf() and root.word == "Alice"
+    assert not root.children and root.word == "Alice"
 
 
 def test_random_round_trip_small():
