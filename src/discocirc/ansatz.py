@@ -12,6 +12,7 @@ their values as one vector from the config's seed.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +21,8 @@ import numpy as np
 from .errors import CapExceeded, FormatError, UnexpandedFrame
 from .frames import Box, Frame, Identity, Par, Perm, Spider
 from .compose import TextDiagram
+
+log = logging.getLogger(__name__)
 
 QUBIT_CAP = 14
 
@@ -105,11 +108,14 @@ def sim4_block(n: int, L: int, symbols: list[str]) -> list[Gate]:
 
 
 def append_merge_box(td: TextDiagram) -> TextDiagram:
-    """Append the width-w merge box combining all wires into one.
+    """Append the width-w merge box combining all wires into one, if any.
 
     The compiler turns it into an ansatz block over every qubit followed
     by postselection of all but the last wire's qubits.
     """
+    if not td.states:
+        log.warning("no wires to merge: the circuit has no qubits")
+        return td
     wires = tuple(s.chain_id for s in td.states)
     merge = Box(f"merge_{len(wires)}", wires, merge=True)
     return TextDiagram(td.states, td.layers + [merge])

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .compose import TextDiagram
-from .errors import UnexpandedFrame
 from .frames import Box, Frame, Identity, Par
 
 
@@ -25,54 +24,27 @@ class SandwichConfig:
             raise ValueError(f"unknown sandwich mode {self.mode!r}")
 
 
-def _expand_element(el, cfg: SandwichConfig) -> list:
-    """Layers replacing one element of a body layer."""
-    if isinstance(el, Frame):
-        layers = []
-        for i, comp in enumerate(el.components, start=1):
-            if cfg.mode == "shared":
-                bot_name, top_name = f"{el.name}_bot", f"{el.name}_top"
-            else:
-                bot_name, top_name = f"{el.name}_bot_{i}", f"{el.name}_top_{i}"
-            layers.append(Box(bot_name, el.wires))
-            layers += _expand_element(comp, cfg)
-            layers.append(Box(top_name, el.wires))
-        return layers
-    if isinstance(el, Par):
-        layers = []
-        for sub in el.elements:
-            layers += _expand_element(sub, cfg)
-        return layers
-    if isinstance(el, Identity):
-        return []
-    return [el]
-
-
-def _has_frame(el) -> bool:
-    if isinstance(el, Frame):
-        return True
-    if isinstance(el, Par):
-        return any(_has_frame(sub) for sub in el.elements)
-    return False
+def _expand(elements, cfg: SandwichConfig) -> list:
+    """The flat layers replacing a sequence of elements."""
+    layers = []
+    for el in elements:
+        if isinstance(el, Frame):
+            for i, comp in enumerate(el.components, start=1):
+                tag = "" if cfg.mode == "shared" else f"_{i}"
+                layers.append(Box(f"{el.name}_bot{tag}", el.wires))
+                layers += _expand((comp,), cfg)
+                layers.append(Box(f"{el.name}_top{tag}", el.wires))
+        elif isinstance(el, Par):
+            layers += _expand(el.elements, cfg)
+        elif not isinstance(el, Identity):
+            layers.append(el)
+    return layers
 
 
 def expand_frames(td: TextDiagram, cfg: SandwichConfig) -> TextDiagram:
     """Expand every frame of a text diagram into sandwich layers.
 
-    Wire count and chain order are untouched; the result contains no
-    Frame elements.
+    Wire count and chain order are untouched; the result is flat, every
+    layer a Box, a Spider or a Perm.
     """
-    new_layers = []
-    for layer in td.layers:
-        if _has_frame(layer):
-            new_layers += _expand_element(layer, cfg)
-        else:
-            new_layers.append(layer)
-    result = TextDiagram(td.states, new_layers)
-    if count_frames(result):
-        raise UnexpandedFrame("frame survived expansion")
-    return result
-
-
-def count_frames(td: TextDiagram) -> int:
-    return sum(_has_frame(layer) for layer in td.layers)
+    return TextDiagram(td.states, _expand(td.layers, cfg))

@@ -245,8 +245,7 @@ def _forward(plan: _Plan, thetas: np.ndarray) -> _Forward:
     """Run a group of one plan at its (B, G) angles from |0...0> as one
     stacked state and read it out; raises ZeroNorm when a postselected
     branch carries (numerically) no amplitude."""
-    # a group of one shares its (d, d) matrices like fixed gates
-    matrices = plan.matrices(thetas.T if len(thetas) > 1 else thetas[0])
+    matrices = plan.matrices(thetas.T)
     state = np.zeros((len(thetas), 2 ** plan.n), dtype=complex)
     state[:, 0] = 1.0
     for m, move in zip(matrices, plan.moves):

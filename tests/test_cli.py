@@ -278,6 +278,22 @@ def test_max_qubits_lifts_the_compile_cap(runner):
     assert json.loads(result.output)["n_qubits"] == 20
 
 
+@pytest.mark.parametrize("name", ["reading", "hard_reading", "music_piano"])
+def test_circuit_of_a_document_filtered_to_no_wires(runner, tmp_path, caplog,
+                                                     name):
+    # no noun of these is mentioned twice, so the filter removes them all
+    out = tmp_path / "circuit.json"
+    result = runner.invoke(main, ["circuit", "--input",
+                                  f"{FIXTURES}/{name}.json",
+                                  "--min-noun-frequency", "2",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.read_text()) == {
+        "n_qubits": 0, "gates": [], "postselect": [], "symbols": {},
+        "outputs": []}
+    assert "no wires to merge" in caplog.text
+
+
 def write_dataset(runner, tmp_path):
     """A tiny JSON-lines dataset built through the circuit stage."""
     circuit_json = runner.invoke(main, [

@@ -2,11 +2,14 @@ import pytest
 
 from discocirc.ansatz import AnsatzConfig, append_merge_box, compile
 from discocirc.compose import compose_document
-from discocirc.frames import (Box, Frame, NounState, Perm,
-                              SentenceDiagram, iter_boxes)
-from discocirc.ingest import CorefMap
-from discocirc.sandwich import SandwichConfig, count_frames, expand_frames
+from discocirc.frames import (Box, Frame, NounState, Perm, SentenceDiagram,
+                              Spider, iter_boxes)
+from discocirc.ingest import CorefMap, read_json
+from discocirc.pipeline import PipelineConfig, run
+from discocirc.sandwich import SandwichConfig, expand_frames
 from util import wire_order
+
+FIXTURES = "tests/fixtures"
 
 
 def two_component_frame():
@@ -27,7 +30,7 @@ def expanded_box_names(td, suffix=("_top", "_bot")):
 
 def test_shared_mode_reuses_one_pair():
     td = expand_frames(two_component_frame(), SandwichConfig("shared"))
-    assert count_frames(td) == 0
+    assert all(isinstance(l, (Box, Spider, Perm)) for l in td.layers)
     assert expanded_box_names(td) == {"frame_top", "frame_bot"}
     # each pair appears once per component
     tops = [b for l in td.layers for b in iter_boxes(l)
@@ -37,7 +40,7 @@ def test_shared_mode_reuses_one_pair():
 
 def test_foliated_mode_mints_pairs_per_layer():
     td = expand_frames(two_component_frame(), SandwichConfig("foliated"))
-    assert count_frames(td) == 0
+    assert all(isinstance(l, (Box, Spider, Perm)) for l in td.layers)
     assert expanded_box_names(td) == {
         "frame_top_1", "frame_bot_1", "frame_top_2", "frame_bot_2"}
 
@@ -73,7 +76,7 @@ def test_nested_frames_expand_inside_out():
     sd = SentenceDiagram([NounState("a", 0, 0), NounState("b", 0, 1)], body)
     td = compose_document([sd], CorefMap([[(0, 0)], [(0, 1)]]))
     out = expand_frames(td, SandwichConfig("shared"))
-    assert count_frames(out) == 0
+    assert all(isinstance(l, (Box, Spider, Perm)) for l in out.layers)
     names = [b.name for l in out.layers for b in iter_boxes(l)]
     assert names == ["outer_bot", "inner_bot", "leaf",
                      "inner_top", "outer_top"]
@@ -92,6 +95,23 @@ def test_gapped_component_needs_no_routing():
     assert wire_order(out) == [0, 1, 2]
     c = compile(append_merge_box(out), AnsatzConfig())
     assert "SWAP" not in {g.name for g in c.gates}
+
+
+@pytest.mark.parametrize("mode", ["shared", "foliated"])
+@pytest.mark.parametrize("source", [
+    *(f"{FIXTURES}/{name}.json" for name in (
+        "bike_pruning", "bike_rewrites", "corpus", "hard_reading",
+        "music_piano", "reading", "treasure_hunt")),
+    # "Alice." pre-parsed: a noun under no box, an Identity body
+    {"sentences": [{"tokens": ["Alice"], "types": [[["n", 0]]],
+                    "cups": []}], "corefs": []}])
+def test_documents_expand_to_flat_layers(source, mode):
+    if isinstance(source, str):
+        source = read_json(source)
+    td = run(source, PipelineConfig(), stage="diagram")
+    out = expand_frames(td, SandwichConfig(mode))
+    assert out.states == td.states
+    assert all(isinstance(l, (Box, Spider, Perm)) for l in out.layers)
 
 
 def test_bad_mode_rejected():
