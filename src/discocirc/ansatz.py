@@ -49,10 +49,9 @@ class Circuit:
     @property
     def readout(self) -> list[int]:
         """The qubits an outcome reads, most significant first: the
-        outputs, by default every qubit not postselected (of at least one,
-        as the simulator runs a circuit of none on one)."""
+        outputs, by default every qubit not postselected."""
         post = {qubit for qubit, _ in self.postselect}
-        return self.outputs or [q for q in range(max(self.n_qubits, 1))
+        return self.outputs or [q for q in range(self.n_qubits)
                                 if q not in post]
 
 

@@ -12,8 +12,7 @@ import click
 
 from .ansatz import QUBIT_CAP, AnsatzConfig, circuit_to_json, dump_circuit
 from .compose import text_diagram_to_dot, text_diagram_to_json
-from .errors import (CapExceeded, DiscocircError, FormatError, NoParse,
-                     UnboundSymbol, ZeroNorm)
+from .errors import DiscocircError
 from .ingest import (Lexicon, check_tokens, document_to_json,
                      lexicon_parse, read_json, write_text)
 from .pipeline import PipelineConfig, resolve_rewrites, run
@@ -22,30 +21,6 @@ from .sim import GRADIENT_METHODS, TrainConfig, load_dataset, train
 from .trees import dump_tree, forest_to_json, tree_to_dot
 
 log = logging.getLogger(__name__)
-
-EXIT_FORMAT = 2
-EXIT_NO_PARSE = 3
-EXIT_CAP = 4
-EXIT_TRAIN = 5
-
-
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, FormatError):
-        return EXIT_FORMAT
-    if isinstance(exc, NoParse):
-        return EXIT_NO_PARSE
-    if isinstance(exc, CapExceeded):
-        return EXIT_CAP
-    if isinstance(exc, (ZeroNorm, UnboundSymbol)):
-        return EXIT_TRAIN
-    return 1
-
-
-def _fail(exc: Exception):
-    # a FormatError's message already ends with its location
-    click.echo(f"{type(exc).__name__}: {exc}", err=True)
-    sys.exit(_exit_code(exc))
-
 
 def _emit(text: str, out: str | None):
     if out:
@@ -96,7 +71,20 @@ def _config(lexicon_path, rewrites="", min_noun_frequency=None,
     return cfg
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group: a pipeline error raised by any command ends the
+    run with its name and message on stderr and its own exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DiscocircError as exc:
+            # a FormatError's message already ends with its location
+            click.echo(f"{type(exc).__name__}: {exc}", err=True)
+            sys.exit(exc.exit_code)
+
+
+@click.group(cls=_Group)
 @click.option("--verbose", is_flag=True, help="Log per-stage progress.")
 def main(verbose):
     """Compile text documents into parameterised quantum circuits."""
@@ -111,25 +99,21 @@ def main(verbose):
               help="Dump every parse the mini parser finds.")
 def parse(input_path, lexicon_path, fmt, out, all_parses):
     """Ingest (or mini-parse) a document and dump it."""
-    try:
-        cfg = _config(lexicon_path)
-        raw = read_json(input_path)
-        if all_parses and isinstance(raw, dict) and "tokens" in raw:
-            parses = {
-                " ".join(tokens): [
-                    {"types": [str(ty) for _, ty in d.tokens],
-                     "cups": [list(c) for c in d.cups]}
-                    for d in lexicon_parse(tokens, cfg.lexicon,
-                                           all_parses=True)
-                ]
-                for tokens in check_tokens(raw["tokens"])
-            }
-            _emit(json.dumps(parses, indent=1), out)
-            return
-        doc = run(raw, cfg, stage="parse")
-        _emit(json.dumps(document_to_json(doc), indent=1), out)
-    except DiscocircError as exc:
-        _fail(exc)
+    cfg = _config(lexicon_path)
+    raw = read_json(input_path)
+    if all_parses and isinstance(raw, dict) and "tokens" in raw:
+        parses = {
+            " ".join(tokens): [
+                {"types": [str(ty) for _, ty in d.tokens],
+                 "cups": [list(c) for c in d.cups]}
+                for d in lexicon_parse(tokens, cfg.lexicon, all_parses=True)
+            ]
+            for tokens in check_tokens(raw["tokens"])
+        }
+        _emit(json.dumps(parses, indent=1), out)
+        return
+    doc = run(raw, cfg, stage="parse")
+    _emit(json.dumps(document_to_json(doc), indent=1), out)
 
 
 @main.command()
@@ -137,20 +121,17 @@ def parse(input_path, lexicon_path, fmt, out, all_parses):
 @_rewrites
 def tree(input_path, lexicon_path, fmt, out, rewrites):
     """Build pregroup trees and dump the forest."""
-    try:
-        cfg = _config(lexicon_path, rewrites)
-        reports = run(read_json(input_path), cfg, stage="tree")
-        if fmt == "text":
-            text = "\n".join(dump_tree(root)
-                             for rep in reports for root in rep.forest)
-        elif fmt == "dot":
-            text = "\n".join(tree_to_dot(rep.forest) for rep in reports)
-        else:
-            text = json.dumps(
-                [forest_to_json(rep.forest) for rep in reports], indent=1)
-        _emit(text, out)
-    except DiscocircError as exc:
-        _fail(exc)
+    cfg = _config(lexicon_path, rewrites)
+    reports = run(read_json(input_path), cfg, stage="tree")
+    if fmt == "text":
+        text = "\n".join(dump_tree(root)
+                         for rep in reports for root in rep.forest)
+    elif fmt == "dot":
+        text = "\n".join(tree_to_dot(rep.forest) for rep in reports)
+    else:
+        text = json.dumps(
+            [forest_to_json(rep.forest) for rep in reports], indent=1)
+    _emit(text, out)
 
 
 @main.command()
@@ -160,17 +141,13 @@ def tree(input_path, lexicon_path, fmt, out, rewrites):
 def diagram(input_path, lexicon_path, fmt, out, rewrites, min_noun_frequency,
             remove_nouns):
     """Compose the document-level diagram and dump it."""
-    try:
-        cfg = _config(lexicon_path, rewrites, min_noun_frequency,
-                      remove_nouns)
-        td = run(read_json(input_path), cfg, stage="diagram")
-        if fmt == "dot":
-            text = text_diagram_to_dot(td)
-        else:
-            text = json.dumps(text_diagram_to_json(td), indent=1)
-        _emit(text, out)
-    except DiscocircError as exc:
-        _fail(exc)
+    cfg = _config(lexicon_path, rewrites, min_noun_frequency, remove_nouns)
+    td = run(read_json(input_path), cfg, stage="diagram")
+    if fmt == "dot":
+        text = text_diagram_to_dot(td)
+    else:
+        text = json.dumps(text_diagram_to_json(td), indent=1)
+    _emit(text, out)
 
 
 def _circuit_options(f):
@@ -202,32 +179,29 @@ def circuit(input_path, lexicon_path, fmt, out, rewrites, min_noun_frequency,
             remove_nouns, ansatz_kind, qubits_per_wire, layers, no_share,
             foliated, seed, max_qubits, batch):
     """Compile the document into a parameterised circuit."""
-    try:
-        cfg = _config(
-            lexicon_path, rewrites, min_noun_frequency, remove_nouns,
-            sandwich=SandwichConfig("foliated" if foliated else "shared"),
-            ansatz=AnsatzConfig(ansatz_kind, qubits_per_wire, layers,
-                                not no_share, seed),
-            max_qubits=max_qubits)
+    cfg = _config(
+        lexicon_path, rewrites, min_noun_frequency, remove_nouns,
+        sandwich=SandwichConfig("foliated" if foliated else "shared"),
+        ansatz=AnsatzConfig(ansatz_kind, qubits_per_wire, layers,
+                            not no_share, seed),
+        max_qubits=max_qubits)
 
-        def one(path):
-            c = run(read_json(path), cfg, stage="circuit")
-            return dump_circuit(c) if fmt == "text" \
-                else json.dumps(circuit_to_json(c), indent=1)
+    def one(path):
+        c = run(read_json(path), cfg, stage="circuit")
+        return dump_circuit(c) if fmt == "text" \
+            else json.dumps(circuit_to_json(c), indent=1)
 
-        if batch:
-            # skip the circuits an earlier run wrote into this directory
-            paths = sorted(path for path in Path(batch).glob("*.json")
-                           if not path.name.endswith(".circuit.json"))
-            artifacts = [one(path) for path in paths]
-            for path, text in zip(paths, artifacts):
-                target = Path(out or batch) / (path.stem + ".circuit.json")
-                write_text(target, text + "\n")
-                log.info("compiled %s -> %s", path.name, target.name)
-        else:
-            _emit(one(input_path), out)
-    except DiscocircError as exc:
-        _fail(exc)
+    if batch:
+        # skip the circuits an earlier run wrote into this directory
+        paths = sorted(path for path in Path(batch).glob("*.json")
+                       if not path.name.endswith(".circuit.json"))
+        artifacts = [one(path) for path in paths]
+        for path, text in zip(paths, artifacts):
+            target = Path(out or batch) / (path.stem + ".circuit.json")
+            write_text(target, text + "\n")
+            log.info("compiled %s -> %s", path.name, target.name)
+    else:
+        _emit(one(input_path), out)
 
 
 def _finite_rate(ctx, param, value):
@@ -255,23 +229,17 @@ def _finite_rate(ctx, param, value):
 def train_cmd(input_path, epochs, batch_size, learning_rate, gradient,
               seed, out, params_out):
     """Train shared circuit parameters on a labelled dataset."""
-    try:
-        dataset = load_dataset(input_path)
-        for target in (out, params_out):
-            if target:  # an unwritable target fails before training
-                write_text(target, "", mode="a")
-        cfg = TrainConfig(epochs=epochs, batch_size=batch_size,
-                          learning_rate=learning_rate, gradient=gradient,
-                          seed=seed)
-        params, history = train(dataset, cfg)
-        if params_out:
-            write_text(params_out, json.dumps(params, indent=1) + "\n")
-        history.to_csv(out)
-    except (DiscocircError, ValueError) as exc:
-        if isinstance(exc, DiscocircError):
-            _fail(exc)
-        click.echo(f"training failed: {exc}", err=True)
-        sys.exit(EXIT_TRAIN)
+    dataset = load_dataset(input_path)
+    for target in (out, params_out):
+        if target:  # an unwritable target fails before training
+            write_text(target, "", mode="a")
+    cfg = TrainConfig(epochs=epochs, batch_size=batch_size,
+                      learning_rate=learning_rate, gradient=gradient,
+                      seed=seed)
+    params, history = train(dataset, cfg)
+    if params_out:
+        write_text(params_out, json.dumps(params, indent=1) + "\n")
+    history.to_csv(out)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +10,10 @@ import pytest
 from click.testing import CliRunner
 
 from discocirc.cli import main
+from discocirc.errors import DiscocircError
 
 FIXTURES = "tests/fixtures"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -190,6 +196,65 @@ def test_malformed_cup_exit_code(runner, tmp_path):
     assert "sentences[0].cups[0]" in result.output
 
 
+BAD_CUPS = {
+    # "Alice reads books" with a cup from the subject's n to the verb's s
+    "illegal": ({"tokens": ["Alice", "reads", "books"],
+                 "types": [[["n", 0]], [["n", 1], ["s", 0], ["n", -1]],
+                           [["n", 0]]],
+                 "cups": [[0, 2]]},
+                "illegal cups ((0, 2),), crossings ()"),
+    # two legal cups, n with n^r and s with s^r, that cross
+    "crossing": ({"tokens": ["a", "b", "c"],
+                  "types": [[["n", 0], ["s", 0]], [["n", 1]], [["s", 1]]],
+                  "cups": [[0, 2], [1, 3]]},
+                 "illegal cups (), crossings (((0, 2), (1, 3)),)")}
+
+
+def write_bad_cups(tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps({"sentences": [BAD_CUPS[case][0]]}),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["parse", "tree", "diagram", "circuit"])
+@pytest.mark.parametrize("case", sorted(BAD_CUPS))
+def test_bad_cups_exit_code(runner, tmp_path, command, case):
+    result = runner.invoke(main, [command, "--input",
+                                  str(write_bad_cups(tmp_path, case))])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == \
+        f"InvalidDiagram: sentence 0: {BAD_CUPS[case][1]}"
+    assert "Traceback" not in result.output
+
+
+def test_entry_point_exits_with_the_error_code(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "discocirc.cli", "circuit", "--input",
+         str(write_bad_cups(tmp_path, "crossing"))],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == \
+        f"InvalidDiagram: sentence 0: {BAD_CUPS['crossing'][1]}\n"
+
+
+def error_classes(cls=DiscocircError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_classes(sub)
+
+
+def test_exit_codes_match_the_readme_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = {name: int(code) for name, code in re.findall(
+        r"^\| `(\w+)` \| (\d+) \|", readme,
+        re.MULTILINE)}
+    assert table == {cls.__name__: cls.exit_code
+                     for cls in error_classes()}
+
+
 
 @pytest.mark.parametrize("command", ["parse", "tree", "diagram", "circuit"])
 @pytest.mark.parametrize("text", ['{"sentences": [', "[1]"],
@@ -292,6 +357,25 @@ def test_circuit_of_a_document_filtered_to_no_wires(runner, tmp_path, caplog,
         "n_qubits": 0, "gates": [], "postselect": [], "symbols": {},
         "outputs": []}
     assert "no wires to merge" in caplog.text
+
+
+def test_train_refuses_a_circuit_of_no_qubits(runner, tmp_path):
+    # the noun filter empties reading.json: its circuit has no qubits, so it
+    # reads out none and no label can be read from it
+    circuit = tmp_path / "circuit.json"
+    assert runner.invoke(main, ["circuit", "--input",
+                                f"{FIXTURES}/reading.json",
+                                "--min-noun-frequency", "2",
+                                "--out", str(circuit)]).exit_code == 0
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text("".join(
+        json.dumps({"label": i % 2, "circuit_path": circuit.name}) + "\n"
+        for i in range(5)), encoding="utf-8")
+    result = runner.invoke(main, ["train", "--input", str(dataset),
+                                  "--epochs", "1"])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == \
+        "FormatError: 0-qubit readout, not 1 (at line 1)"
 
 
 def write_dataset(runner, tmp_path):

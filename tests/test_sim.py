@@ -40,6 +40,15 @@ def test_empty_circuit_distribution():
     assert success == pytest.approx(1.0)
 
 
+def test_circuit_of_no_qubits_reads_out_nothing():
+    c = Circuit(n_qubits=0)
+    assert c.readout == []
+    dist, success = simulate(c, {})
+    assert dist.tolist() == [1.0] and success == 1.0
+    with pytest.raises(ValueError, match="1-qubit output"):
+        sim.train([(c, 0), (c, 1)], TrainConfig(epochs=1))
+
+
 def test_hadamard_distribution():
     c = Circuit(n_qubits=1, gates=[Gate("H", (0,))], outputs=[0])
     dist, _ = simulate(c, {})
