@@ -1,4 +1,4 @@
-"""Circuit compilation: frame-free text diagrams to parameterised circuits.
+"""Circuit compilation: expanded text diagrams to parameterised circuits.
 
 Each wire gets a fixed number of qubits; noun states and boxes become
 ansatz blocks (IQP or a hardware-efficient Rx/Rz/CRx pattern), spider
@@ -57,14 +57,14 @@ class Circuit:
 
 @dataclass(frozen=True)
 class AnsatzConfig:
-    kind: str = "iqp"  # or "sim4"
+    kind: str = "iqp"  # a key of BLOCKS
     qubits_per_wire: int = 1
     layers: int = 1
     share_parameters: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("iqp", "sim4"):
+        if self.kind not in BLOCKS:
             raise ValueError(f"unknown ansatz {self.kind!r}")
         if self.qubits_per_wire < 1 or self.layers < 1:
             raise ValueError("qubits_per_wire and layers must be >= 1")
@@ -106,6 +106,9 @@ def sim4_block(n: int, L: int, symbols: list[str]) -> list[Gate]:
     return gates
 
 
+BLOCKS = {"iqp": iqp_block, "sim4": sim4_block}
+
+
 def append_merge_box(td: TextDiagram) -> TextDiagram:
     """Append the width-w merge box combining all wires into one, if any.
 
@@ -122,9 +125,10 @@ def append_merge_box(td: TextDiagram) -> TextDiagram:
 
 def compile(td: TextDiagram, cfg: AnsatzConfig,
             cap: int = QUBIT_CAP) -> Circuit:
-    """Lower a frame-free text diagram to a parameterised circuit."""
+    """Lower an expanded text diagram, every layer a Box, Spider or Perm
+    as ``expand_frames`` leaves it, to a parameterised circuit."""
     q = cfg.qubits_per_wire
-    block_fn = iqp_block if cfg.kind == "iqp" else sim4_block
+    block_fn = BLOCKS[cfg.kind]
     rng = np.random.default_rng(cfg.seed)
 
     circuit = Circuit(n_qubits=0)
@@ -170,44 +174,28 @@ def compile(td: TextDiagram, cfg: AnsatzConfig,
     for state in td.states:
         emit_block(state.word, alloc(state.chain_id))
 
-    def visit(el):
-        if isinstance(el, Frame):
-            raise UnexpandedFrame(
-                f"frame {el.name!r} reached the compiler")
-        if isinstance(el, Par):
-            for sub in el.elements:
-                visit(sub)
-            return
-        if isinstance(el, (Identity, Perm)):
-            return
-        if isinstance(el, Spider):
-            if el.dagger:  # copy: CX onto fresh zeroed registers
-                src = qubits_of[el.out_wire]
-                for wire in el.in_wires[1:]:
-                    dst = alloc(wire)
-                    for qs, qd in zip(src, dst):
-                        circuit.gates.append(Gate("CX", (qs, qd)))
-            else:  # merge: CX then postselect the absorbed registers
-                src = qubits_of[el.in_wires[0]]
-                for wire in el.in_wires[1:]:
-                    dst = qubits_of.pop(wire)
-                    for qs, qd in zip(src, dst):
-                        circuit.gates.append(Gate("CX", (qs, qd)))
-                        circuit.postselect.append((qd, 0))
-            return
+    for el in td.layers:
         if isinstance(el, Box):
             qbs = [qb for w in el.wires for qb in qubits_of[w]]
             emit_block(el.name, qbs)
             if el.merge:
-                for qb in qbs[:-q]:
-                    circuit.postselect.append((qb, 0))
+                circuit.postselect += [(qb, 0) for qb in qbs[:-q]]
                 for w in el.wires[:-1]:
                     qubits_of.pop(w, None)
-            return
-        raise TypeError(f"cannot compile {el!r}")
-
-    for layer in td.layers:
-        visit(layer)
+        elif isinstance(el, Spider):
+            # a copy CXs onto fresh zeroed registers, a merge CXs and then
+            # postselects the registers it absorbs
+            src = qubits_of[el.out_wire if el.dagger else el.in_wires[0]]
+            for wire in el.in_wires[1:]:
+                dst = alloc(wire) if el.dagger else qubits_of.pop(wire)
+                for qs, qd in zip(src, dst):
+                    circuit.gates.append(Gate("CX", (qs, qd)))
+                    if not el.dagger:
+                        circuit.postselect.append((qd, 0))
+        elif isinstance(el, (Frame, Par, Identity)):
+            raise UnexpandedFrame(f"unexpanded layer {el!r}")
+        elif not isinstance(el, Perm):
+            raise TypeError(f"cannot compile {el!r}")
 
     post = {qb for qb, _ in circuit.postselect}
     circuit.outputs = sorted(

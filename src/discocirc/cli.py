@@ -10,7 +10,8 @@ from pathlib import Path
 
 import click
 
-from .ansatz import QUBIT_CAP, AnsatzConfig, circuit_to_json, dump_circuit
+from .ansatz import (BLOCKS, QUBIT_CAP, AnsatzConfig, circuit_to_json,
+                     dump_circuit)
 from .compose import text_diagram_to_dot, text_diagram_to_json
 from .errors import DiscocircError
 from .ingest import (Lexicon, check_tokens, document_to_json,
@@ -152,7 +153,7 @@ def diagram(input_path, lexicon_path, fmt, out, rewrites, min_noun_frequency,
 
 def _circuit_options(f):
     f = click.option("--ansatz", "ansatz_kind",
-                     type=click.Choice(["iqp", "sim4"]), default="iqp")(f)
+                     type=click.Choice(list(BLOCKS)), default="iqp")(f)
     f = click.option("--qubits-per-wire", type=click.IntRange(min=1),
                      default=1)(f)
     f = click.option("--layers", type=click.IntRange(min=1), default=1)(f)

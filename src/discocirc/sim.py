@@ -19,11 +19,10 @@ significant bit) once, for readout: postselected qubits are projected
 out, the rest renormalized with the success probability reported, and
 the outputs default to every other qubit.
 
-Gradients come from central finite differences, circuit by circuit;
-exact two-term parameter shifts (each parameterised gate here is
-generated by an involution up to global phase); and one adjoint sweep of
-each row's state and costate as a (B, 2, 2^n) stack.  The exact methods
-fold the renormalization into one diagonal observable.  The shift rule
+Gradients are exact: two-term parameter shifts (each parameterised gate
+here is generated by an involution up to global phase), or one adjoint
+sweep of each row's state and costate as a (B, 2, 2^n) stack.  Both fold
+the renormalization into one diagonal observable.  The shift rule
 fuses the gates into blocks on at most two qubits; a block's variants
 with one of its p parameterised gates shifted either way are built in
 4x4 space and run, as one (B, 2p, 2^n) stack, through the later blocks.
@@ -124,15 +123,14 @@ class _Plan:
     """What the circuits of one gate skeleton share; ``gates`` holds each
     gate's (name, qubits, whether it takes a symbol)."""
 
-    def __init__(self, c: Circuit):
+    def __init__(self, c: Circuit, gates: tuple):
         if c.n_qubits > QUBIT_CAP:
             raise CapExceeded(f"{c.n_qubits} qubits exceed the cap of "
                               f"{QUBIT_CAP}")
         self.n = n = max(c.n_qubits, 1)
-        self.gates = [(g.name, g.qubits, isinstance(g.param, str))
-                      for g in c.gates]
+        self.gates = gates
         # each gate's move from |0...0>, then the move back to 0..n-1
-        self.moves = _moves(tuple(range(n)), [g.qubits for g in c.gates]
+        self.moves = _moves(tuple(range(n)), [q for _, q, _ in gates]
                             + [tuple(range(n))])[0]
         self.symbolic = np.flatnonzero([gate[2] for gate in self.gates])
         kinds: dict[str, list[int]] = {}
@@ -206,11 +204,11 @@ def _prepare(circuits: list[Circuit], params: dict,
     cache: dict[tuple, _Plan] = {}
     plans, slots = [], []
     for c in circuits:
-        key = (c.n_qubits, tuple([(g.name, g.qubits, isinstance(g.param, str))
-                                  for g in c.gates]),
-               tuple(c.postselect), tuple(c.outputs))
+        gates = tuple([(g.name, g.qubits, isinstance(g.param, str))
+                       for g in c.gates])
+        key = (c.n_qubits, gates, tuple(c.postselect), tuple(c.outputs))
         if key not in cache:
-            cache[key] = _Plan(c)
+            cache[key] = _Plan(c, gates)
             if binary and cache[key].size != 2:
                 raise ValueError("a binary label needs a 1-qubit output")
         plans.append(cache[key])
@@ -272,8 +270,7 @@ def simulate(c: Circuit, params: dict) -> tuple[np.ndarray, float]:
 
 # --- gradients --------------------------------------------------------------
 
-GRADIENT_METHODS = ("parameter_shift", "adjoint", "finite_diff")
-FD_STEP = 1e-6
+GRADIENT_METHODS = ("parameter_shift", "adjoint")
 _SHIFTS = np.array([np.pi / 2, -np.pi / 2])
 
 # G(theta) = exp(-i theta P / 2), so dG/dtheta = -i/2 P G
@@ -335,15 +332,6 @@ def _gradient(plan: _Plan, slots: np.ndarray, table: np.ndarray,
     group of one plan with (B, G) ``slots``, one row of ``dloss_ddist``
     each, from the group's forward pass at ``table[slots]``."""
     rows, size = slots.shape[0], len(table)
-    if method == "finite_diff":
-        grad = np.zeros((rows, size))
-        for r, row in enumerate(slots):
-            for k in set(row[plan.symbolic].tolist()):
-                steps = np.outer([FD_STEP, -FD_STEP], row == k)
-                fwd = _forward(plan, table[row] + steps)
-                up, down = fwd.raw / fwd.success[:, None] @ dloss_ddist[r]
-                grad[r, k] = (up - down) / (2 * FD_STEP)
-        return grad
     if method not in GRADIENT_METHODS:
         raise ValueError(f"unknown gradient method {method!r}")
 
@@ -488,10 +476,15 @@ def train(dataset: list[tuple[Circuit, int]],
     dataset is shuffled and split 80/20 into train/test with the config
     seed; all circuits share one parameter vector (the union of their
     declared symbols, each at its first declared value).  Batches and the
-    test split index into the plans and slots, prepared once."""
+    test split index into the plans and slots, prepared once.  An empty
+    dataset is a ValueError, an empty test split a warning."""
+    if not dataset:
+        raise ValueError("no samples to train on")
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(dataset))
-    split = max(1, int(round(len(dataset) * 0.8)))
+    split = round(len(dataset) * 0.8)  # at least 1
+    if split == len(dataset):
+        log.warning("no sample held out: the test accuracy is NaN")
     train_set = order[:split]
 
     symbols: dict[str, float] = {}
@@ -525,8 +518,8 @@ def train(dataset: list[tuple[Circuit, int]],
             v_hat = v / (1 - beta2 ** step)
             params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         test_acc, held = _score(order[split:], plans, slots, labels, table)
-        history.rows.append((epoch, float(np.mean(losses)) if losses else 0.0,
-                             corrects / max(len(train_set), 1), test_acc))
+        history.rows.append((epoch, float(np.mean(losses)),
+                             corrects / len(train_set), test_acc))
         if log.isEnabledFor(logging.INFO):  # np.median imports numpy.ma
             stats = [f(s) if len(s) else np.nan for s in (successes, held)
                      for f in (np.min, np.median)]
@@ -547,9 +540,9 @@ def evaluate_accuracy(dataset, params) -> float:
 def load_dataset(path) -> list[tuple[Circuit, int]]:
     """JSON-lines dataset: {"text_id", "label", "circuit" or "circuit_path"}
     per line, the label 0 or 1.  Raises FormatError naming the file if it
-    cannot be read or is not UTF-8, and naming the line for a line that is
-    not a JSON object, a missing or other label, no circuit, a
-    ``circuit_path`` that cannot be read or is not JSON, and a circuit
+    cannot be read, is not UTF-8 or is empty, and naming the line for a
+    line that is not a JSON object, a missing or other label, no circuit,
+    a ``circuit_path`` that cannot be read or is not JSON, and a circuit
     ``circuit_from_json`` rejects or that reads out other than one qubit."""
     try:
         with open(path, encoding="utf-8") as f:
@@ -585,4 +578,6 @@ def load_dataset(path) -> list[tuple[Circuit, int]]:
         except FormatError as exc:
             inner = f", {exc.location}" if exc.location else ""
             raise FormatError(exc.message, where + inner) from None
+    if not out:
+        raise FormatError("no records", str(path))
     return out

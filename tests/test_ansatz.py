@@ -8,9 +8,11 @@ from discocirc.ansatz import (AnsatzConfig, Circuit, Gate, append_merge_box,
                               dump_circuit, iqp_block, sim4_block)
 from discocirc.compose import TextDiagram, compose_document
 from discocirc.errors import CapExceeded, FormatError, UnexpandedFrame
-from discocirc.frames import Box, Frame, NounState, Par, SentenceDiagram
+from discocirc.frames import (Box, Frame, Identity, NounState, Par,
+                              SentenceDiagram)
 from discocirc.ingest import CorefMap
 from discocirc.pipeline import PipelineConfig, run
+from discocirc.sandwich import expand_frames
 from util import block_symbol_count
 
 
@@ -150,6 +152,15 @@ def test_frames_rejected():
         compile(td, AnsatzConfig())
 
 
+def test_only_expanded_layers_compile():
+    states = simple_diagram().states
+    for layer in (Identity((0,)), Par((Box("g", (0,)),))):
+        with pytest.raises(UnexpandedFrame, match=type(layer).__name__):
+            compile(TextDiagram(states, [layer]), AnsatzConfig())
+    with pytest.raises(TypeError, match="cannot compile"):
+        compile(TextDiagram(states, ["g"]), AnsatzConfig())
+
+
 def test_multiqubit_wires():
     td = simple_diagram()
     c = compile(td, AnsatzConfig("sim4", 2, 1))
@@ -241,8 +252,9 @@ def test_compile_deterministic():
 
 
 def test_two_boxed_trees_compile_as_their_parts_in_turn():
-    """A sentence whose forest is two boxed trees has a ``Par`` body; it
-    compiles to the gates of its boxes one after the other."""
+    """A sentence whose forest is two boxed trees has a ``Par`` body;
+    ``compile`` refuses it raw and, expanded, compiles it to the gates of
+    its boxes one after the other."""
     n, verb = [["n", 0]], [["n", 1], ["s", 0]]
     data = {"sentences": [{"tokens": ["Alice", "runs", "Bob", "sleeps"],
                            "types": [n, verb, n, verb],
@@ -251,7 +263,9 @@ def test_two_boxed_trees_compile_as_their_parts_in_turn():
     td = run(data, cfg, stage="diagram")
     [body] = td.layers
     assert body == Par((Box("runs", (0,)), Box("sleeps", (1,))))
-    got = compile(td, cfg.ansatz)
+    with pytest.raises(UnexpandedFrame, match="unexpanded layer Par"):
+        compile(td, cfg.ansatz)
+    got = compile(expand_frames(td, cfg.sandwich), cfg.ansatz)
     parts = compile(TextDiagram(td.states, list(body.elements)), cfg.ansatz)
     assert circuit_to_json(got) == circuit_to_json(parts)
     assert {s.split("__")[0] for s in got.symbols} == \

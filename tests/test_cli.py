@@ -517,9 +517,26 @@ def test_train_gradient_choices_are_the_simulators(runner, tmp_path):
                 if p.name == "gradient"]
     assert tuple(option.type.choices) == GRADIENT_METHODS
     dataset = write_dataset(runner, tmp_path)
-    result = runner.invoke(main, ["train", "--input", str(dataset),
-                                  "--gradient", "bogus"])
-    assert result.exit_code == 2
+    for bad in ("bogus", "finite_diff"):
+        result = runner.invoke(main, ["train", "--input", str(dataset),
+                                      "--gradient", bad])
+        assert result.exit_code == 2
+
+
+def test_circuit_ansatz_choices_are_the_compilers():
+    from discocirc.ansatz import BLOCKS
+    [option] = [p for p in main.commands["circuit"].params
+                if p.name == "ansatz_kind"]
+    assert tuple(option.type.choices) == tuple(BLOCKS)
+
+
+def test_train_refuses_an_empty_dataset(runner, tmp_path):
+    dataset = tmp_path / "empty.jsonl"
+    dataset.write_text("")
+    result = runner.invoke(main, ["train", "--input", str(dataset)])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == \
+        f"FormatError: no records (at {dataset})"
 
 
 def test_train_command_adjoint_matches_parameter_shift(runner, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -7,16 +8,17 @@ from discocirc import sim
 from discocirc.ansatz import (AnsatzConfig, Circuit, Gate, append_merge_box,
                               compile)
 from discocirc.compose import compose_document
-from discocirc.errors import CapExceeded, UnboundSymbol, ZeroNorm
+from discocirc.errors import (CapExceeded, FormatError, UnboundSymbol,
+                              ZeroNorm)
 from discocirc.frames import Box, NounState, SentenceDiagram
 from discocirc.ingest import CorefMap
 from discocirc.pipeline import PipelineConfig, run
 from discocirc.sim import (TrainConfig, _evaluate, _forward, _gradient,
-                           _Plan, _prepare, _score, bce, evaluate_accuracy,
+                           _prepare, _score, bce, evaluate_accuracy,
                            gate_matrix, gradient, load_dataset, simulate,
                            train)
 from util import (bce_ddist, circuit_unitary, classification_dataset,
-                  shift_rule_oracle, train_oracle)
+                  fd_gradient, shift_rule_oracle, train_oracle)
 
 rng = np.random.default_rng(42)
 
@@ -245,7 +247,7 @@ def test_shift_and_finite_diff_agree(kind):
     c = fixture_circuit(kind, 3, 2, seed=3)
     dl = rng.normal(size=2)
     shift = gradient(c, c.symbols, dl, "parameter_shift")
-    fd = gradient(c, c.symbols, dl, "finite_diff")
+    fd = fd_gradient(c, c.symbols, dl)
     for sym in shift:
         assert shift[sym] == pytest.approx(fd[sym], abs=1e-4)
 
@@ -269,7 +271,7 @@ def test_adjoint_reads_the_same_outcomes_as_the_shift_rule():
         for sym in shift:
             assert adj[sym] == pytest.approx(shift[sym], abs=1e-10)
         if c is bare:
-            fd = gradient(c, c.symbols, dl, "finite_diff")
+            fd = fd_gradient(c, c.symbols, dl)
             for sym in shift:
                 assert fd[sym] == pytest.approx(shift[sym], abs=1e-4)
 
@@ -288,7 +290,7 @@ def test_shift_rule_and_adjoint_agree_on_a_wide_story():
         size=len(simulate(story, story.symbols)[0]))
     shift = gradient(story, story.symbols, dl, "parameter_shift")
     adj = gradient(story, story.symbols, dl, "adjoint")
-    fd = gradient(story, story.symbols, dl, "finite_diff")
+    fd = fd_gradient(story, story.symbols, dl)
     assert max(map(abs, shift.values())) > 1e-2
     for sym in shift:
         assert adj[sym] == pytest.approx(shift[sym], abs=1e-10)
@@ -303,7 +305,8 @@ def test_blocks_partition_the_gates_on_at_most_two_qubits():
                     Gate("CX", (0, 1)), Gate("H", (2,)),
                     Gate("CRz", (2, 1), "c"), Gate("Rz", (0,), "d"),
                     Gate("Ry", (1,), 0.3), Gate("H", (3,))])
-    assert _Plan(c).blocks == [((0, 1), [0, 2, 5]), ((2, 1), [3, 4, 6]),
+    [plan] = _prepare([c], dict.fromkeys("abcd", 0.0))[1]
+    assert plan.blocks == [((0, 1), [0, 2, 5]), ((2, 1), [3, 4, 6]),
                                ((3,), [1, 7])]
     story = run({"tokens": [["Alice", "reads", "books"],
                             ["Bob", "loves", "music"],
@@ -314,7 +317,7 @@ def test_blocks_partition_the_gates_on_at_most_two_qubits():
                 PipelineConfig(ansatz=AnsatzConfig("sim4")))
     text = classification_dataset(1, seed=3)[0][0]
     for circuit, gates, blocks in ((story, 66, 14), (text, 34, 6)):
-        partition = _Plan(circuit).blocks
+        partition = _prepare([circuit], circuit.symbols)[1][0].blocks
         assert (len(circuit.gates), len(partition)) == (gates, blocks)
         assert sorted(i for _, idx in partition for i in idx) \
             == list(range(gates))
@@ -498,6 +501,33 @@ def test_training_holds_out_a_rounded_fifth(monkeypatch):
     assert len({tuple(picks) for picks in held_out}) == 1
 
 
+def test_training_refuses_an_empty_dataset():
+    with pytest.raises(ValueError, match="no samples"):
+        train([], TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_training_warns_when_nothing_is_held_out(caplog, size):
+    # round(0.8 * 2) = 2 holds nothing out; round(0.8 * 3) = 2 holds out one
+    c = fixture_circuit("sim4", 2, 1, seed=6)
+    with caplog.at_level(logging.WARNING, logger="discocirc.sim"):
+        _, history = train([(c, i % 2) for i in range(size)],
+                           TrainConfig(epochs=2, batch_size=2, seed=0))
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    held_out = size == 3
+    assert len(warnings) == (0 if held_out else 1)
+    assert all(np.isnan(row[3]) != held_out for row in history.rows)
+
+
+def test_load_dataset_refuses_a_file_with_no_records(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("\n  \n")
+    with pytest.raises(FormatError) as err:
+        load_dataset(path)
+    assert (err.value.message, err.value.location) == ("no records",
+                                                        str(path))
+
+
 def test_training_is_deterministic():
     def once():
         c = fixture_circuit("sim4", 2, 1, seed=6)
@@ -662,7 +692,6 @@ def test_dataset_loading_refuses_a_readout_of_other_than_one_qubit(
         tmp_path):
     import json
     from discocirc.ansatz import circuit_to_json
-    from discocirc.errors import FormatError
     c = fixture_circuit("sim4", 2, 1, seed=3)
     assert c.postselect == [(0, 0)] and c.outputs == [1]
     # no outputs: the readout defaults to the qubits not postselected
@@ -717,6 +746,10 @@ def test_bad_train_config():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="bogus"):
         TrainConfig(gradient="bogus")
+    # finite differences are the tests' oracle, not a training method
+    assert sim.GRADIENT_METHODS == ("parameter_shift", "adjoint")
+    with pytest.raises(ValueError, match="finite_diff"):
+        TrainConfig(gradient="finite_diff")
     for method in sim.GRADIENT_METHODS:
         assert TrainConfig(gradient=method).gradient == method
     for rate in (-1, float("nan"), float("inf")):

@@ -8,8 +8,9 @@ independent oracle for tree building and type recovery;
 ``random_loopy_diagram`` adds the loopy diagrams no tree encodes.  The
 dense ``circuit_unitary`` is the matching oracle for the simulator,
 ``shift_rule_oracle`` the per-gate one for its fused shift rule (with its
-own gate kernel, ``_apply``), ``train_oracle`` the sample-by-sample one
-for its trainer (with its own ``bce_ddist``),
+own gate kernel, ``_apply``), ``fd_gradient`` the approximate one for
+both exact gradients, from ``simulate`` alone, ``train_oracle`` the
+sample-by-sample one for its trainer (with its own ``bce_ddist``),
 ``resolve_pronouns_oracle`` the back-scan one for the pronoun resolver,
 ``validate_diagram_oracle`` the pairwise one for the crossing check,
 and ``replay`` replays a text diagram's layers, through the wires each
@@ -349,6 +350,20 @@ def shift_rule_oracle(circuits, params: dict,
             grad[sym] += term
         grads.append(grad)
     return grads
+
+
+def fd_gradient(c, params: dict, dloss_ddist: np.ndarray,
+                step: float = 1e-6) -> dict[str, float]:
+    """Central finite differences of the loss by each symbol of ``c``'s
+    gates, in sorted order: (dist(+step) - dist(-step)) @ dloss_ddist /
+    (2 step), each distribution from the public ``simulate`` with that one
+    parameter shifted."""
+    grad = {}
+    for sym in sorted({g.param for g in c.gates if isinstance(g.param, str)}):
+        up, down = (simulate(c, {**params, sym: params[sym] + shift})[0]
+                    for shift in (step, -step))
+        grad[sym] = float((up - down) @ dloss_ddist) / (2 * step)
+    return grad
 
 
 def bce_ddist(dist: np.ndarray, label: int) -> np.ndarray:
