@@ -3,12 +3,12 @@
 Run with:  python3 demos/rewrites_and_filtering.py
 """
 
-from discocirc.compose import compose_document
-from discocirc.frames import dump_element, min_frequency_filter, \
-    sentence_diagram
-from discocirc.ingest import CorefMap, Lexicon, parse_text
-from discocirc.rewrite import builtin_rule, rewrite_tree
-from discocirc.trees import build_trees, dump_tree
+from discocirc.frames import dump_element
+from discocirc.ingest import Lexicon, parse_text
+from discocirc.pipeline import (PipelineConfig, diagrams, removed_mentions,
+                                treeize)
+from discocirc.rewrite import builtin_rule
+from discocirc.trees import dump_tree
 
 TEXT = [
     ["Alice", "bought", "a", "blue", "bike"],
@@ -16,48 +16,27 @@ TEXT = [
     ["She", "enjoys", "her", "groceries"],
 ]
 
-lex = Lexicon.builtin()
-doc = parse_text(TEXT, lex)
+doc = parse_text(TEXT, Lexicon.builtin())
 
 
-def lower(doc, rules=(), removed=frozenset()):
-    diagrams = []
-    for si, d in enumerate(doc.sentences):
-        forest = build_trees(d).forest
-        for rule in rules:
-            forest = [rewrite_tree(root, rule).tree for root in forest]
-        nouns = frozenset(ti for ti, (w, _) in enumerate(d.tokens)
-                          if lex.is_noun(w))
-        remove = frozenset(ti for s, ti in removed if s == si)
-        diagrams.append(sentence_diagram(forest, remove, nouns, si))
-    coref = CorefMap([[m for m in chain if m not in removed]
-                      for chain in doc.corefs.chains
-                      if any(m not in removed for m in chain)])
-    return compose_document(diagrams, coref)
+def show(cfg):
+    td = diagrams(doc, treeize(doc, cfg), cfg)
+    print("states:", [s.word for s in td.states])
+    for layer in td.layers:
+        print(dump_element(layer))
 
 
 print("=== plain lowering ===")
-td = lower(doc)
-print("states:", [s.word for s in td.states])
-for layer in td.layers:
-    print(dump_element(layer))
+show(PipelineConfig())
 
 print("\n=== after determiner + noun_modification rewrites ===")
 rules = [builtin_rule("determiner"), builtin_rule("noun_modification")]
-[root] = build_trees(doc.sentences[0]).forest
-for rule in rules:
-    root = rewrite_tree(root, rule).tree
+cfg = PipelineConfig(rewrites=rules)
+[root] = treeize(doc, cfg)[0].forest
 print(dump_tree(root))
-
-td = lower(doc, rules)
-print("states:", [s.word for s in td.states])
-for layer in td.layers:
-    print(dump_element(layer))
+show(cfg)
 
 print("\n=== dropping chains mentioned fewer than twice ===")
-removed = min_frequency_filter(doc.corefs, 2)
-print("removed mentions:", sorted(removed))
-td = lower(doc, rules, removed)
-print("states:", [s.word for s in td.states])
-for layer in td.layers:
-    print(dump_element(layer))
+cfg = PipelineConfig(rewrites=rules, min_noun_frequency=2)
+print("removed mentions:", sorted(removed_mentions(doc, cfg)))
+show(cfg)

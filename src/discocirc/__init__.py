@@ -3,7 +3,6 @@
 from .grammar import (
     N,
     S,
-    T,
     PregroupDiagram,
     PregroupType,
     SimpleType,

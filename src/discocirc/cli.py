@@ -17,6 +17,7 @@ from .errors import DiscocircError
 from .ingest import (Lexicon, check_tokens, document_to_json,
                      lexicon_parse, read_json, write_text)
 from .pipeline import PipelineConfig, resolve_rewrites, run
+from .rewrite import RULES
 from .sandwich import SandwichConfig
 from .sim import GRADIENT_METHODS, TrainConfig, load_dataset, train
 from .trees import dump_tree, forest_to_json, tree_to_dot
@@ -48,14 +49,15 @@ def _common(*formats):
 
 
 def _rewrites(f):
+    names = ", ".join(["coordination", *RULES])
     return click.option("--rewrites", default="",
                         help="Comma-separated rule names or rule-file paths "
-                             "(coordination, determiner, auxiliary, "
-                             "noun_modification).")(f)
+                             f"({names}).")(f)
 
 
 def _filters(f):
-    f = click.option("--min-noun-frequency", type=int, default=None,
+    f = click.option("--min-noun-frequency", type=click.IntRange(min=1),
+                     default=None,
                      help="Drop chains with fewer mentions than this.")(f)
     f = click.option("--remove-nouns", default="",
                      help="Comma-separated noun words to drop.")(f)
@@ -161,7 +163,7 @@ def _circuit_options(f):
                      help="Give every box occurrence its own parameters.")(f)
     f = click.option("--foliated", is_flag=True,
                      help="Independent sandwich unitaries per layer.")(f)
-    f = click.option("--seed", type=int, default=0)(f)
+    f = click.option("--seed", type=click.IntRange(min=0), default=0)(f)
     f = click.option("--max-qubits", type=click.IntRange(min=1),
                      default=QUBIT_CAP, show_default=True,
                      help="Refuse circuits wider than this (exit 4). The "
@@ -222,7 +224,7 @@ def _finite_rate(ctx, param, value):
               callback=_finite_rate)
 @click.option("--gradient", type=click.Choice(GRADIENT_METHODS),
               default="parameter_shift")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out", type=click.Path(), default=None,
               help="History CSV path (default stdout).")
 @click.option("--params-out", type=click.Path(), default=None,

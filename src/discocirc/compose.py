@@ -49,12 +49,12 @@ class TextDiagram:
         return {s.chain_id: i for i, s in enumerate(self.states)}
 
 
-def compose_document(sentences: list[SentenceDiagram | None],
+def compose_document(sentences: list[SentenceDiagram],
                      coref: CorefMap) -> TextDiagram:
     """Fold sentence diagrams into a document diagram along chains.
 
-    ``None`` entries (sentences emptied by filtering) are skipped.  Every
-    noun state must belong to a chain of ``coref``.
+    A sentence with no nouns (all removed by filtering) is skipped.
+    Every noun state must belong to a chain of ``coref``.
     """
     chain_of = {}
     for ci, chain in enumerate(coref.chains):
@@ -65,9 +65,9 @@ def compose_document(sentences: list[SentenceDiagram | None],
     position: dict[int, int] = {}  # chain id -> introduction position
     layers: list = []
 
-    for sd in sentences:
-        if sd is None:
-            log.info("skipping empty sentence")
+    for si, sd in enumerate(sentences):
+        if not sd.nouns:
+            log.info("sentence %d empty after filtering", si)
             continue
         local: list[tuple[NounState, int]] = []
         for noun in sd.nouns:

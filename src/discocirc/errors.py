@@ -28,10 +28,6 @@ class NoParse(DiscocircError):
     exit_code = 3
 
 
-class EmptySentence(DiscocircError):
-    """All nouns of a sentence were filtered out and no body remains."""
-
-
 class ChainMismatch(DiscocircError):
     """A mention references a coreference chain that does not exist."""
 

@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import EmptySentence
 from .ingest import CorefMap
 from .trees import PregroupTreeNode
 
@@ -147,20 +146,15 @@ def sentence_diagram(forest: list[PregroupTreeNode],
                      remove: frozenset = frozenset(),
                      noun_tokens: frozenset = frozenset(),
                      sentence_index: int = 0) -> SentenceDiagram:
-    """Lower a whole sentence (possibly a forest) to one diagram.
-
-    Raises EmptySentence when filtering leaves nothing behind, signalling
-    the composer to skip the sentence.
-    """
+    """Lower a whole sentence (possibly a forest) to one diagram; a
+    sentence whose nouns were all removed has none, and the composer
+    skips it."""
     bodies, nouns = [], []
     for root in forest:
         el, _ = _lower(root, remove, noun_tokens, sentence_index, nouns)
         if el is not None:
             bodies.append(el)
     nouns.sort(key=lambda n: n.token_index)
-    if not nouns:
-        raise EmptySentence(
-            f"sentence {sentence_index}: nothing left after filtering")
     if not bodies:
         body = Identity(tuple(n.token_index for n in nouns))
     elif len(bodies) == 1:

@@ -69,15 +69,6 @@ class PregroupType(tuple):
     def __new__(cls, factors: Iterable[SimpleType] = ()):
         return tuple.__new__(cls, factors)
 
-    @property
-    def factors(self) -> tuple[SimpleType, ...]:
-        return tuple(self)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PregroupType(tuple.__getitem__(self, i))
-        return tuple.__getitem__(self, i)
-
     def __matmul__(self, other: "PregroupType") -> "PregroupType":
         return PregroupType(tuple.__add__(self, other))
 
@@ -95,25 +86,9 @@ class PregroupType(tuple):
     def __str__(self):
         return "@".join(map(str, self)) if self else "1"
 
-    @staticmethod
-    def parse(text: str) -> "PregroupType":
-        """Parse strings like ``"n.r@s@n.l"`` (``"1"`` is the unit)."""
-        text = text.strip()
-        if text in ("", "1"):
-            return PregroupType()
-        factors = []
-        for part in text.replace(" ", "@").split("@"):
-            if not part:
-                continue
-            bits = part.split(".")
-            z = sum(1 if b == "r" else -1 for b in bits[1:])
-            factors.append(SimpleType(bits[0], z))
-        return PregroupType(factors)
-
 
 N = SimpleType("n")
 S = SimpleType("s")
-T = SimpleType("t")
 
 
 def Ty(*factors: SimpleType) -> PregroupType:

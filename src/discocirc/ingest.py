@@ -15,7 +15,6 @@ import json
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 from .errors import FormatError, InvalidDiagram, NoParse
 from .grammar import (
@@ -142,18 +141,8 @@ def write_text(path, text: str, mode: str = "w") -> None:
         raise FormatError(f"cannot write: {exc.strerror}", str(path)) from None
 
 
-def load_document(source) -> Document:
-    """Load an interchange document from a path, stream or parsed value."""
-    if isinstance(source, (str, Path)):
-        data = read_json(source)
-    elif hasattr(source, "read"):
-        try:
-            data = json.load(source)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from None
-    else:
-        data = source
-
+def load_document(data) -> Document:
+    """Load an interchange document from its parsed JSON value."""
     if not isinstance(data, dict) \
             or not isinstance(data.get("sentences"), (list, tuple)):
         raise FormatError("document must be an object with a 'sentences' list")

@@ -8,13 +8,11 @@ ingest -> trees (with rewrites) -> sentence diagrams -> document diagram
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from .ansatz import (QUBIT_CAP, AnsatzConfig, Circuit, append_merge_box,
                      compile)
 from .compose import TextDiagram, compose_document
-from .errors import EmptySentence
 from .frames import min_frequency_filter, sentence_diagram
 from .ingest import (CorefMap, Document, Lexicon, check_tokens,
                      load_document, parse_text)
@@ -22,8 +20,6 @@ from .rewrite import (RewriteRule, builtin_rule, coordination_rewrite,
                       load_rule, rewrite_tree)
 from .sandwich import SandwichConfig, expand_frames
 from .trees import TreeBuildReport, build_trees
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -52,8 +48,9 @@ def resolve_rewrites(names: list[str], cfg: PipelineConfig) -> None:
 
 
 def ingest(source, lex: Lexicon) -> Document:
-    """Load an interchange document, or parse raw token lists with the
-    mini parser when the input carries 'tokens' instead of 'sentences'."""
+    """Load an interchange document from the parsed JSON value, or parse
+    raw token lists with the mini parser when the value carries 'tokens'
+    instead of 'sentences'."""
     if isinstance(source, dict) and "sentences" not in source \
             and "tokens" in source:
         return parse_text(check_tokens(source["tokens"]), lex,
@@ -130,12 +127,8 @@ def diagrams(doc: Document, reports: list[TreeBuildReport],
             ti for ti, (word, _) in enumerate(sent.tokens)
             if cfg.lexicon.is_noun(word))
         remove = frozenset(removed_in.get(si, ()))
-        try:
-            sd = sentence_diagram(report.forest, remove, noun_tokens, si)
-        except EmptySentence:
-            log.info("sentence %d empty after filtering", si)
-            sd = None
-        sentence_diagrams.append(sd)
+        sentence_diagrams.append(
+            sentence_diagram(report.forest, remove, noun_tokens, si))
     return compose_document(sentence_diagrams, coref)
 
 
@@ -146,7 +139,8 @@ def circuit(td: TextDiagram, cfg: PipelineConfig) -> Circuit:
 
 
 def run(source, cfg: PipelineConfig, stage: str = "circuit"):
-    """Run the pipeline up to ``stage`` and return that stage's artifact."""
+    """Run the pipeline on the parsed JSON value ``source`` up to
+    ``stage`` and return that stage's artifact."""
     doc = ingest(source, cfg.lexicon)
     if stage == "parse":
         return doc

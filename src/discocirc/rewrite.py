@@ -101,39 +101,38 @@ def rewrite_tree(root: PregroupTreeNode, rule: RewriteRule) -> RewriteReport:
     return RewriteReport(tree, total)
 
 
-def builtin_rules() -> list[RewriteRule]:
-    """The stock rules: determiner removal, auxiliary removal and
-    noun-modifier merging."""
-    return [
-        RewriteRule(
-            name="determiner",
-            match_words=frozenset({"a", "an", "the"}),
-            match_types=frozenset({Ty(N)}),
-            word_merger="last",
-            max_depth=1,
-        ),
-        RewriteRule(
-            name="auxiliary",
-            match_words=frozenset({"has", "does", "is", "was", "had", "will"}),
-            match_types=frozenset({Ty(S)}),
-            word_merger="last",
-            max_depth=1,
-        ),
-        RewriteRule(
-            name="noun_modification",
-            match_words=None,
-            match_types=frozenset({Ty(N)}),
-            word_merger="merge",
-            max_depth=2,
-        ),
-    ]
+# the stock rules by name: determiner removal, auxiliary removal and
+# noun-modifier merging
+RULES = {rule.name: rule for rule in (
+    RewriteRule(
+        name="determiner",
+        match_words=frozenset({"a", "an", "the"}),
+        match_types=frozenset({Ty(N)}),
+        word_merger="last",
+        max_depth=1,
+    ),
+    RewriteRule(
+        name="auxiliary",
+        match_words=frozenset({"has", "does", "is", "was", "had", "will"}),
+        match_types=frozenset({Ty(S)}),
+        word_merger="last",
+        max_depth=1,
+    ),
+    RewriteRule(
+        name="noun_modification",
+        match_words=None,
+        match_types=frozenset({Ty(N)}),
+        word_merger="merge",
+        max_depth=2,
+    ),
+)}
 
 
 def builtin_rule(name: str) -> RewriteRule:
-    for rule in builtin_rules():
-        if rule.name == name:
-            return rule
-    raise KeyError(f"no builtin rule named {name!r}")
+    try:
+        return RULES[name]
+    except KeyError:
+        raise KeyError(f"no builtin rule named {name!r}") from None
 
 
 def load_rule(path) -> RewriteRule:

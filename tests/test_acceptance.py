@@ -19,7 +19,8 @@ from discocirc.ansatz import (AnsatzConfig, Circuit, append_merge_box,
 from discocirc.compose import compose_document, wire_box_sequences
 from discocirc.frames import (Box, Perm, Spider, iter_boxes,
                               min_frequency_filter, sentence_diagram)
-from discocirc.ingest import CorefMap, Lexicon, load_document, parse_text
+from discocirc.ingest import (CorefMap, Lexicon, load_document, parse_text,
+                              read_json)
 from discocirc.pipeline import PipelineConfig, diagrams, treeize
 from discocirc.rewrite import builtin_rule, rewrite_tree
 from discocirc.sandwich import SandwichConfig, expand_frames
@@ -63,10 +64,10 @@ def assert_round_trip(diagram):
 
 def test_1_grammar_round_trip_corpus_and_random():
     start = time.monotonic()
-    corpus = load_document(f"{FIXTURES}/corpus.json")
+    corpus = load_document(read_json(f"{FIXTURES}/corpus.json"))
     fixtures = list(corpus.sentences)
     for extra in ("reading.json", "hard_reading.json", "bike_rewrites.json"):
-        fixtures += load_document(f"{FIXTURES}/{extra}").sentences
+        fixtures += load_document(read_json(f"{FIXTURES}/{extra}")).sentences
     assert len(fixtures) >= 30
     for diagram in fixtures:
         assert_round_trip(diagram)
@@ -78,7 +79,7 @@ def test_1_grammar_round_trip_corpus_and_random():
 
 
 def test_2_loop_breaking_removes_hard_read_cup():
-    doc = load_document(f"{FIXTURES}/hard_reading.json")
+    doc = load_document(read_json(f"{FIXTURES}/hard_reading.json"))
     report = build_trees(doc.sentences[0])
     [removed] = report.removed_cups
     d = doc.sentences[0]
@@ -87,7 +88,7 @@ def test_2_loop_breaking_removes_hard_read_cup():
 
 
 def test_3_composition_matches_golden(lex):
-    doc = load_document(f"{FIXTURES}/treasure_hunt.json")
+    doc = load_document(read_json(f"{FIXTURES}/treasure_hunt.json"))
     td = lower_document(doc, lex)
     assert len(td.states) == 4
     with open(f"{FIXTURES}/treasure_hunt_wires.golden.json",
@@ -97,7 +98,7 @@ def test_3_composition_matches_golden(lex):
 
 
 def test_4_rewrites_remove_articles_and_merge_modifiers(lex):
-    doc = load_document(f"{FIXTURES}/bike_rewrites.json")
+    doc = load_document(read_json(f"{FIXTURES}/bike_rewrites.json"))
     assert len(doc.corefs.chains) == 3
     rules = (builtin_rule("determiner"), builtin_rule("noun_modification"))
     td = lower_document(doc, lex, rules)
@@ -109,7 +110,7 @@ def test_4_rewrites_remove_articles_and_merge_modifiers(lex):
 
 
 def test_5_min_frequency_filter_oracle_equivalence(lex):
-    doc = load_document(f"{FIXTURES}/bike_pruning.json")
+    doc = load_document(read_json(f"{FIXTURES}/bike_pruning.json"))
     removed = min_frequency_filter(doc.corefs, 2)
     removed_words = {doc.sentences[si].words[ti] for si, ti in removed}
     assert removed_words == {"basket", "groceries"}
@@ -125,7 +126,7 @@ def test_5_min_frequency_filter_oracle_equivalence(lex):
 
 def test_6_sandwich_counts(lex):
     start = time.monotonic()
-    doc = load_document(f"{FIXTURES}/bike_rewrites.json")
+    doc = load_document(read_json(f"{FIXTURES}/bike_rewrites.json"))
     td = lower_document(doc, lex)  # "a" frames contain modifier circuits
     before_wires = len(td.states)
 
@@ -195,7 +196,7 @@ def test_9_gradient_methods_agree(lex):
     rng = np.random.default_rng(9)
     fixtures = ["reading.json", "treasure_hunt.json", "bike_rewrites.json"]
     for name in fixtures:
-        doc = load_document(f"{FIXTURES}/{name}")
+        doc = load_document(read_json(f"{FIXTURES}/{name}"))
         for kind in ("iqp", "sim4"):
             td = lower_document(doc, lex)
             td = append_merge_box(expand_frames(td,

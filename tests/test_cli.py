@@ -317,6 +317,21 @@ def test_count_options_reject_zero(runner, option):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["diagram", "--min-noun-frequency", "-1"],
+    ["diagram", "--min-noun-frequency", "0"],
+    ["circuit", "--min-noun-frequency", "0"],
+    ["circuit", "--seed", "-1"]], ids=["diagram-min-noun-frequency--1",
+                                       "diagram-min-noun-frequency-0",
+                                       "circuit-min-noun-frequency-0",
+                                       "circuit-seed--1"])
+def test_integer_options_below_their_floor_are_usage_errors(runner, args):
+    result = runner.invoke(main, args + ["--input",
+                                         f"{FIXTURES}/reading.json"])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value" in result.output and args[1] in result.output
+
+
 def test_no_parse_exit_code(runner, tmp_path):
     path = tmp_path / "raw.json"
     path.write_text(json.dumps({"tokens": [["Alice", "Alice"]]}),
@@ -530,6 +545,15 @@ def test_circuit_ansatz_choices_are_the_compilers():
     assert tuple(option.type.choices) == tuple(BLOCKS)
 
 
+def test_rewrites_help_names_the_builtin_rules():
+    from discocirc.rewrite import RULES
+    for command in ("tree", "diagram", "circuit"):
+        [option] = [p for p in main.commands[command].params
+                    if p.name == "rewrites"]
+        names = re.search(r"\((.*)\)", option.help).group(1)
+        assert names.split(", ") == ["coordination", *RULES]
+
+
 def test_train_refuses_an_empty_dataset(runner, tmp_path):
     dataset = tmp_path / "empty.jsonl"
     dataset.write_text("")
@@ -587,7 +611,8 @@ def test_raw_tokens_that_are_no_token_lists_exit_code(runner, tmp_path,
 
 @pytest.mark.parametrize("option,value", [
     ("--epochs", "0"), ("--batch-size", "0"), ("--learning-rate", "nan"),
-    ("--learning-rate", "inf"), ("--learning-rate", "-0.1")])
+    ("--learning-rate", "inf"), ("--learning-rate", "-0.1"),
+    ("--seed", "-1")])
 def test_train_rejects_bad_options(runner, tmp_path, option, value):
     dataset = write_dataset(runner, tmp_path)
     result = runner.invoke(main, ["train", "--input", str(dataset),

@@ -23,7 +23,7 @@ def lex():
 
 
 def document_diagram(path, lex):
-    doc = load_document(f"{FIXTURES}/{path}")
+    doc = load_document(read_json(f"{FIXTURES}/{path}"))
     diagrams = []
     for si, d in enumerate(doc.sentences):
         noun_tokens = frozenset(
@@ -82,14 +82,18 @@ def test_unchained_noun_rejected():
         compose_document([sd], CorefMap([]))
 
 
-def test_empty_sentences_skipped(lex):
-    doc = load_document(f"{FIXTURES}/reading.json")
+def test_empty_sentences_skipped(lex, caplog):
+    doc = load_document(read_json(f"{FIXTURES}/reading.json"))
     d = doc.sentences[0]
     noun_tokens = frozenset(
         ti for ti, (w, _) in enumerate(d.tokens) if lex.is_noun(w))
     sd = sentence_diagram(build_trees(d).forest, frozenset(), noun_tokens, 0)
-    td = compose_document([None, sd, None], doc.corefs)
+    empty = SentenceDiagram([], Identity(()))
+    with caplog.at_level("INFO", logger="discocirc.compose"):
+        td = compose_document([empty, sd, empty], doc.corefs)
     assert len(td.states) == 2
+    assert caplog.messages == ["sentence 0 empty after filtering",
+                               "sentence 2 empty after filtering"]
 
 
 def test_unchained_nouns_get_their_own_wires(lex):

@@ -3,15 +3,15 @@ import json
 import pytest
 
 from discocirc.errors import FormatError
-from discocirc.grammar import PregroupType
-from discocirc.ingest import Lexicon, load_document, parse_text
-from discocirc.rewrite import (RewriteRule, builtin_rule, builtin_rules,
+from discocirc.ingest import Lexicon, load_document, parse_text, read_json
+from discocirc.rewrite import (RULES, RewriteRule, builtin_rule,
                                coordination_rewrite, load_rule, rewrite_tree)
 from discocirc.trees import PregroupTreeNode, build_trees
+from util import parse_type
 
 FIXTURES = "tests/fixtures"
 
-N_TYPE = PregroupType.parse("n")
+N_TYPE = parse_type("n")
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,7 @@ def test_original_tree_untouched():
 
 def test_rewrite_shares_every_subtree_off_the_merged_path():
     # "Alice bought a blue bike": only the article merges with its child
-    doc = load_document(f"{FIXTURES}/bike_rewrites.json")
+    doc = load_document(read_json(f"{FIXTURES}/bike_rewrites.json"))
     [root] = build_trees(doc.sentences[0]).forest
     report = rewrite_tree(root, builtin_rule("determiner"))
     assert report.merges == 1
@@ -95,8 +95,8 @@ def test_bad_rule_configs():
 
 
 def test_builtin_rules_cover_spec_set():
-    names = {r.name for r in builtin_rules()}
-    assert names == {"determiner", "auxiliary", "noun_modification"}
+    assert set(RULES) == {"determiner", "auxiliary", "noun_modification"}
+    assert all(builtin_rule(name).name == name for name in RULES)
     with pytest.raises(KeyError):
         builtin_rule("nope")
 
@@ -124,7 +124,7 @@ def test_load_rule_rejects_garbage(tmp_path):
 
 
 def test_rewrites_on_parsed_sentence(lex):
-    doc = load_document(f"{FIXTURES}/bike_rewrites.json")
+    doc = load_document(read_json(f"{FIXTURES}/bike_rewrites.json"))
     [root] = build_trees(doc.sentences[0]).forest
     after_det = rewrite_tree(root, builtin_rule("determiner")).tree
     words = [n.word for n in after_det.walk()]
@@ -136,7 +136,7 @@ def test_rewrites_on_parsed_sentence(lex):
 
 
 def test_coordination_splits_shared_subject(lex):
-    doc = load_document(f"{FIXTURES}/music_piano.json")
+    doc = load_document(read_json(f"{FIXTURES}/music_piano.json"))
     parts, coref = coordination_rewrite(doc.sentences[0], doc.corefs, 0)
     assert len(parts) == 2
     assert parts[0].words == ("Alice", "loves", "music")
@@ -149,7 +149,7 @@ def test_coordination_splits_shared_subject(lex):
 
 
 def test_coordination_renumbers_later_sentences(lex):
-    doc = load_document(f"{FIXTURES}/music_piano.json")
+    doc = load_document(read_json(f"{FIXTURES}/music_piano.json"))
     coref = doc.corefs
     coref.chains.append([(1, 0)])  # pretend there is a later sentence
     _, new_coref = coordination_rewrite(doc.sentences[0], coref, 0)
@@ -157,7 +157,7 @@ def test_coordination_renumbers_later_sentences(lex):
 
 
 def test_sentence_without_conjunction_passes_through(lex):
-    doc = load_document(f"{FIXTURES}/reading.json")
+    doc = load_document(read_json(f"{FIXTURES}/reading.json"))
     parts, coref = coordination_rewrite(doc.sentences[0], doc.corefs, 0)
     assert parts == [doc.sentences[0]]
     assert coref is doc.corefs

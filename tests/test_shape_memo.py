@@ -20,7 +20,8 @@ from discocirc.compose import text_diagram_to_json
 from discocirc.errors import InvalidDiagram, NoParse
 from discocirc.grammar import PregroupDiagram, PregroupType, SimpleType
 from discocirc.ingest import (CorefMap, Document, Lexicon, lexicon_parse,
-                              load_document, parse_text, resolve_pronouns)
+                              load_document, parse_text, read_json,
+                              resolve_pronouns)
 from discocirc.pipeline import (PipelineConfig, apply_coordination, circuit,
                                 diagrams, ingest as ingest_source,
                                 resolve_rewrites, treeize)
@@ -28,8 +29,8 @@ from discocirc.rewrite import builtin_rule, rewrite_tree
 from discocirc.sandwich import SandwichConfig
 from discocirc.trees import PregroupTreeNode, build_trees, forest_to_json
 from test_snapshots import CONFIGS, STORY_SEEDS, pronoun_story
-from util import (chain_document, entity_document, random_loopy_diagram,
-                  topic_dataset)
+from util import (chain_document, entity_document, parse_type,
+                  random_loopy_diagram, topic_dataset)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOCUMENTS = ["bike_pruning", "bike_rewrites", "corpus", "hard_reading",
@@ -74,7 +75,7 @@ def token_documents(lex) -> list[list[list[str]]]:
     with words swapped for others of the same lexicon entries."""
     docs = []
     for name in DOCUMENTS:
-        doc = load_document(FIXTURES / f"{name}.json")
+        doc = load_document(read_json(FIXTURES / f"{name}.json"))
         docs.append([list(d.words) for d in doc.sentences
                      if parses(list(d.words), lex)])
     rng = random.Random(5)
@@ -123,7 +124,7 @@ def loopy_documents() -> list[Document]:
 def tree_documents(lex) -> list[Document]:
     docs = []
     for name in DOCUMENTS:
-        doc = load_document(FIXTURES / f"{name}.json")
+        doc = load_document(read_json(FIXTURES / f"{name}.json"))
         docs.append(doc)
         docs.append(apply_coordination(
             doc, PipelineConfig(lexicon=lex, coordination=True)))
@@ -209,7 +210,7 @@ def pipeline_cases() -> list[tuple]:
     cases = []
     for name in DOCUMENTS:
         for rules in RULE_SETS + [("coordination",)]:
-            cases.append((str(FIXTURES / f"{name}.json"), rules, "sim4",
+            cases.append((read_json(FIXTURES / f"{name}.json"), rules, "sim4",
                           "shared"))
     for seed in STORY_SEEDS:
         for kind, mode in CONFIGS:
@@ -324,7 +325,7 @@ def test_mutating_one_report_leaves_the_others(lex, names):
 
 
 def test_replaced_entries_give_the_new_parse():
-    ty = PregroupType.parse
+    ty = parse_type
     lex = Lexicon({"a": [[["n", 0]]], "v": [[["n", 1], ["s", 0]]],
                    "b": [[["n", 0]]]})
     tokens = ["a", "v", "b"]

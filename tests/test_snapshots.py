@@ -22,7 +22,7 @@ import pytest
 from discocirc.ansatz import AnsatzConfig
 from discocirc.compose import TextDiagram, compose_document
 from discocirc.frames import Box, Frame, NounState, SentenceDiagram, Spider
-from discocirc.ingest import CorefMap
+from discocirc.ingest import CorefMap, read_json
 from discocirc.pipeline import (PipelineConfig, apply_coordination, circuit,
                                 diagrams, ingest, resolve_rewrites, treeize)
 from discocirc.sandwich import SandwichConfig
@@ -101,9 +101,9 @@ def sources() -> dict[str, tuple]:
     """Case name -> (rewrite names, text diagram builder)."""
     out = {}
     for name, rules in DOCUMENTS:
-        path = str(FIXTURES / f"{name}.json")
+        raw = read_json(FIXTURES / f"{name}.json")
         out["+".join((name,) + rules)] = (
-            rules, partial(document_diagram, path))
+            rules, partial(document_diagram, raw))
     for seed in STORY_SEEDS:
         out[f"story{seed}"] = (
             (), partial(document_diagram, {"tokens": pronoun_story(seed)}))

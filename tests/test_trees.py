@@ -3,12 +3,12 @@ import random
 import pytest
 
 from discocirc.grammar import PregroupDiagram, PregroupType, Ty, N
-from discocirc.ingest import load_document
+from discocirc.ingest import load_document, read_json
 from discocirc.trees import (build_trees, compound_type, dump_tree,
                              find_heads, forest_to_json, tree_to_dot)
-from util import random_diagram, random_loopy_diagram
+from util import parse_type, random_diagram, random_loopy_diagram
 
-TRANSITIVE = PregroupType.parse("n.r@s@n.l")
+TRANSITIVE = parse_type("n.r@s@n.l")
 FIXTURES = "tests/fixtures"
 
 
@@ -34,8 +34,8 @@ def test_transitive_tree_shape():
 
 def test_determiner_phrase_tree():
     d = PregroupDiagram(
-        [("the", PregroupType.parse("n@n.l")), ("man", Ty(N)),
-         ("runs", PregroupType.parse("n.r@s"))],
+        [("the", parse_type("n@n.l")), ("man", Ty(N)),
+         ("runs", parse_type("n.r@s"))],
         [(1, 2), (0, 3)])
     [root] = build_trees(d).forest
     assert root.word == "runs"
@@ -53,7 +53,7 @@ def test_compound_type_recovers_lexical_types():
 
 
 def test_loop_breaking_removes_longer_cup():
-    doc = load_document(f"{FIXTURES}/hard_reading.json")
+    doc = load_document(read_json(f"{FIXTURES}/hard_reading.json"))
     report = build_trees(doc.sentences[0])
     assert report.removed_cups == [(5, 10)]
     [root] = report.forest
@@ -119,7 +119,7 @@ def test_dot_and_json_dumps():
 
 def diagram_of(tokens, cups):
     return PregroupDiagram(
-        [(w, PregroupType.parse(ty)) for w, ty in tokens], cups)
+        [(w, parse_type(ty)) for w, ty in tokens], cups)
 
 
 def shape(node):

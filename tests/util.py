@@ -16,6 +16,7 @@ sample-by-sample one for its trainer (with its own ``bce_ddist``),
 and ``replay`` replays a text diagram's layers, through the wires each
 touches (``element_wires``), to recover its wire order.
 ``block_symbol_count`` is the closed-form symbol count of an ansatz block.
+``parse_type`` reads a pregroup type from its printed form.
 """
 
 from __future__ import annotations
@@ -34,6 +35,21 @@ from discocirc.ingest import CorefMap, Document, Lexicon, Mention
 from discocirc.sim import (EPS, _SHIFTS, History, _forward, _prepare, bce,
                            gate_matrix, gradient, simulate)
 from discocirc.trees import PregroupTreeNode, compound_type
+
+
+def parse_type(text: str) -> PregroupType:
+    """Parse strings like ``"n.r@s@n.l"`` (``"1"`` is the unit)."""
+    text = text.strip()
+    if text in ("", "1"):
+        return PregroupType()
+    factors = []
+    for part in text.replace(" ", "@").split("@"):
+        if not part:
+            continue
+        bits = part.split(".")
+        z = sum(1 if b == "r" else -1 for b in bits[1:])
+        factors.append(SimpleType(bits[0], z))
+    return PregroupType(factors)
 
 
 def random_tree(rng: random.Random, n_tokens: int) -> PregroupTreeNode:
