@@ -10,7 +10,6 @@ sentence wire.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -138,35 +137,6 @@ class PregroupDiagram:
     def words(self) -> tuple[str, ...]:
         return tuple(w for w, _ in self.tokens)
 
-    @property
-    def n_wires(self) -> int:
-        return len(self.wire_types)
-
-    def token_of_wire(self, offset: int) -> int:
-        """Index of the token owning a global wire offset."""
-        if not 0 <= offset < len(self.wire_owners):
-            raise IndexError(f"wire offset {offset} out of range")
-        return self.wire_owners[offset]
-
-    def wires_of_token(self, index: int) -> range:
-        width = len(self.tokens[index][1])
-        # a negative index counts from the end, as for the tokens
-        start = bisect_left(self.wire_owners, index % len(self.tokens))
-        return range(start, start + width)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Fault lists plus the free-wire type sequence of a diagram."""
-
-    illegal_cups: tuple[tuple[int, int], ...]
-    crossing_pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    free_types: PregroupType
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.illegal_cups and not self.crossing_pairs
-
 
 def _crossing_free(cups) -> bool:
     """True iff no two cups cross, i.e. no ``(i, j), (k, l)`` with
@@ -187,10 +157,10 @@ def _crossing_free(cups) -> bool:
     return True
 
 
-def validate_diagram(d: PregroupDiagram) -> ValidationReport:
-    """Check every cup for legality and the cups for crossings; only a
-    diagram with a crossing has its cup pairs checked one by one, to
-    list them."""
+def validate_diagram(d: PregroupDiagram) -> None:
+    """Raise InvalidDiagram unless every cup is legal and no two cups
+    cross; only a diagram with a crossing has its cup pairs checked one
+    by one, to list them."""
     wires = d.wire_types
     illegal = []
     seen: dict[int, tuple[int, int]] = {}
@@ -211,15 +181,6 @@ def validate_diagram(d: PregroupDiagram) -> ValidationReport:
                 (i, j), (k, l) = cups[a], cups[b]
                 if i < k < j < l or k < i < l < j:
                     crossings.append((cups[a], cups[b]))
-    free = PregroupType(wires[w] for w in d.free_wires)
-    return ValidationReport(tuple(illegal), tuple(crossings), free)
-
-
-def reduce(d: PregroupDiagram) -> PregroupType:
-    """Free-wire types of a valid diagram; ``[s]`` means grammatical."""
-    report = validate_diagram(d)
-    if not report.is_valid:
+    if illegal or crossings:
         raise InvalidDiagram(
-            f"illegal cups: {report.illegal_cups}, "
-            f"crossings: {report.crossing_pairs}")
-    return report.free_types
+            f"illegal cups {tuple(illegal)}, crossings {tuple(crossings)}")

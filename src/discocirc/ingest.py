@@ -164,11 +164,10 @@ def load_document(data) -> Document:
             [(w, _type_from_json(t, f"{where}.types[{i}]"))
              for i, (w, t) in enumerate(zip(tokens, types))],
             cups)
-        report = validate_diagram(diagram)
-        if not report.is_valid:
-            raise InvalidDiagram(
-                f"sentence {si}: illegal cups {report.illegal_cups}, "
-                f"crossings {report.crossing_pairs}")
+        try:
+            validate_diagram(diagram)
+        except InvalidDiagram as exc:
+            raise InvalidDiagram(f"sentence {si}: {exc}") from None
         sentences.append(diagram)
 
     corefs = data.get("corefs", [])

@@ -180,15 +180,15 @@ def coordination_rewrite(
     if len(conjs) != 1:
         return [d], coref
     ci = conjs[0]
-    conj_wires = list(d.wires_of_token(ci))
     left_tokens = d.tokens[:ci]
     right_tokens = d.tokens[ci + 1:]
     if not left_tokens or not right_tokens:
         return [d], coref
 
-    n_left_wires = conj_wires[0]
-    right_start = conj_wires[-1] + 1
+    owner = d.wire_owners
     wire_types = d.wire_types
+    n_left_wires = owner.index(ci)
+    right_start = n_left_wires + len(d.tokens[ci][1])
 
     left_cups, right_cups = [], []
     for i, j in d.cups:
@@ -196,7 +196,7 @@ def coordination_rewrite(
             left_cups.append((i, j))
         elif i >= right_start:
             right_cups.append((i - right_start, j - right_start))
-        elif i in conj_wires or j in conj_wires:
+        elif owner[i] == ci or owner[j] == ci:
             continue  # the conjunction's own hooks
         else:
             return [d], coref  # a cup straddles the conjunction: no match
@@ -206,7 +206,7 @@ def coordination_rewrite(
     subject = None
     for i, j in sorted(left_cups):
         if wire_types[i].z == 0 and wire_types[j].z == 1:
-            subject = d.token_of_wire(i)
+            subject = owner[i]
             break
     if subject is None:
         return [d], coref
@@ -215,7 +215,7 @@ def coordination_rewrite(
     # the right phrase must expose exactly one dangling right adjoint
     # (the missing subject slot) besides its own output
     cupped = {w for cup in right_cups for w in cup}
-    dangling = [w for w in range(right_start, d.n_wires)
+    dangling = [w for w in range(right_start, len(wire_types))
                 if (w - right_start) not in cupped
                 and wire_types[w].z == 1]
     if len(dangling) != 1:

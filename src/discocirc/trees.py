@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .grammar import PregroupDiagram, PregroupType, reduce
+from .grammar import PregroupDiagram, PregroupType, validate_diagram
 
 TREE_MEMO_SIZE = 1024  # (types, cups) shapes whose forest is kept
 
@@ -42,12 +42,6 @@ class PregroupTreeNode(NamedTuple):
 class TreeBuildReport:
     forest: list[PregroupTreeNode]
     removed_cups: list[tuple[int, int]]
-
-
-def find_heads(d: PregroupDiagram) -> list[int]:
-    """Token indices owning at least one free wire, in sentence order."""
-    owner = d.wire_owners
-    return sorted({owner[w] for w in d.free_wires})
 
 
 def build_trees(d: PregroupDiagram) -> TreeBuildReport:
@@ -88,7 +82,7 @@ def _shape_trees(types, cups) -> TreeBuildReport:
 
 def _build(d: PregroupDiagram) -> TreeBuildReport:
     """``build_trees`` without the memo: ``d``'s report, with its words."""
-    reduce(d)  # raises InvalidDiagram
+    validate_diagram(d)
 
     wire_types = d.wire_types
     owner = d.wire_owners
@@ -101,7 +95,7 @@ def _build(d: PregroupDiagram) -> TreeBuildReport:
             runs.append([(i, j)])
 
     free = d.free_wires
-    heads = find_heads(d)
+    heads = sorted({owner[w] for w in free})
     parent = list(range(len(d.tokens)))
     for h in heads:
         parent[h] = heads[0]

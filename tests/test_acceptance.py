@@ -28,7 +28,7 @@ from discocirc.sim import TrainConfig, gradient, train
 from discocirc.trees import build_trees, compound_type
 from util import (block_symbol_count, circuit_unitary,
                   classification_dataset, fd_gradient, random_diagram,
-                  wire_order)
+                  wire_order, wires_of)
 
 FIXTURES = "tests/fixtures"
 
@@ -55,7 +55,7 @@ def assert_round_trip(diagram):
     removed = {w for cup in report.removed_cups for w in cup}
     for root in report.forest:
         for node in root.walk():
-            wires = set(diagram.wires_of_token(node.token_index))
+            wires = set(wires_of(diagram, node.token_index))
             if wires & removed:
                 continue  # modulo removed loop cups
             assert compound_type(node) == \
@@ -83,7 +83,7 @@ def test_2_loop_breaking_removes_hard_read_cup():
     report = build_trees(doc.sentences[0])
     [removed] = report.removed_cups
     d = doc.sentences[0]
-    endpoints = {d.words[d.token_of_wire(w)] for w in removed}
+    endpoints = {d.words[d.wire_owners[w]] for w in removed}
     assert endpoints == {"hard", "read"}
 
 

@@ -1,6 +1,7 @@
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 
@@ -10,10 +11,10 @@ from hypothesis import given, strategies as st
 from discocirc import grammar
 from discocirc.errors import InvalidDiagram
 from discocirc.grammar import (N, PregroupDiagram, PregroupType, S,
-                               SimpleType, Ty, can_contract, reduce,
+                               SimpleType, Ty, can_contract,
                                validate_diagram)
-from util import (parse_type, random_diagram, random_loopy_diagram,
-                  validate_diagram_oracle)
+from util import (free_types, parse_type, random_diagram,
+                  random_loopy_diagram, validate_diagram_oracle, wires_of)
 
 simple_types = st.builds(
     SimpleType,
@@ -90,7 +91,9 @@ def alice_reads_books():
 
 
 def test_sentence_reduces_to_s():
-    assert str(reduce(alice_reads_books())) == "s"
+    d = alice_reads_books()
+    assert validate_diagram(d) is None
+    assert str(free_types(d)) == "s"
 
 
 def test_free_wires():
@@ -99,35 +102,36 @@ def test_free_wires():
 
 def test_wire_ownership():
     d = alice_reads_books()
-    assert d.token_of_wire(0) == 0
-    assert d.token_of_wire(2) == 1
-    assert list(d.wires_of_token(1)) == [1, 2, 3]
+    assert d.wire_owners[0] == 0
+    assert d.wire_owners[2] == 1
+    assert wires_of(d, 1) == [1, 2, 3]
 
 
 def test_illegal_cup_reported():
     d = PregroupDiagram(
         [("Alice", Ty(N)), ("reads", TRANSITIVE), ("books", Ty(N))],
         [(0, 2), (3, 4)])  # n against s cannot contract
-    report = validate_diagram(d)
-    assert (0, 2) in report.illegal_cups
-    with pytest.raises(InvalidDiagram):
-        reduce(d)
+    with pytest.raises(InvalidDiagram, match=re.escape(
+            "illegal cups ((0, 2),), crossings ()")):
+        validate_diagram(d)
 
 
 def test_crossing_cups_reported():
     d = PregroupDiagram(
         [("a", Ty(N, N)), ("b", Ty(N.r, N.r))],
         [(0, 2), (1, 3)])
-    report = validate_diagram(d)
-    assert report.crossing_pairs
+    with pytest.raises(InvalidDiagram, match=re.escape(
+            "illegal cups (), crossings (((0, 2), (1, 3)),)")):
+        validate_diagram(d)
 
 
 def test_duplicate_wire_rejected():
     d = PregroupDiagram(
         [("a", Ty(N)), ("b", Ty(N.r, N.r)), ("c", Ty(N))],
         [(0, 1), (0, 2)])
-    report = validate_diagram(d)
-    assert report.illegal_cups
+    with pytest.raises(InvalidDiagram, match=re.escape(
+            "illegal cups ((0, 2),), crossings ()")):
+        validate_diagram(d)
 
 
 def test_cups_stored_canonically():
@@ -139,7 +143,7 @@ def test_wire_layout_is_stored_but_not_compared():
     d = alice_reads_books()
     assert d.wire_types == (N, N.r, S, N.l, N)
     assert d.wire_owners == (0, 1, 1, 1, 2)
-    assert d.free_wires == (2,) and d.n_wires == 5
+    assert d.free_wires == (2,) and len(d.wire_types) == 5
     same = PregroupDiagram(list(d.tokens), [(4, 3), (1, 0)])
     assert same == d and hash(same) == hash(d) and same in [d]
     assert repr(same) == repr(d)
@@ -147,20 +151,11 @@ def test_wire_layout_is_stored_but_not_compared():
         assert name not in repr(d)
     other = PregroupDiagram(list(d.tokens), [(0, 1)])
     assert other != d and other.free_wires == (2, 3, 4)
-
-
-def test_wire_offsets_out_of_range_and_empty_tokens():
-    d = PregroupDiagram([("a", Ty(N)), ("e", Ty()), ("b", Ty(N.r, S))],
-                        [(0, 1)])
-    assert [d.token_of_wire(w) for w in range(d.n_wires)] == [0, 2, 2]
-    for offset in (-1, 3):
-        with pytest.raises(IndexError):
-            d.token_of_wire(offset)
-    assert [list(d.wires_of_token(t)) for t in range(3)] == \
-        [[0], [], [1, 2]]
-    assert list(d.wires_of_token(-1)) == [1, 2]
-    with pytest.raises(IndexError):
-        d.wires_of_token(3)
+    # a token of empty type owns no wire
+    empty = PregroupDiagram(
+        [("a", Ty(N)), ("e", Ty()), ("b", Ty(N.r, S))], [(0, 1)])
+    assert empty.wire_owners == (0, 2, 2)
+    assert [wires_of(empty, t) for t in range(3)] == [[0], [], [1, 2]]
 
 
 def random_cup_set(rng: random.Random) -> PregroupDiagram:
@@ -191,11 +186,17 @@ def test_crossing_check_matches_pairwise_oracle():
         cases.append(random_cup_set(rng))
     crossing = illegal = 0
     for d in cases:
-        want = validate_diagram_oracle(d)
-        assert validate_diagram(d) == want
-        assert grammar._crossing_free(d.cups) == (not want.crossing_pairs)
-        crossing += bool(want.crossing_pairs)
-        illegal += bool(want.illegal_cups)
+        illegal_cups, crossing_pairs = validate_diagram_oracle(d)
+        if illegal_cups or crossing_pairs:
+            with pytest.raises(InvalidDiagram) as raised:
+                validate_diagram(d)
+            assert str(raised.value) == (f"illegal cups {illegal_cups}, "
+                                         f"crossings {crossing_pairs}")
+        else:
+            assert validate_diagram(d) is None
+        assert grammar._crossing_free(d.cups) == (not crossing_pairs)
+        crossing += bool(crossing_pairs)
+        illegal += bool(illegal_cups)
     assert crossing >= 300 and illegal >= 300
     assert len(cases) - crossing >= 3000
 

@@ -5,8 +5,8 @@ import pytest
 from discocirc.grammar import PregroupDiagram, PregroupType, Ty, N
 from discocirc.ingest import load_document, read_json
 from discocirc.trees import (build_trees, compound_type, dump_tree,
-                             find_heads, forest_to_json, tree_to_dot)
-from util import parse_type, random_diagram, random_loopy_diagram
+                             forest_to_json, tree_to_dot)
+from util import parse_type, random_diagram, random_loopy_diagram, wires_of
 
 TRANSITIVE = parse_type("n.r@s@n.l")
 FIXTURES = "tests/fixtures"
@@ -19,7 +19,9 @@ def transitive_sentence():
 
 
 def test_head_is_free_wire_owner():
-    assert find_heads(transitive_sentence()) == [1]
+    d = transitive_sentence()
+    [root] = build_trees(d).forest
+    assert [d.wire_owners[w] for w in d.free_wires] == [root.token_index]
 
 
 def test_transitive_tree_shape():
@@ -87,7 +89,7 @@ def test_random_round_trip_small():
             for node in root.walk():
                 recovered = compound_type(node)
                 if any(w in removed
-                       for w in diagram.wires_of_token(node.token_index)):
+                       for w in wires_of(diagram, node.token_index)):
                     continue
                 assert recovered == diagram.tokens[node.token_index][1]
 
@@ -159,7 +161,7 @@ def test_second_run_to_a_child_closes_a_cycle():
 
 def cup_runs(d):
     """Each cup's run, named by the run's outermost cup."""
-    owner = [d.token_of_wire(w) for w in range(d.n_wires)]
+    owner = d.wire_owners
     run_of = {}
     for i, j in d.cups:
         prev = (i - 1, j + 1)
@@ -172,8 +174,8 @@ def cup_runs(d):
 def check_spanning_forest(d, report, seen):
     """The forest is the spanning forest the docstring of ``build_trees``
     describes; ``seen`` counts which shapes of diagram were checked."""
-    owner = [d.token_of_wire(w) for w in range(d.n_wires)]
-    heads = set(find_heads(d))
+    owner = d.wire_owners
+    heads = {owner[w] for w in d.free_wires}
     run_of = cup_runs(d)
 
     def key(run):
@@ -246,7 +248,7 @@ def check_spanning_forest(d, report, seen):
         gone = {w for c in removed for w in c}
         for node in nodes:
             assert compound_type(node) == PregroupType(
-                d.wire_types[w] for w in d.wires_of_token(node.token_index)
+                d.wire_types[w] for w in wires_of(d, node.token_index)
                 if w not in gone)
 
 

@@ -13,7 +13,8 @@ both exact gradients, from ``simulate`` alone, ``train_oracle`` the
 sample-by-sample one for its trainer (with its own ``bce_ddist``),
 ``resolve_pronouns_oracle`` the back-scan one for the pronoun resolver,
 ``validate_diagram_oracle`` the pairwise one for the crossing check,
-and ``replay`` replays a text diagram's layers, through the wires each
+``free_types`` and ``wires_of`` read a diagram's free-wire types and a
+token's wires, and ``replay`` replays a text diagram's layers, through the wires each
 touches (``element_wires``), to recover its wire order.
 ``block_symbol_count`` is the closed-form symbol count of an ansatz block.
 ``parse_type`` reads a pregroup type from its printed form.
@@ -30,7 +31,7 @@ from discocirc.compose import TextDiagram
 from discocirc.errors import ChainMismatch
 from discocirc.frames import Box, Frame, Identity, Par, Perm, Spider
 from discocirc.grammar import (PregroupDiagram, PregroupType, SimpleType,
-                               ValidationReport, can_contract)
+                               can_contract)
 from discocirc.ingest import CorefMap, Document, Lexicon, Mention
 from discocirc.sim import (EPS, _SHIFTS, History, _forward, _prepare, bce,
                            gate_matrix, gradient, simulate)
@@ -151,9 +152,10 @@ def random_loopy_diagram(rng: random.Random,
     return PregroupDiagram(tokens, cups)
 
 
-def validate_diagram_oracle(d: PregroupDiagram) -> ValidationReport:
-    """``validate_diagram`` with every pair of cups checked for a
-    crossing, the oracle for its one-pass crossing check."""
+def validate_diagram_oracle(d: PregroupDiagram) -> tuple[tuple, tuple]:
+    """The illegal cups and the crossing cup pairs that ``validate_diagram``
+    names, with every pair of cups checked for a crossing: the oracle for
+    its one-pass crossing check."""
     wires = [t for _, ty in d.tokens for t in ty]
     illegal = []
     seen: dict[int, tuple[int, int]] = {}
@@ -173,10 +175,17 @@ def validate_diagram_oracle(d: PregroupDiagram) -> ValidationReport:
             (i, j), (k, l) = cups[a], cups[b]
             if i < k < j < l or k < i < l < j:
                 crossings.append((cups[a], cups[b]))
-    cupped = {w for cup in d.cups for w in cup}
-    free = PregroupType(wires[w] for w in range(len(wires))
-                        if w not in cupped)
-    return ValidationReport(tuple(illegal), tuple(crossings), free)
+    return tuple(illegal), tuple(crossings)
+
+
+def free_types(d: PregroupDiagram) -> PregroupType:
+    """The types of a diagram's free wires; ``s`` means grammatical."""
+    return PregroupType(d.wire_types[w] for w in d.free_wires)
+
+
+def wires_of(d: PregroupDiagram, token: int) -> list[int]:
+    """The wire offsets of one token, in order."""
+    return [w for w, t in enumerate(d.wire_owners) if t == token]
 
 
 # --- two-topic paragraph generator ------------------------------------------
