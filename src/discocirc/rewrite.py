@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormatError
-from .grammar import N, S, PregroupDiagram, PregroupType, SimpleType, Ty
+from .grammar import (N, S, PregroupDiagram, PregroupType, SimpleType, Ty,
+                      can_contract)
 from .ingest import CorefMap, Mention, read_json
 from .trees import PregroupTreeNode
 
@@ -172,9 +173,13 @@ def coordination_rewrite(
 
     The subject of the left phrase is copied in front of the right phrase
     and both copies are linked through the returned coreference map, so
-    document composition later identifies their wires.  Sentences without
-    a matching conjunction come back unchanged as a singleton list; the
-    coreference map is renumbered for the extra sentence on a split.
+    document composition later identifies their wires.  The subject token
+    must be of one simple type that contracts with the right phrase's
+    missing subject slot: a subject phrase such as "the man" is declined,
+    since copying its determiner would cut the noun off the second verb.
+    Sentences without a matching conjunction, or with a declined subject,
+    come back unchanged as a singleton list; the coreference map is
+    renumbered for the extra sentence on a split.
     """
     conjs = [ti for ti, (_, ty) in enumerate(d.tokens) if _is_conjunction(ty)]
     if len(conjs) != 1:
@@ -218,16 +223,16 @@ def coordination_rewrite(
     dangling = [w for w in range(right_start, len(wire_types))
                 if (w - right_start) not in cupped
                 and wire_types[w].z == 1]
-    if len(dangling) != 1:
+    if len(dangling) != 1 or len(subj_ty) != 1 \
+            or not can_contract(subj_ty[0], wire_types[dangling[0]]):
         return [d], coref
     slot = dangling[0] - right_start
 
     first = PregroupDiagram(left_tokens, left_cups)
-    shift = len(subj_ty)
+    # the copy's one wire fills the slot
     second = PregroupDiagram(
         [(subj_word, subj_ty)] + list(right_tokens),
-        [(0, slot + shift)] + [(i + shift, j + shift)
-                               for i, j in right_cups])
+        [(0, slot + 1)] + [(i + 1, j + 1) for i, j in right_cups])
 
     def remap(m: Mention) -> Mention:
         si, ti = m

@@ -5,6 +5,7 @@ import pytest
 from discocirc.errors import FormatError
 from discocirc.grammar import validate_diagram
 from discocirc.ingest import Lexicon, load_document, parse_text, read_json
+from discocirc.pipeline import PipelineConfig, run
 from discocirc.rewrite import (RULES, RewriteRule, builtin_rule,
                                coordination_rewrite, load_rule, rewrite_tree)
 from discocirc.trees import PregroupTreeNode, build_trees
@@ -155,6 +156,31 @@ def test_coordination_renumbers_later_sentences(lex):
     coref.chains.append([(1, 0)])  # pretend there is a later sentence
     _, new_coref = coordination_rewrite(doc.sentences[0], coref, 0)
     assert [(2, 0)] in new_coref.chains
+
+
+# "the man loves music and plays piano": the subject noun phrase is a
+# determiner over its noun
+THE_MAN = {"sentences": [{
+    "tokens": ["the", "man", "loves", "music", "and", "plays", "piano"],
+    "types": [[["n", 0], ["n", -1]], [["n", 0]],
+              [["n", 1], ["s", 0], ["n", -1]], [["n", 0]],
+              [["s", 1], ["s", 0], ["s", -1]],
+              [["n", 1], ["s", 0], ["n", -1]], [["n", 0]]],
+    "cups": [[1, 2], [0, 3], [5, 6], [4, 7], [9, 11], [12, 13]]}]}
+
+
+def test_coordination_leaves_a_phrase_subject_unsplit(lex):
+    """The subject wire belongs to "the", whose type ``n@n.l`` is no single
+    type to fill the right phrase's ``n.r`` slot; copying it would leave
+    "the plays piano" with the man's wire never reaching "plays"."""
+    doc = load_document(THE_MAN)
+    parts, coref = coordination_rewrite(doc.sentences[0], doc.corefs, 0)
+    assert parts == [doc.sentences[0]]
+    assert coref is doc.corefs
+    coordinated = run(THE_MAN, PipelineConfig(lexicon=lex,
+                                              coordination=True), "diagram")
+    assert coordinated == run(THE_MAN, PipelineConfig(lexicon=lex),
+                              "diagram")
 
 
 def test_sentence_without_conjunction_passes_through(lex):
