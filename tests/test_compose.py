@@ -7,7 +7,8 @@ from discocirc.compose import (compose_document, text_diagram_to_dot,
                                text_diagram_to_json, wire_box_sequences)
 from discocirc.errors import ChainMismatch
 from discocirc.frames import (Box, Identity, NounState, Par, Perm,
-                              SentenceDiagram, Spider, sentence_diagram)
+                              SentenceDiagram, Spider, dump_element,
+                              sentence_diagram)
 from discocirc.ingest import (CorefMap, Lexicon, load_document, parse_text,
                               read_json)
 from discocirc.pipeline import PipelineConfig, diagrams, ingest, run, treeize
@@ -227,3 +228,39 @@ def test_one_noun_sentence_dumps_an_identity_layer(lex):
     assert td.layers == [Identity((0,))]
     assert text_diagram_to_json(td)["layers"] == \
         [{"kind": "id", "wires": [0]}]
+
+
+def test_a_chain_mentioned_twice_dumps_spider_layers(lex):
+    """"She reads herself" mentions Alice's chain twice: a spider copy
+    before the box and a merge after it, the second mention on the copy
+    id ``[0, 1]``."""
+    data = {"tokens": [["Alice", "found", "a", "map"],
+                       ["She", "reads", "herself"]]}
+    td = run(data, PipelineConfig(lexicon=lex), stage="diagram")
+    layers = json.loads(json.dumps(text_diagram_to_json(td)))["layers"]
+    assert layers[2:5] == [
+        {"kind": "spider", "in_wires": [0, [0, 1]], "out_wire": 0,
+         "dagger": True},
+        {"kind": "box", "name": "reads", "wires": [0, [0, 1]]},
+        {"kind": "spider", "in_wires": [0, [0, 1]], "out_wire": 0,
+         "dagger": False}]
+    assert [dump_element(layer) for layer in td.layers[2:5]] == [
+        "spider-copy [0, (0, 1)] ~ 0", "box reads [0, (0, 1)]",
+        "spider-merge [0, (0, 1)] ~ 0"]
+
+
+def test_a_two_root_sentence_dumps_a_par_layer(lex):
+    """Two heads, "sleeps" and "runs", make a two-tree forest, which
+    lowers to one ``par`` layer of both boxes."""
+    data = {"sentences": [{
+        "tokens": ["Alice", "sleeps", "Bob", "runs"],
+        "types": [[["n", 0]], [["n", 1], ["s", 0]], [["n", 0]],
+                  [["n", 1], ["s", 0]]],
+        "cups": [[0, 1], [3, 4]]}]}
+    td = run(data, PipelineConfig(lexicon=lex), stage="diagram")
+    assert text_diagram_to_json(td)["layers"] == [
+        {"kind": "par", "elements": [
+            {"kind": "box", "name": "sleeps", "wires": [0]},
+            {"kind": "box", "name": "runs", "wires": [1]}]}]
+    assert [dump_element(layer) for layer in td.layers] == [
+        "par\n  box sleeps [0]\n  box runs [1]"]
