@@ -97,7 +97,7 @@ def treeize(doc: Document, cfg: PipelineConfig) -> list[TreeBuildReport]:
 
 def removed_mentions(doc: Document, cfg: PipelineConfig) -> set:
     removed = set()
-    if cfg.min_noun_frequency:
+    if cfg.min_noun_frequency is not None:
         removed |= min_frequency_filter(doc.corefs, cfg.min_noun_frequency)
     if cfg.remove_nouns:
         drop = set(cfg.remove_nouns)

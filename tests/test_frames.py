@@ -8,6 +8,7 @@ from discocirc.frames import (Box, Frame, Identity, NounState, Par, Perm,
                               iter_boxes, map_wires, min_frequency_filter,
                               sentence_diagram)
 from discocirc.ingest import CorefMap, Lexicon, load_document, read_json
+from discocirc.pipeline import PipelineConfig, removed_mentions
 from discocirc.trees import build_trees
 from util import element_wires, random_loopy_diagram
 
@@ -73,6 +74,16 @@ def test_min_frequency_filter_drops_rare_chains():
     assert min_frequency_filter(coref, 1) == set()
     with pytest.raises(ValueError):
         min_frequency_filter(coref, 0)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_pipeline_refuses_a_frequency_floor_below_one(lex, k):
+    """A floor of 0 reaches the filter's check, as -3 does, rather than
+    reading as no filter."""
+    doc = load_document(read_json(f"{FIXTURES}/reading.json"))
+    cfg = PipelineConfig(lexicon=lex, min_noun_frequency=k)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        removed_mentions(doc, cfg)
 
 
 def test_prune_matches_direct_generation(lex):
