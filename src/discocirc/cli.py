@@ -104,6 +104,11 @@ def parse(input_path, lexicon_path, fmt, out, all_parses):
     """Ingest (or mini-parse) a document and dump it."""
     cfg = _config(lexicon_path)
     raw = read_json(input_path)
+    if all_parses and isinstance(raw, dict) and "sentences" in raw:
+        # every command reads such a document's sentences, tokens or not
+        raise click.UsageError(
+            "--all-parses needs a tokens document, not one with sentences",
+            click.get_current_context())
     if all_parses and isinstance(raw, dict) and "tokens" in raw:
         parses = {
             " ".join(tokens): [

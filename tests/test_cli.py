@@ -51,6 +51,23 @@ def test_all_parses_dump(runner, tmp_path):
     assert "Alice has a bike" in data
 
 
+@pytest.mark.parametrize("with_tokens", [False, True])
+def test_all_parses_needs_a_tokens_document(runner, tmp_path, with_tokens):
+    """Every command reads an interchange document's sentences, so
+    ``--all-parses``, which parses tokens, refuses a document that has
+    sentences, with or without tokens."""
+    data = json.loads(Path(f"{FIXTURES}/reading.json").read_text("utf-8"))
+    if with_tokens:
+        data["tokens"] = [["Alice", "has", "a", "bike"]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = runner.invoke(main, ["parse", "--input", str(path),
+                                  "--all-parses"])
+    assert result.exit_code == 2
+    assert "Error: --all-parses needs a tokens document" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_tree_text_output(runner):
     result = runner.invoke(main, ["tree", "--input",
                                   f"{FIXTURES}/reading.json",
