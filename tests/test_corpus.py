@@ -38,17 +38,17 @@ ROOT = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":  # run as a script, with no PYTHONPATH set
     sys.path.insert(0, str(ROOT / "src"))
 
-from discocirc.ansatz import (AnsatzConfig, append_merge_box,  # noqa: E402
+from discocirc.ansatz import (AnsatzConfig, append_merge_box,
                               circuit_to_json, compile, dump_circuit)
-from discocirc.compose import text_diagram_to_json  # noqa: E402
-from discocirc.errors import DiscocircError  # noqa: E402
-from discocirc.ingest import Lexicon, document_to_json, read_json  # noqa: E402
-from discocirc.pipeline import (PipelineConfig, apply_coordination,  # noqa: E402
+from discocirc.compose import text_diagram_to_json
+from discocirc.errors import DiscocircError
+from discocirc.ingest import Lexicon, document_to_json, read_json
+from discocirc.pipeline import (PipelineConfig, apply_coordination,
                                 diagrams, ingest, resolve_rewrites, treeize)
-from discocirc.sandwich import SandwichConfig, expand_frames  # noqa: E402
-from discocirc.trees import dump_tree, forest_to_json  # noqa: E402
-from test_cli import BAD_CUPS  # noqa: E402
-from util import (COOKING, OBJECTS, PROGRAMMING, VERBS,  # noqa: E402
+from discocirc.sandwich import SandwichConfig, expand_frames
+from discocirc.trees import dump_tree, forest_to_json
+from test_cli import BAD_CUPS
+from util import (COOKING, OBJECTS, PROGRAMMING, VERBS,
                   chain_document, entity_document, random_loopy_diagram,
                   topic_text)
 

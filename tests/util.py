@@ -14,8 +14,8 @@ sample-by-sample one for its trainer (with its own ``bce_ddist``),
 ``resolve_pronouns_oracle`` the back-scan one for the pronoun resolver,
 ``validate_diagram_oracle`` the pairwise one for the crossing check,
 ``free_types`` and ``wires_of`` read a diagram's free-wire types and a
-token's wires, and ``replay`` replays a text diagram's layers, through the wires each
-touches (``element_wires``), to recover its wire order.
+token's wires, and ``replay`` replays a text diagram's layers, through
+the wires each touches (``element_wires``), to recover its wire order.
 ``block_symbol_count`` is the closed-form symbol count of an ansatz block.
 ``parse_type`` reads a pregroup type from its printed form.
 """
