@@ -4,8 +4,9 @@ of inputs, pinned by one SHA-256 per (input family, output kind).
 The inputs are the document fixtures, the two bad-cups documents, seeded
 token documents (a pronoun chain, fresh entities, two-topic paragraphs
 and stories that end in a reflexive, which makes a spider), documents
-that fail to parse, and interchange documents of random loopy diagrams,
-whose forests lower to ``Par`` layers.  Each runs under every rule set
+that fail to parse, interchange documents of random loopy diagrams,
+whose forests lower to ``Par`` layers, and a slice of one seed's inputs
+of the four benchmark workloads, drawn by ``perfbench/workloads.py``.  Each runs under every rule set
 of ``RULE_SETS`` and every noun filter of ``FILTERS``, and dumps:
 
 - the ingested document (``document_to_json``);
@@ -37,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":  # run as a script, with no PYTHONPATH set
     sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "perfbench"))  # for its input generators
 
 from discocirc.ansatz import (AnsatzConfig, append_merge_box,
                               circuit_to_json, compile, dump_circuit)
@@ -51,6 +53,7 @@ from test_cli import BAD_CUPS
 from util import (COOKING, OBJECTS, PROGRAMMING, VERBS,
                   chain_document, entity_document, random_loopy_diagram,
                   topic_text)
+import workloads
 
 FIXTURES = ROOT / "tests" / "fixtures"
 HASHES = FIXTURES / "corpus.sha256.json"
@@ -60,6 +63,12 @@ RULE_SETS = ((), ("determiner", "noun_modification"), ("auxiliary",),
              ("coordination", "determiner", "auxiliary", "noun_modification"))
 # no filter, a frequency floor, and the document's first noun removed
 FILTERS = ("none", "min2", "remove")
+# the seed of the benchmark workloads' inputs, and how many of them: the
+# first texts of the two-topic set, one story per width, and the first
+# sentences of each long document
+WORKLOAD_SEED = 3
+TOPIC_TEXTS = 6
+DOC_SENTENCES = 12
 # (ansatz, sandwich mode); the last case also gives every further
 # occurrence of a box its own parameters
 CIRCUITS = tuple((AnsatzConfig(kind, 1, 1, True, 0), mode)
@@ -116,6 +125,24 @@ def inputs():
     rng = random.Random(5)
     for k in range(8):
         yield "loopy", f"doc{k}", loopy_document(rng, 1 + k % 4)
+    yield from workload_inputs()
+
+
+def workload_inputs():
+    """A bounded slice of the benchmark workloads' inputs for one seed,
+    from the generators the benchmark runs."""
+    for k, (tokens, _) in enumerate(workloads.two_topic_texts(
+            random.Random(WORKLOAD_SEED), TOPIC_TEXTS)):
+        yield "workload", f"two_topic{k}", {"tokens": tokens}
+    rng = random.Random(WORKLOAD_SEED)
+    for width in sorted(set(workloads.WideStoryTrain.WIDTHS)):
+        yield "workload", f"wide_story{width}", {
+            "tokens": workloads.wide_story(rng, width)}
+    for name, cls in (("coref_chain", workloads.CorefChainDoc),
+                      ("many_entity", workloads.ManyEntityDoc)):
+        tokens, _, _ = cls.make_document(random.Random(WORKLOAD_SEED),
+                                         cls.SENTENCES)
+        yield "workload", name, {"tokens": tokens[:DOC_SENTENCES]}
 
 
 def _error(exc: DiscocircError) -> str:
