@@ -147,12 +147,22 @@ def load_rule(path) -> RewriteRule:
         types = frozenset(
             PregroupType(SimpleType(b, int(z)) for b, z in ty)
             for ty in data["match_types"])
+        name, depth = data["name"], data.get("max_depth", 1)
+        if not isinstance(name, str):
+            raise TypeError("name must be a string")
+        # a string would be read as the set of its letters
+        if words is not None and not (
+                isinstance(words, list)
+                and all(isinstance(w, str) for w in words)):
+            raise TypeError("match_words must be null or a list of strings")
+        if type(depth) is not int:
+            raise TypeError("max_depth must be an integer")
         return RewriteRule(
-            name=data["name"],
+            name=name,
             match_words=None if words is None else frozenset(words),
             match_types=types,
             word_merger=data.get("word_merger", "last"),
-            max_depth=int(data.get("max_depth", 1)),
+            max_depth=depth,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad rule file: {exc}", str(path)) from None

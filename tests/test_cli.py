@@ -325,6 +325,22 @@ def test_rule_file_that_is_no_rule_exit_code(runner, tmp_path, text):
     assert "FormatError" in result.output and str(path) in result.output
 
 
+def test_rule_file_with_a_string_of_words_exit_code(runner, tmp_path):
+    """``"match_words": "an"`` once matched the letters "a" and "n", and
+    so removed the determiner "a"."""
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"name": "det", "match_words": "an",
+                                "match_types": [[["n", 0]]]}),
+                    encoding="utf-8")
+    result = runner.invoke(main, ["tree", "--input",
+                                  f"{FIXTURES}/bike_rewrites.json",
+                                  "--rewrites", str(path)])
+    assert result.exit_code == 2
+    assert result.output.strip() == (
+        "FormatError: bad rule file: match_words must be null or a list "
+        f"of strings (at {path})")
+
+
 @pytest.mark.parametrize("option", ["--qubits-per-wire", "--layers"])
 def test_count_options_reject_zero(runner, option):
     result = runner.invoke(main, ["circuit", "--input",

@@ -125,6 +125,28 @@ def test_load_rule_rejects_garbage(tmp_path):
         load_rule(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("match_words", "an", "match_words must be null or a list of strings"),
+    ("match_words", [1, 2], "match_words must be null or a list of strings"),
+    ("match_words", {"an": 1}, "match_words must be null or a list of "
+                               "strings"),
+    ("name", 7, "name must be a string"),
+    ("max_depth", 2.7, "max_depth must be an integer"),
+    ("max_depth", "2", "max_depth must be an integer"),
+    ("max_depth", True, "max_depth must be an integer"),
+])
+def test_load_rule_rejects_mistyped_fields(tmp_path, field, value, message):
+    """A string of match_words is not read as the set of its letters, nor
+    a fractional max_depth rounded down."""
+    rule = {"name": "det", "match_words": ["an"],
+            "match_types": [[["n", 0]]], field: value}
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(rule), encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        load_rule(path)
+    assert str(info.value) == f"bad rule file: {message} (at {path})"
+
+
 def test_rewrites_on_parsed_sentence(lex):
     doc = load_document(read_json(f"{FIXTURES}/bike_rewrites.json"))
     [root] = build_trees(doc.sentences[0]).forest
