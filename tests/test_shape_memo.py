@@ -9,6 +9,7 @@ raw builder ``trees._build``, called on the sentence's own diagram.
 """
 
 import json
+import logging
 import random
 from pathlib import Path
 
@@ -377,3 +378,23 @@ def test_errors_keep_their_messages(lex):
     for sentences in ([crossing], [nested, crossing], [crossing, nested]):
         doc = Document(sentences, CorefMap([]))
         assert raised(InvalidDiagram, treeize, doc, cfg) == want
+
+
+def test_zero_wire_warning_is_logged_on_cold_and_warm_memos(lex, caplog):
+    """A box left with no wires is dropped with one warning naming its
+    own words, for every sentence that has one, whether the memos have
+    seen the sentence's shape or not."""
+    doc = parse_text([["Alice", "reads", "the", "books"], ["Bob", "runs"],
+                      ["Bob", "reads", "the", "books"],
+                      ["Alice", "loves", "a", "music"],
+                      ["Alice", "loves", "music"]], lex)
+    cfg = PipelineConfig(lexicon=lex,
+                         remove_nouns=["books", "Bob", "music"])
+    want = [f"dropping zero-wire box {word!r}"
+            for word in ("the", "runs", "the", "reads", "a")]
+    clear_memos()
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="discocirc.frames"):
+            diagrams(doc, treeize(doc, cfg), cfg)
+        assert [r.getMessage() for r in caplog.records] == want
