@@ -49,12 +49,15 @@ class TextDiagram:
         return {s.chain_id: i for i, s in enumerate(self.states)}
 
 
-def compose_document(sentences: list[SentenceDiagram],
-                     coref: CorefMap) -> TextDiagram:
+def compose_document(sentences: list, coref: CorefMap) -> TextDiagram:
     """Fold sentence diagrams into a document diagram along chains.
 
-    A sentence with no nouns (all removed by filtering) is skipped.
-    Every noun state must belong to a chain of ``coref``.
+    A sentence is a ``SentenceDiagram`` or, as ``pipeline.diagrams``
+    passes it, a (word-free diagram, words, sentence index) triple, whose
+    words go on its noun states and names in the same walk that puts
+    chain ids on its wires.  A sentence with no nouns (all removed by
+    filtering) is skipped.  Every noun state must belong to a chain of
+    ``coref``.
     """
     chain_of = {}
     for ci, chain in enumerate(coref.chains):
@@ -66,40 +69,43 @@ def compose_document(sentences: list[SentenceDiagram],
     layers: list = []
 
     for si, sd in enumerate(sentences):
-        if not sd.nouns:
+        if isinstance(sd, SentenceDiagram):
+            nouns = [(n.word, n.sentence_index, n.token_index)
+                     for n in sd.nouns]
+            body, words = sd.body, None
+        else:
+            (leaves, body), words, at = sd
+            nouns = [(n.word, at, n.token_index) for n in leaves]
+        if not nouns:
             log.info("sentence %d empty after filtering", si)
             continue
-        local: list[tuple[NounState, int]] = []
-        for noun in sd.nouns:
-            mention = (noun.sentence_index, noun.token_index)
-            if mention not in chain_of:
-                raise ChainMismatch(f"noun {noun.word!r} at {mention} "
-                                    "belongs to no coreference chain")
-            local.append((noun, chain_of[mention]))
 
+        # one pass over the nouns, in token order: a new chain's state is
+        # its first mention, and its wire goes last; in the body, the first
+        # mention of a chain keeps the chain id, and further mentions get
+        # copy ids
         counts: dict[int, int] = {}
-        for _, cid in local:
-            counts[cid] = counts.get(cid, 0) + 1
-        local_unique = list(counts)  # first-mention order
-        shared = any(cid in position for cid in local_unique)
-
-        # a new chain's state is its first mention; its wire goes last
-        for noun, cid in local:
-            if cid not in position:
-                position[cid] = len(states)
-                states.append(
-                    NounState(noun.word, noun.sentence_index,
-                              noun.token_index, cid))
-
-        # wire ids for the body: first mention of a chain keeps the chain
-        # id, further mentions get copy ids
-        seen: dict[int, int] = {}
         token_to_wire = {}
-        for noun, cid in local:
-            k = seen.get(cid, 0)
-            seen[cid] = k + 1
-            token_to_wire[noun.token_index] = cid if k == 0 else (cid, k)
-        body = map_wires(sd.body, token_to_wire.__getitem__)
+        before = len(states)
+        shared = False  # whether a chain of an earlier sentence is here
+        for word, sentence, token in nouns:
+            cid = chain_of.get((sentence, token))
+            if cid is None or cid not in position:
+                if words is not None:
+                    word = " ".join(map(words.__getitem__, word))
+                if cid is None:
+                    raise ChainMismatch(f"noun {word!r} at "
+                                        f"{(sentence, token)} "
+                                        "belongs to no coreference chain")
+                position[cid] = len(states)
+                states.append(NounState(word, sentence, token, cid))
+            elif position[cid] < before:
+                shared = True
+            k = counts.get(cid, 0)
+            counts[cid] = k + 1
+            token_to_wire[token] = cid if k == 0 else (cid, k)
+        local_unique = list(counts)  # first-mention order
+        body = map_wires(body, token_to_wire.__getitem__, words)
 
         # route this sentence's chains, in local order, to the end of the
         # wire order; new chains already sit there in that order

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .ingest import CorefMap
-from .trees import PregroupTreeNode
+from .trees import TREE_MEMO_SIZE, PregroupTreeNode
 
 log = logging.getLogger(__name__)
 
@@ -67,18 +68,25 @@ class Spider(NamedTuple):
     dagger: bool = False
 
 
-def map_wires(el, fn):
+def map_wires(el, fn, words=None):
     """Relabel every wire id of a sentence body element (Box, Frame,
-    Identity or Par) through ``fn``."""
-    if isinstance(el, Box):
-        return Box(el.name, tuple(map(fn, el.wires)), el.merge)
-    if isinstance(el, Identity):
-        return Identity(tuple(fn(w) for w in el.wires))
-    if isinstance(el, Frame):
-        return Frame(el.name, tuple(fn(w) for w in el.wires),
-                     tuple(map_wires(c, fn) for c in el.components))
-    if isinstance(el, Par):
-        return Par(tuple(map_wires(c, fn) for c in el.elements))
+    Identity or Par) through ``fn``.  With ``words``, ``el`` is word-free:
+    each name, a tuple of token indices, becomes their words joined by
+    spaces."""
+    kind = type(el)
+    if kind is Box or kind is Frame:
+        name = el.name
+        if words is not None:
+            name = words[name[0]] if len(name) == 1 \
+                else " ".join(map(words.__getitem__, name))
+        if kind is Box:
+            return Box(name, tuple(map(fn, el.wires)), el.merge)
+        return Frame(name, tuple(map(fn, el.wires)), tuple(
+            [map_wires(c, fn, words) for c in el.components]))
+    if kind is Identity:
+        return Identity(tuple(map(fn, el.wires)))
+    if kind is Par:
+        return Par(tuple([map_wires(c, fn, words) for c in el.elements]))
     raise TypeError(f"not a diagram element: {el!r}")
 
 
@@ -111,9 +119,10 @@ class SentenceDiagram:
 
 
 def _lower(node: PregroupTreeNode, remove: frozenset,
-           noun_tokens: frozenset, sentence_index: int, nouns: list):
+           noun_tokens: frozenset, nouns: list, dropped: list):
     """Lower a pregroup tree to (body element or None, its nouns' token
-    indices in order), appending its noun states to ``nouns``.
+    indices in order), appending its noun leaves to ``nouns`` and the
+    words of its boxes left with no wires to ``dropped``.
 
     A noun leaf lowers to no element: it adds its wire and its noun
     state, or nothing when it is in ``remove``.  A node whose children
@@ -124,34 +133,29 @@ def _lower(node: PregroupTreeNode, remove: frozenset,
     if not children and token in noun_tokens:
         if token in remove:
             return None, ()
-        nouns.append(NounState(word, sentence_index, token))
+        nouns.append(node)
         return None, (token,)
 
     subdiags, wires = [], []
     for child in children:
-        el, below = _lower(child, remove, noun_tokens, sentence_index, nouns)
+        el, below = _lower(child, remove, noun_tokens, nouns, dropped)
         if el is not None:
             subdiags.append(el)
         wires.extend(below)
     wires = tuple(sorted(wires))
     if not subdiags:
         if not wires:
-            log.warning("dropping zero-wire box %r", word)
+            dropped.append(word)
             return None, ()
         return Box(word, wires), wires
     return Frame(word, wires, tuple(subdiags)), wires
 
 
-def sentence_diagram(forest: list[PregroupTreeNode],
-                     remove: frozenset = frozenset(),
-                     noun_tokens: frozenset = frozenset(),
-                     sentence_index: int = 0) -> SentenceDiagram:
-    """Lower a whole sentence (possibly a forest) to one diagram; a
-    sentence whose nouns were all removed has none, and the composer
-    skips it."""
-    bodies, nouns = [], []
+def _lower_forest(forest, remove: frozenset, noun_tokens: frozenset):
+    """(noun leaves in token order, body, words of the zero-wire boxes)."""
+    bodies, nouns, dropped = [], [], []
     for root in forest:
-        el, _ = _lower(root, remove, noun_tokens, sentence_index, nouns)
+        el, _ = _lower(root, remove, noun_tokens, nouns, dropped)
         if el is not None:
             bodies.append(el)
     nouns.sort(key=lambda n: n.token_index)
@@ -161,7 +165,40 @@ def sentence_diagram(forest: list[PregroupTreeNode],
         body = bodies[0]
     else:
         body = Par(tuple(bodies))
-    return SentenceDiagram(nouns, body)
+    return tuple(nouns), body, tuple(dropped)
+
+
+def sentence_diagram(forest: list[PregroupTreeNode],
+                     remove: frozenset = frozenset(),
+                     noun_tokens: frozenset = frozenset(),
+                     sentence_index: int = 0) -> SentenceDiagram:
+    """Lower a whole sentence (possibly a forest) to one diagram; a
+    sentence whose nouns were all removed has none, and the composer
+    skips it."""
+    nouns, body, dropped = _lower_forest(forest, remove, noun_tokens)
+    for word in dropped:
+        log.warning("dropping zero-wire box %r", word)
+    return SentenceDiagram([NounState(n.word, sentence_index, n.token_index)
+                            for n in nouns], body)
+
+
+def _lower_sentence(shape, words, noun_tokens: tuple, remove: tuple):
+    """(noun leaves, body) of the sentence of ``words`` whose report holds
+    the word-free ``shape``, with the names left as token indices for
+    ``map_wires`` to spell.  The lowering is kept once per process for
+    each (shape, noun tokens, removed tokens), the last
+    ``TREE_MEMO_SIZE`` used; each call logs its own zero-wire boxes."""
+    nouns, body, dropped = _lower_shape(shape, noun_tokens, remove)
+    for name in dropped:
+        log.warning("dropping zero-wire box %r",
+                    " ".join(map(words.__getitem__, name)))
+    return nouns, body
+
+
+@lru_cache(maxsize=TREE_MEMO_SIZE)
+def _lower_shape(shape, noun_tokens: tuple, remove: tuple):
+    return _lower_forest(shape.forest, frozenset(remove),
+                         frozenset(noun_tokens))
 
 
 def min_frequency_filter(coref: CorefMap, k: int) -> set:

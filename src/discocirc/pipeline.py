@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from .ansatz import (QUBIT_CAP, AnsatzConfig, Circuit, append_merge_box,
                      compile)
 from .compose import TextDiagram, compose_document
-from .frames import min_frequency_filter, sentence_diagram
+from .frames import _lower_sentence, min_frequency_filter, sentence_diagram
 from .ingest import (CorefMap, Document, Lexicon, check_tokens,
                      load_document, parse_text)
-from .rewrite import (RewriteRule, builtin_rule, coordination_rewrite,
-                      load_rule, rewrite_tree)
+from .rewrite import (RewriteRule, _rewrite_shape, builtin_rule,
+                      coordination_rewrite, load_rule, rewrite_tree)
 from .sandwich import SandwichConfig, expand_frames
 from .trees import TreeBuildReport, build_trees
 
@@ -84,13 +84,26 @@ def apply_coordination(doc: Document, cfg: PipelineConfig) -> Document:
 
 
 def treeize(doc: Document, cfg: PipelineConfig) -> list[TreeBuildReport]:
-    """Build (``build_trees``) and rewrite one tree forest per sentence."""
+    """Build (``build_trees``) and rewrite one tree forest per sentence:
+    the rules rewrite the word-free forest of the sentence's shape, and
+    the sentence's own forest is built when read.  A sentence where a
+    rule with words would read a merged word is rewritten on its own."""
+    rules = tuple(cfg.rewrites)
+    worded = [r.match_words for r in rules if r.match_words is not None]
     reports = []
     for sent in doc.sentences:
         report = build_trees(sent)
-        for rule in cfg.rewrites:
-            report.forest = [rewrite_tree(root, rule).tree
-                             for root in report.forest]
+        if rules:
+            words = report._words
+            shape = _rewrite_shape(report._shape, rules, tuple(
+                tuple([i for i, w in enumerate(words) if w in match])
+                for match in worded))
+            if shape is not None:
+                report._shape = shape
+            else:
+                for rule in rules:
+                    report.forest = [rewrite_tree(root, rule).tree
+                                     for root in report.forest]
         reports.append(report)
     return reports
 
@@ -110,7 +123,9 @@ def removed_mentions(doc: Document, cfg: PipelineConfig) -> set:
 
 def diagrams(doc: Document, reports: list[TreeBuildReport],
              cfg: PipelineConfig) -> TextDiagram:
-    """Lower tree forests to sentence diagrams and compose the document."""
+    """Lower tree forests to sentence diagrams and compose the document.
+    A report's word-free shape is lowered once per noun and removed
+    tokens, and ``compose_document`` puts the sentence's words on it."""
     removed = removed_mentions(doc, cfg)
     coref = doc.corefs
     # an empty chain is dropped too, which renumbers the later chains
@@ -121,15 +136,20 @@ def diagrams(doc: Document, reports: list[TreeBuildReport],
     removed_in: dict[int, set] = {}
     for si, ti in removed:
         removed_in.setdefault(si, set()).add(ti)
-    sentence_diagrams = []
+    sentences = []
+    is_noun = cfg.lexicon.is_noun
     for si, (sent, report) in enumerate(zip(doc.sentences, reports)):
-        noun_tokens = frozenset(
-            ti for ti, (word, _) in enumerate(sent.tokens)
-            if cfg.lexicon.is_noun(word))
-        remove = frozenset(removed_in.get(si, ()))
-        sentence_diagrams.append(
-            sentence_diagram(report.forest, remove, noun_tokens, si))
-    return compose_document(sentence_diagrams, coref)
+        nouns = tuple([ti for ti, (word, _) in enumerate(sent.tokens)
+                       if is_noun(word)])
+        remove = tuple(sorted(removed_in[si])) if si in removed_in else ()
+        if report._shape is None:
+            sentences.append(sentence_diagram(
+                report.forest, frozenset(remove), frozenset(nouns), si))
+        else:
+            words = report._words
+            sentences.append((_lower_sentence(report._shape, words, nouns,
+                                              remove), words, si))
+    return compose_document(sentences, coref)
 
 
 def circuit(td: TextDiagram, cfg: PipelineConfig) -> Circuit:

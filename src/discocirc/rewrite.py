@@ -10,12 +10,13 @@ subject and linking the copies through the coreference map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from .errors import FormatError
 from .grammar import (N, S, PregroupDiagram, PregroupType, SimpleType, Ty,
                       can_contract)
 from .ingest import CorefMap, Mention, read_json
-from .trees import PregroupTreeNode
+from .trees import TREE_MEMO_SIZE, PregroupTreeNode, TreeBuildReport
 
 WORD_MERGERS = ("merge", "first", "last")
 
@@ -64,6 +65,12 @@ def rewrite_tree(root: PregroupTreeNode, rule: RewriteRule) -> RewriteReport:
     The surviving node keeps the child's token index so coreference
     indices stay valid.
     """
+    return _rewrite(root, rule, rule.matches_word, "{} {}".format)
+
+
+def _rewrite(root, rule, matches, join) -> RewriteReport:
+    """``rewrite_tree`` with the word test ``matches`` and the merged word
+    ``join(parent word, child word)``."""
     total = 0
 
     def visit(node: PregroupTreeNode) -> tuple[PregroupTreeNode, int]:
@@ -83,11 +90,11 @@ def rewrite_tree(root: PregroupTreeNode, rule: RewriteRule) -> RewriteReport:
         if (len(node.children) == 1
                 and node.out_type in rule.match_types
                 and node.children[0].out_type == node.out_type
-                and rule.matches_word(node.word)
+                and matches(node.word)
                 and chain_merges < rule.max_depth):
             child = node.children[0]
             if rule.word_merger == "merge":
-                word = f"{node.word} {child.word}"
+                word = join(node.word, child.word)
             elif rule.word_merger == "first":
                 word = node.word
             else:
@@ -100,6 +107,38 @@ def rewrite_tree(root: PregroupTreeNode, rule: RewriteRule) -> RewriteReport:
 
     tree, _ = visit(root)
     return RewriteReport(tree, total)
+
+
+class _MergedWord(Exception):
+    """A rule with words was asked about a word merged from tokens."""
+
+
+def _token_matches(tokens: frozenset, name: tuple) -> bool:
+    if len(name) > 1:
+        raise _MergedWord
+    return name[0] in tokens
+
+
+@lru_cache(maxsize=TREE_MEMO_SIZE)
+def _rewrite_shape(shape: TreeBuildReport, rules: tuple,
+                   hits: tuple) -> TreeBuildReport | None:
+    """The word-free report ``shape`` rewritten by ``rules`` in turn.
+    ``hits`` holds, for each rule with ``match_words``, the tokens whose
+    word it matches; None when such a rule would be asked about a word
+    merged from several tokens, which only the words answer.  Kept once
+    per process for each (shape, rules, hits), the last
+    ``TREE_MEMO_SIZE`` used."""
+    forest = shape.forest
+    hits = iter(hits)
+    try:
+        for rule in rules:
+            matches = (rule.matches_word if rule.match_words is None
+                       else partial(_token_matches, frozenset(next(hits))))
+            forest = tuple(_rewrite(root, rule, matches, tuple.__add__).tree
+                           for root in forest)
+    except _MergedWord:
+        return None
+    return TreeBuildReport(forest, shape.removed_cups)
 
 
 # the stock rules by name: determiner removal, auxiliary removal and

@@ -10,17 +10,18 @@ recovered from the node and its children's output types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .grammar import PregroupDiagram, PregroupType, validate_diagram
 
-TREE_MEMO_SIZE = 1024  # (types, cups) shapes whose forest is kept
+TREE_MEMO_SIZE = 1024  # entries kept by each sentence-shape memo
 
 
 class PregroupTreeNode(NamedTuple):
-    """An immutable tree node; trees share their unchanged subtrees."""
+    """An immutable tree node; trees share their unchanged subtrees.  In
+    a word-free tree, ``word`` is the tuple of the token indices whose
+    words, joined by spaces, name the node."""
 
     word: str
     token_index: int
@@ -38,10 +39,28 @@ class PregroupTreeNode(NamedTuple):
                 f"[{self.out_type}], {len(self.children)} children)")
 
 
-@dataclass
 class TreeBuildReport:
-    forest: list[PregroupTreeNode]
-    removed_cups: list[tuple[int, int]]
+    """A sentence's forest and the cups removed to build it.  A report may
+    hold instead the word-free report of its shape and its words: its
+    forest is then built on first read, and ``pipeline.diagrams`` lowers
+    the shape.  Assigning a forest drops the shape."""
+
+    _shape: TreeBuildReport | None = None
+    _words: tuple[str, ...] = ()
+
+    def __init__(self, forest, removed_cups):
+        self._forest, self.removed_cups = forest, removed_cups
+
+    @property
+    def forest(self) -> list[PregroupTreeNode]:
+        if self._forest is None:
+            self._forest = [relabel(root, self._words)
+                            for root in self._shape.forest]
+        return self._forest
+
+    @forest.setter
+    def forest(self, forest):
+        self._forest, self._shape = forest, None
 
 
 def build_trees(d: PregroupDiagram) -> TreeBuildReport:
@@ -63,21 +82,25 @@ def build_trees(d: PregroupDiagram) -> TreeBuildReport:
     its wires in the run to its parent.  Children are in token order and
     the roots in sentence order.
 
-    No word is read except to label its node, so the forest is built
-    once per process for each (types, cups) (the last ``TREE_MEMO_SIZE``
-    shapes used are kept); each call relabels the kept forest with its
-    own words and gets its own ``forest`` and ``removed_cups`` lists.
+    No word is read except to label its node, so the word-free forest is
+    built once per process for each (types, cups) (the last
+    ``TREE_MEMO_SIZE`` shapes used are kept).  Each call gets a report of
+    its own that holds this forest and its words: its ``forest`` is built
+    when read, and its ``removed_cups`` is its own list.
     """
     shape = _shape_trees(d.types, d.cups)
-    words = d.words
-    return TreeBuildReport([relabel(root, words) for root in shape.forest],
-                           list(shape.removed_cups))
+    report = TreeBuildReport(None, list(shape.removed_cups))
+    report._shape, report._words = shape, d.words
+    return report
 
 
 @lru_cache(maxsize=TREE_MEMO_SIZE)
 def _shape_trees(types, cups) -> TreeBuildReport:
-    """``build_trees``' report for these types and cups, with no words."""
-    return _build(PregroupDiagram([("", ty) for ty in types], cups))
+    """``build_trees``' word-free report for these types and cups, in
+    which token ``i`` is named ``(i,)``."""
+    report = _build(PregroupDiagram(
+        [((i,), ty) for i, ty in enumerate(types)], cups))
+    return TreeBuildReport(tuple(report.forest), tuple(report.removed_cups))
 
 
 def _build(d: PregroupDiagram) -> TreeBuildReport:
@@ -135,11 +158,12 @@ def _build(d: PregroupDiagram) -> TreeBuildReport:
 
 
 def relabel(node: PregroupTreeNode, words) -> PregroupTreeNode:
-    """The tree whose node of token ``i`` carries ``words[i]``, with the
-    same output types and child order: one new node per node."""
+    """The word-free tree ``node`` named in ``words``, with the same token
+    indices, output types and child order: one new node per node."""
     return PregroupTreeNode(
-        words[node.token_index], node.token_index, node.out_type,
-        tuple([relabel(child, words) for child in node.children]))
+        " ".join(map(words.__getitem__, node.word)), node.token_index,
+        node.out_type, tuple([relabel(child, words)
+                              for child in node.children]))
 
 
 def compound_type(node: PregroupTreeNode) -> PregroupType:

@@ -1,11 +1,16 @@
-"""Oracle tests for parsing and building trees once per sentence shape.
+"""Oracle tests for parsing, building, rewriting and lowering trees once
+per sentence shape.
 
 ``lexicon_parse`` memoises, for the whole process, the winning
-``(types, cups)`` of each sequence of lexicon entries, and
-``build_trees`` the forest of each ``(types, cups)``.  The oracles do
-not go through either memo: the first solution of
-``lexicon_parse(..., all_parses=True)``, which always searches, and the
-raw builder ``trees._build``, called on the sentence's own diagram.
+``(types, cups)`` of each sequence of lexicon entries; ``build_trees``
+the word-free forest of each ``(types, cups)``; ``treeize`` that forest
+rewritten, per rule set and tokens each rule's words match; and
+``diagrams`` its lowering, per noun and removed tokens.  The oracles go
+through none of the memos: the first solution of
+``lexicon_parse(..., all_parses=True)``, which always searches, the raw
+builder ``trees._build``, called on the sentence's own diagram, and
+``rewrite_tree``, ``sentence_diagram`` and ``compose_document`` on the
+forests it builds.
 """
 
 import json
@@ -15,18 +20,19 @@ from pathlib import Path
 
 import pytest
 
-from discocirc import ingest, trees
+from discocirc import frames, ingest, rewrite, trees
 from discocirc.ansatz import AnsatzConfig, circuit_to_json
-from discocirc.compose import text_diagram_to_json
-from discocirc.errors import InvalidDiagram, NoParse
+from discocirc.compose import compose_document, text_diagram_to_json
+from discocirc.errors import DiscocircError, InvalidDiagram, NoParse
 from discocirc.grammar import PregroupDiagram, PregroupType, SimpleType
 from discocirc.ingest import (CorefMap, Document, Lexicon, lexicon_parse,
                               load_document, parse_text, read_json,
                               resolve_pronouns)
+from discocirc.frames import Box, sentence_diagram
 from discocirc.pipeline import (PipelineConfig, apply_coordination, circuit,
                                 diagrams, ingest as ingest_source,
-                                resolve_rewrites, treeize)
-from discocirc.rewrite import builtin_rule, rewrite_tree
+                                removed_mentions, resolve_rewrites, treeize)
+from discocirc.rewrite import builtin_rule, load_rule, rewrite_tree
 from discocirc.sandwich import SandwichConfig
 from discocirc.trees import PregroupTreeNode, build_trees, forest_to_json
 from test_snapshots import CONFIGS, STORY_SEEDS, pronoun_story
@@ -44,9 +50,15 @@ def lex():
     return Lexicon.builtin()
 
 
+MEMOS = ((ingest._first_parse, ingest.PARSE_MEMO_SIZE),
+         (trees._shape_trees, trees.TREE_MEMO_SIZE),
+         (rewrite._rewrite_shape, trees.TREE_MEMO_SIZE),
+         (frames._lower_shape, trees.TREE_MEMO_SIZE))
+
+
 def clear_memos():
-    ingest._first_parse.cache_clear()
-    trees._shape_trees.cache_clear()
+    for memo, _ in MEMOS:
+        memo.cache_clear()
 
 
 def oracle_parse(tokens, lex) -> PregroupDiagram:
@@ -199,8 +211,7 @@ def test_one_search_and_one_build_per_distinct_key(lex):
 
 
 def test_memos_are_bounded():
-    for memo, bound in ((ingest._first_parse, ingest.PARSE_MEMO_SIZE),
-                        (trees._shape_trees, trees.TREE_MEMO_SIZE)):
+    for memo, bound in MEMOS:
         assert 0 < bound < float("inf")
         assert memo.cache_info().maxsize == bound
 
@@ -398,3 +409,186 @@ def test_zero_wire_warning_is_logged_on_cold_and_warm_memos(lex, caplog):
         with caplog.at_level(logging.WARNING, logger="discocirc.frames"):
             diagrams(doc, treeize(doc, cfg), cfg)
         assert [r.getMessage() for r in caplog.records] == want
+
+
+# --- lowering once per shape ----------------------------------------------
+
+def oracle_diagram(doc, cfg) -> dict:
+    """``diagrams(doc, treeize(doc, cfg), cfg)`` as JSON, through none of
+    the memos: the raw builder, every rule on the words, and one
+    ``sentence_diagram`` per sentence."""
+    removed = removed_mentions(doc, cfg)
+    coref = CorefMap([[m for m in chain if m not in removed]
+                      for chain in doc.corefs.chains
+                      if any(m not in removed for m in chain)])
+    sentences = []
+    for si, d in enumerate(doc.sentences):
+        forest = trees._build(d).forest
+        for rule in cfg.rewrites:
+            forest = [rewrite_tree(root, rule).tree for root in forest]
+        nouns = frozenset(ti for ti, word in enumerate(d.words)
+                          if cfg.lexicon.is_noun(word))
+        remove = frozenset(ti for s, ti in removed if s == si)
+        sentences.append(sentence_diagram(forest, remove, nouns, si))
+    return text_diagram_to_json(compose_document(sentences, coref))
+
+
+def piped_diagram(doc, cfg) -> dict:
+    return text_diagram_to_json(diagrams(doc, treeize(doc, cfg), cfg))
+
+
+def corpus_cases(lex) -> list[tuple]:
+    """(document after coordination, config) for every corpus input that
+    ingests, under every rule set and noun filter of the corpus."""
+    import test_corpus
+    cases = []
+    for _, _, value in test_corpus.inputs():
+        try:
+            doc = ingest_source(value, lex)
+        except DiscocircError:
+            continue
+        first_noun = next((w for sent in doc.sentences for w in sent.words
+                           if lex.is_noun(w)), None)
+        for rules in test_corpus.RULE_SETS:
+            for noun_filter in test_corpus.FILTERS:
+                cfg = PipelineConfig(lexicon=lex)
+                resolve_rewrites(list(rules), cfg)
+                cfg.min_noun_frequency = 2 if noun_filter == "min2" else None
+                cfg.remove_nouns = [first_noun] \
+                    if noun_filter == "remove" and first_noun else []
+                try:
+                    cases.append((apply_coordination(doc, cfg), cfg))
+                except DiscocircError:
+                    pass
+    return cases
+
+
+def test_diagrams_equal_the_memo_free_oracle(lex):
+    """The corpus inputs, under every rule set and noun filter, with the
+    memos cold, warm and filled in reverse order."""
+    cases = corpus_cases(lex)
+    assert len(cases) > 500
+    want = [oracle_diagram(doc, cfg) for doc, cfg in cases]
+    clear_memos()
+    assert [piped_diagram(doc, cfg) for doc, cfg in cases] == want
+    assert [piped_diagram(doc, cfg) for doc, cfg in cases] == want
+    clear_memos()
+    assert [piped_diagram(doc, cfg) for doc, cfg in reversed(cases)] == \
+        want[::-1]
+    assert rewrite._rewrite_shape.cache_info().hits > 0
+    assert frames._lower_shape.cache_info().hits > 0
+
+
+def test_edited_noun_tags_give_the_new_diagram():
+    lex = Lexicon.builtin()
+    doc = parse_text([["Alice", "reads", "the", "books"],
+                      ["Bob", "loves", "the", "music"],
+                      ["Alice", "loves", "the", "books"]], lex)
+    cfg = PipelineConfig(lexicon=lex, rewrites=[builtin_rule("determiner")])
+    seen = []
+    for edit in (lambda: lex.nouns.discard("books"),
+                 lambda: lex.nouns.discard("music"),
+                 lambda: lex.nouns.update({"books", "music"}), None):
+        got = piped_diagram(doc, cfg)
+        assert got == oracle_diagram(doc, cfg)
+        seen.append(got)
+        if edit:
+            edit()
+    assert seen[0] != seen[1] != seen[2] != seen[0] == seen[3]
+
+
+def test_a_rule_asked_about_a_merged_word_rewrites_the_sentence_alone(
+        lex, tmp_path):
+    """Only ``merge`` names a node with several tokens; a rule with words
+    asked about such a name needs the words, so that sentence is
+    rewritten with its own and no lowering of it is kept."""
+    pair, the_large = tmp_path / "pair.json", tmp_path / "the_large.json"
+    pair.write_text(json.dumps({
+        "name": "pair", "match_words": None, "match_types": [[["n", 0]]],
+        "word_merger": "merge"}), encoding="utf-8")
+    the_large.write_text(json.dumps({
+        "name": "the_large", "match_words": ["the large"],
+        "match_types": [[["n", 0]]], "word_merger": "first"}),
+        encoding="utf-8")
+    cfg = PipelineConfig(lexicon=lex,
+                         rewrites=[load_rule(pair), load_rule(the_large)])
+    merged = [["Alice", "reads", "the", "large", "blue", "books"],
+              ["Bob", "loves", "a", "fast", "blue", "bike"]]
+    doc = parse_text(merged + [["Alice", "reads", "books"]] + merged, lex)
+    clear_memos()
+    for _ in range(2):
+        reports = treeize(doc, cfg)
+        assert [(forest_to_json(r.forest), r.removed_cups)
+                for r in reports] == per_sentence_trees(doc, cfg.rewrites)
+        assert piped_diagram(doc, cfg) == oracle_diagram(doc, cfg)
+        assert frames._lower_shape.cache_info().currsize == 1
+    words = [n["word"] for n in piped_diagram(doc, cfg)["states"]]
+    assert "the large" in words and "blue bike" in words
+    # without the rule with words, the merged names are lowered once per
+    # shape and spelled for each sentence
+    cfg.rewrites.pop()
+    for _ in range(2):
+        got = piped_diagram(doc, cfg)
+        assert got == oracle_diagram(doc, cfg)
+        assert '"name": "a fast"' in json.dumps(got)
+
+
+def test_a_warm_sentence_builds_no_tree_node_and_runs_no_rule(
+        lex, monkeypatch):
+    """Once a sentence's shape, rule matches, nouns and removed tokens
+    were lowered, another sentence of the same builds no tree node, runs
+    no rule and lowers nothing; its diagram is the oracle's."""
+    cfg = PipelineConfig(lexicon=lex, remove_nouns=["music"],
+                         rewrites=[builtin_rule("determiner"),
+                                   builtin_rule("noun_modification")])
+    warm = parse_text([["Alice", "reads", "the", "large", "books"],
+                       ["Bob", "loves", "the", "music"]], lex)
+    doc = parse_text([["Bob", "writes", "the", "good", "code"],
+                      ["Alice", "likes", "the", "music"]], lex)
+    want = oracle_diagram(doc, cfg)
+    piped_diagram(warm, cfg)
+    calls = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(PregroupTreeNode, "__new__",
+                        staticmethod(counted(PregroupTreeNode.__new__)))
+    monkeypatch.setattr(rewrite, "_rewrite", counted(rewrite._rewrite))
+    monkeypatch.setattr(frames, "_lower", counted(frames._lower))
+    got = piped_diagram(doc, cfg)
+    assert calls == []
+    assert got == want
+
+
+def test_mutating_reports_or_a_diagram_leaves_later_diagrams(lex):
+    cfg = PipelineConfig(lexicon=lex,
+                         rewrites=[builtin_rule("determiner"),
+                                   builtin_rule("noun_modification")])
+    doc = parse_text(entity_document(random.Random(3), 6)
+                     + [["She", "reads", "herself"]], lex)
+    want = oracle_diagram(doc, cfg)
+    for _ in range(3):
+        reports = treeize(doc, cfg)
+        td = diagrams(doc, reports, cfg)
+        assert text_diagram_to_json(td) == want
+        reports[0].forest.append(PregroupTreeNode("y", 98, PregroupType()))
+        reports[1].removed_cups.append((97, 98))
+        td.layers.append(Box("x", (0,)))
+        td.layers[0] = Box("z", (1,))
+        td.states.reverse()
+
+
+def test_an_assigned_forest_is_what_diagrams_lowers(lex):
+    rule = builtin_rule("determiner")
+    doc = parse_text(entity_document(random.Random(3), 6), lex)
+    cfg = PipelineConfig(lexicon=lex)
+    reports = treeize(doc, cfg)
+    for report in reports:
+        report.forest = [rewrite_tree(root, rule).tree
+                         for root in report.forest]
+    assert text_diagram_to_json(diagrams(doc, reports, cfg)) == \
+        oracle_diagram(doc, PipelineConfig(lexicon=lex, rewrites=[rule]))
