@@ -24,6 +24,11 @@ tolerance oracles.  A failure names the (family,
 kind) whose hash moved.  ``python tests/test_corpus.py --write``
 regenerates ``tests/fixtures/corpus.sha256.json``; a change that does
 so says why.
+
+One paper-scale circuit is pinned apart, by the hashes of its JSON and
+``dump_circuit`` text written here: the 1,600-sentence "she" chain
+(seed 2) compiled with the qubit cap lifted, under the default ansatz and
+under two-layer sim4 with a fresh parameter set per box occurrence.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ from discocirc.compose import text_diagram_to_json
 from discocirc.errors import DiscocircError
 from discocirc.ingest import Lexicon, document_to_json, read_json
 from discocirc.pipeline import (PipelineConfig, apply_coordination,
-                                diagrams, ingest, resolve_rewrites, treeize)
+                                diagrams, ingest, resolve_rewrites, run,
+                                treeize)
 from discocirc.sandwich import SandwichConfig, expand_frames
 from discocirc.trees import dump_tree, forest_to_json
 from test_cli import BAD_CUPS
@@ -75,6 +81,17 @@ CIRCUITS = tuple((AnsatzConfig(kind, 1, 1, True, 0), mode)
                  for kind in ("iqp", "sim4")
                  for mode in ("shared", "foliated")) \
     + ((AnsatzConfig("sim4", 2, 2, False, 0), "shared"),)
+
+
+# (ansatz, circuit JSON hash, dump_circuit hash) of the paper-scale chain
+PAPER_SCALE = (
+    (AnsatzConfig(),
+     "a9a6a5e0e55b29212434474e4557955c9c9cc08268a3d479b975905bd71d6dad",
+     "476a7be1a0ee5fb720ecc2cb13bb46f74023c33197c133142c9e8599180756b0"),
+    (AnsatzConfig("sim4", 1, 2, False, 0),
+     "2b6483e259a740e3c9e2caabea67b059cd66f4b9bacd45760ce4553cc72234cc",
+     "f1cf01043ad9fb2ba7bfd51e094e2fc66d015460bf785ad6d7b2202b17d03c03"),
+)
 
 
 def loopy_document(rng: random.Random, n_sentences: int) -> dict:
@@ -224,6 +241,18 @@ def test_corpus_matches_its_hashes():
     moved = sorted(key for key in want.keys() | got.keys()
                    if want.get(key) != got.get(key))
     assert moved == [], f"corpus dumps moved: {moved}"
+
+
+def test_paper_scale_circuit_matches_its_hashes():
+    tokens = chain_document(random.Random(2), 1600)
+    for ansatz, json_hash, text_hash in PAPER_SCALE:
+        c = run({"tokens": tokens},
+                PipelineConfig(ansatz=ansatz, max_qubits=10 ** 9))
+        assert c.n_qubits == 1601
+        assert hashlib.sha256(json.dumps(circuit_to_json(c)).encode()) \
+            .hexdigest() == json_hash, ansatz
+        assert hashlib.sha256(dump_circuit(c).encode()).hexdigest() \
+            == text_hash, ansatz
 
 
 if __name__ == "__main__":

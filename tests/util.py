@@ -16,12 +16,15 @@ sample-by-sample one for its trainer (with its own ``bce_ddist``),
 ``free_types`` and ``wires_of`` read a diagram's free-wire types and a
 token's wires, and ``replay`` replays a text diagram's layers, through
 the wires each touches (``element_wires``), to recover its wire order.
-``block_symbol_count`` is the closed-form symbol count of an ansatz block.
+``block_symbol_count`` is the closed-form symbol count of an ansatz block,
+and ``diagram_distribution`` the semantic oracle for ``compile``: it
+contracts an expanded text diagram wire by wire.
 ``parse_type`` reads a pregroup type from its printed form.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import reduce
 
@@ -445,6 +448,76 @@ def train_oracle(dataset, cfg) -> tuple[dict, History]:
         history.rows.append((epoch, float(np.mean(losses)) if losses else 0.0,
                              corrects / max(len(train_set), 1), test_acc))
     return params, history
+
+
+# --- the semantic oracle for the back end ----------------------------------
+
+def diagram_distribution(td: TextDiagram, ansatz,
+                         params: dict) -> tuple[np.ndarray, float]:
+    """The output distribution and success probability of an expanded text
+    diagram (its merge box appended), contracted wire by wire and not
+    through ``compile``'s qubit numbers: the semantic oracle for
+    ``simulate(compile(td))``.
+
+    The state keeps one axis per live wire, 2^q levels each (the wire's
+    first qubit most significant), in order of introduction.  A noun
+    state adds a wire at |0> and, like a box, applies its block: the
+    gates ``ansatz.BLOCKS`` gives for its name and width, on the
+    concatenated qubits of its wires.  A copy spider maps |i> to |ii>, a
+    merge spider keeps i = j, a ``Perm`` changes nothing, and the merge
+    box projects all but its last wire onto |0>.  The outcomes read the
+    live wires in their order."""
+    from discocirc.ansatz import BLOCKS
+
+    q, levels = ansatz.qubits_per_wire, 2 ** ansatz.qubits_per_wire
+    state, wires = np.ones((), dtype=complex), []
+    occurrences: dict[tuple, int] = {}
+
+    def block(name, on):
+        nonlocal state
+        arity, width = len(on), len(on) * q
+        if not ansatz.share_parameters:
+            occ = occurrences.get((name, arity), 0)
+            occurrences[(name, arity)] = occ + 1
+            name = f"{name}.{occ}" if occ else name
+        names = (f"{name}__{arity}__{k}" for k in itertools.count())
+        axes = [wires.index(w) for w in on]
+        moved = np.moveaxis(state, axes, range(-arity, 0))
+        psi = moved.reshape(-1, 2 ** width)
+        for g in BLOCKS[ansatz.kind](width, ansatz.layers, names):
+            m = gate_matrix(g.name, None if g.param is None
+                            else params[g.param])
+            psi = _apply(psi, m, g.qubits, width)
+        state = np.moveaxis(psi.reshape(moved.shape), range(-arity, 0), axes)
+
+    for s in td.states:
+        state = np.multiply.outer(state, np.eye(levels)[0])
+        wires.append(s.chain_id)
+        block(s.word, [s.chain_id])
+    for el in td.layers:
+        if isinstance(el, Box):
+            block(el.name, el.wires)
+            if el.merge:
+                for w in el.wires[:-1]:
+                    state = np.take(state, 0, axis=wires.index(w))
+                    wires.remove(w)
+        elif isinstance(el, Spider) and el.dagger:
+            for w in el.in_wires[1:]:
+                src = wires.index(el.out_wire)
+                state = np.moveaxis(np.moveaxis(state, src, -1)[..., None]
+                                    * np.eye(levels), -2, src)
+                wires.append(w)
+        elif isinstance(el, Spider):
+            for w in el.in_wires[1:]:
+                src, dst = wires.index(el.in_wires[0]), wires.index(w)
+                diagonal = np.diagonal(state, axis1=src, axis2=dst)
+                wires.remove(w)
+                state = np.moveaxis(diagonal, -1, wires.index(el.in_wires[0]))
+        elif not isinstance(el, Perm):
+            raise TypeError(f"not an expanded layer: {el!r}")
+    probs = np.abs(state.reshape(-1)) ** 2
+    success = float(probs.sum())
+    return probs / success, success
 
 
 # --- wire order of a text diagram -------------------------------------------
