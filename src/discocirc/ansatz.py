@@ -14,7 +14,9 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,21 +40,124 @@ class Gate:
     param: object = None  # symbol name, literal radians, or None
 
 
-@dataclass
+_KINDS = tuple(GATE_ARITY)  # a gate kind's code is its index
+_CODES = {name: code for code, name in enumerate(_KINDS)}
+_SKELETONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Skeleton:
+    """What the circuits of one gate skeleton share: the width, each
+    gate's kind code, (G, 2) qubits (-1 for a 1-qubit gate's second) and
+    whether it takes a symbol, the postselection and the outputs.  Equal
+    skeletons are one object (``_interned``), hashed once."""
+
+    __slots__ = ("n_qubits", "kinds", "qubits", "symbolic", "postselect",
+                 "outputs", "_hash", "__weakref__")
+
+    def __init__(self, key: tuple):
+        self.n_qubits, kinds, qubits, symbolic, self.postselect, \
+            self.outputs, _ = key
+        # views of the key's bytes, which the intern table keeps
+        self.kinds = np.frombuffer(kinds, np.uint8)
+        self.qubits = np.frombuffer(qubits, np.int32).reshape(-1, 2)
+        self.symbolic = np.frombuffer(symbolic, bool)
+        self._hash = hash(key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @property
+    def readout(self) -> list[int]:
+        post = {qubit for qubit, _ in self.postselect}
+        return list(self.outputs) or [q for q in range(self.n_qubits)
+                                      if q not in post]
+
+    def rows(self):
+        """Each gate's (name, qubits), in running order."""
+        for code, (a, b) in zip(self.kinds.tolist(), self.qubits.tolist()):
+            yield _KINDS[code], (a,) if b < 0 else (a, b)
+
+
+def _interned(n_qubits: int, kinds, qubits, params, postselect,
+              outputs) -> _Skeleton:
+    post = tuple(map(tuple, postselect))
+    # a bit read as 0.0 or 1.0 is written back so, from a skeleton of its own
+    exact = all(type(bit) is int for _, bit in post)
+    key = (n_qubits, kinds.tobytes(), qubits.tobytes(), (params >= 0).tobytes(),
+           post, tuple(outputs), exact or object())
+    skeleton = _SKELETONS.get(key)
+    if skeleton is None:
+        skeleton = _SKELETONS[key] = _Skeleton(key)
+    return skeleton
+
+
+def _arrays(gates: list[Gate]) -> tuple:
+    """Gates as arrays: kind codes, (G, 2) qubits (-1 for none) and each
+    gate's ``param``, an index or None, as an index (-1 for none)."""
+    unknown = [g.name for g in gates if g.name not in _CODES]
+    if unknown:
+        raise ValueError(f"unknown gate {unknown[0]!r}")
+    return (np.array([_CODES[g.name] for g in gates], dtype=np.uint8),
+            np.array([tuple(g.qubits) + (-1,) * (2 - len(g.qubits))
+                      for g in gates], dtype=np.int32).reshape(-1, 2),
+            np.array([-1 if g.param is None else g.param for g in gates],
+                     dtype=np.int32))
+
+
 class Circuit:
-    n_qubits: int
-    gates: list[Gate] = field(default_factory=list)
-    postselect: list[tuple[int, int]] = field(default_factory=list)
-    symbols: dict[str, float] = field(default_factory=dict)
-    outputs: list[int] = field(default_factory=list)
+    """A parameterised circuit, kept as its interned skeleton, each gate's
+    index into ``_names`` (the distinct symbols in order of first use, -1
+    for none), the literal angles as (gate, value) pairs, and ``symbols``,
+    the declared values.  ``gates`` is a view of ``Gate`` values, built on
+    first read.  A circuit is not changed once built."""
+
+    __hash__ = None
+
+    def __init__(self, n_qubits: int, gates=(), postselect=(),
+                 symbols: dict | None = None, outputs=()):
+        gates, index = list(gates), {}
+        kinds, qubits, self._params = _arrays([Gate(
+            g.name, g.qubits, index.setdefault(g.param, len(index))
+            if isinstance(g.param, str) else None) for g in gates])
+        self._skeleton = _interned(n_qubits, kinds, qubits, self._params,
+                                   postselect, outputs)
+        self._names = tuple(index)
+        self._literals = tuple((i, g.param) for i, g in enumerate(gates)
+                               if g.param is not None
+                               and not isinstance(g.param, str))
+        self.symbols = {} if symbols is None else symbols
+
+    n_qubits = property(lambda self: self._skeleton.n_qubits)
+    postselect = property(lambda self: list(self._skeleton.postselect))
+    outputs = property(lambda self: list(self._skeleton.outputs))
 
     @property
     def readout(self) -> list[int]:
         """The qubits an outcome reads, most significant first: the
         outputs, by default every qubit not postselected."""
-        post = {qubit for qubit, _ in self.postselect}
-        return self.outputs or [q for q in range(self.n_qubits)
-                                if q not in post]
+        return self._skeleton.readout
+
+    def _rows(self):
+        """Each gate's (name, qubits, param), in running order."""
+        params = [self._names[i] if i >= 0 else None
+                  for i in self._params.tolist()]
+        for i, value in self._literals:
+            params[i] = value
+        for (name, qubits), param in zip(self._skeleton.rows(), params):
+            yield name, qubits, param
+
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        return tuple([Gate(*row) for row in self._rows()])
+
+    def __eq__(self, other) -> bool:
+        def fields(c):
+            return c.n_qubits, c.gates, c.postselect, c.symbols, c.outputs
+        return type(other) is Circuit and fields(self) == fields(other)
+
+    def __repr__(self) -> str:
+        return (f"Circuit({self.n_qubits}, {list(self.gates)}, "
+                f"{self.postselect}, {self.symbols}, {self.outputs})")
 
 
 @dataclass(frozen=True)
@@ -129,47 +234,51 @@ def compile(td: TextDiagram, cfg: AnsatzConfig,
     as ``expand_frames`` leaves it, to a parameterised circuit."""
     q = cfg.qubits_per_wire
     block_fn = BLOCKS[cfg.kind]
-    rng = np.random.default_rng(cfg.seed)
-
-    circuit = Circuit(n_qubits=0)
+    n_qubits = 0
     qubits_of: dict[object, list[int]] = {}
 
     def alloc(wire) -> list[int]:
-        qbs = list(range(circuit.n_qubits, circuit.n_qubits + q))
-        circuit.n_qubits += q
-        if circuit.n_qubits > cap:
-            raise CapExceeded(
-                f"{circuit.n_qubits} qubits exceed the cap of {cap}")
+        nonlocal n_qubits
+        qbs = list(range(n_qubits, n_qubits + q))
+        n_qubits += q
+        if n_qubits > cap:
+            raise CapExceeded(f"{n_qubits} qubits exceed the cap of {cap}")
         qubits_of[wire] = qbs
         return qbs
 
-    # one gate list per block width, each symbolic gate's param its
-    # symbol index
-    layouts: dict[int, list[Gate]] = {}
+    # the templates, as arrays: each block width's gates (what ``block_fn``
+    # returns given ``itertools.count()`` as its symbols) and a spider's CX;
+    # and each template's stampings: first gate, qubits and first symbol
+    templates = {"CX": _arrays([Gate("CX", (0, 1))])}
+    stamps: dict[object, list[tuple]] = {}
+    names: list[str] = []
+    first: dict[tuple[str, int], int] = {}
     occurrences: dict[tuple[str, int], int] = {}
+    postselect: list[tuple[int, int]] = []
+    size = 0
+
+    def stamp(key, qbs: list[int], base: int = 0):
+        nonlocal size
+        stamps.setdefault(key, []).append((size, qbs, base))
+        size += len(templates[key][0])
 
     def emit_block(name: str, qbs: list[int]):
-        arity = len(qbs) // q
+        width = arity = len(qbs)
+        arity //= q
         if not cfg.share_parameters:
             occ = occurrences.get((name, arity), 0)
             occurrences[(name, arity)] = occ + 1
             if occ:
                 name = f"{name}.{occ}"
-        layout = layouts.get(len(qbs))
-        if layout is None:
-            layout = layouts[len(qbs)] = block_fn(
-                len(qbs), cfg.layers, itertools.count())
-        syms = [f"{name}__{arity}__{g.param}"
-                for g in layout if g.param is not None]
-        # a block's symbols are all fresh or all known: draw fresh values
-        # in creation order, as one vector
-        if syms[0] not in circuit.symbols:
-            circuit.symbols.update(zip(
-                syms, rng.uniform(0.0, 2 * np.pi, len(syms)).tolist()))
-        circuit.gates += [
-            Gate(g.name, tuple(map(qbs.__getitem__, g.qubits)),
-                 None if g.param is None else syms[g.param])
-            for g in layout]
+        if width not in templates:
+            templates[width] = _arrays(
+                block_fn(width, cfg.layers, itertools.count()))
+        # a block's symbols are all fresh or all known
+        if (name, arity) not in first:
+            first[(name, arity)] = len(names)
+            names.extend(f"{name}__{arity}__{k}"
+                         for k in range(max(templates[width][2]) + 1))
+        stamp(width, qbs, first[(name, arity)])
 
     for state in td.states:
         emit_block(state.word, alloc(state.chain_id))
@@ -179,7 +288,7 @@ def compile(td: TextDiagram, cfg: AnsatzConfig,
             qbs = [qb for w in el.wires for qb in qubits_of[w]]
             emit_block(el.name, qbs)
             if el.merge:
-                circuit.postselect += [(qb, 0) for qb in qbs[:-q]]
+                postselect += [(qb, 0) for qb in qbs[:-q]]
                 for w in el.wires[:-1]:
                     qubits_of.pop(w, None)
         elif isinstance(el, Spider):
@@ -189,27 +298,45 @@ def compile(td: TextDiagram, cfg: AnsatzConfig,
             for wire in el.in_wires[1:]:
                 dst = alloc(wire) if el.dagger else qubits_of.pop(wire)
                 for qs, qd in zip(src, dst):
-                    circuit.gates.append(Gate("CX", (qs, qd)))
+                    stamp("CX", [qs, qd])
                     if not el.dagger:
-                        circuit.postselect.append((qd, 0))
+                        postselect.append((qd, 0))
         elif isinstance(el, (Frame, Par, Identity)):
             raise UnexpandedFrame(f"unexpanded layer {el!r}")
         elif not isinstance(el, Perm):
             raise TypeError(f"cannot compile {el!r}")
 
-    post = {qb for qb, _ in circuit.postselect}
-    circuit.outputs = sorted(
+    # each template stamped through all of its blocks at once
+    kinds = np.empty(size, dtype=np.uint8)
+    qubits = np.empty((size, 2), dtype=np.int32)
+    params = np.empty(size, dtype=np.int32)
+    for key, rows in stamps.items():
+        t_kinds, t_qubits, t_params = templates[key]
+        at, on, bases = map(np.array, zip(*rows))
+        at = at[:, None] + np.arange(len(t_kinds))
+        kinds[at] = t_kinds
+        qubits[at] = np.where(t_qubits >= 0, on[:, t_qubits], -1)
+        params[at] = np.where(t_params >= 0, bases[:, None] + t_params, -1)
+    post = {qb for qb, _ in postselect}
+    outputs = sorted(
         qb for qbs in qubits_of.values() for qb in qbs if qb not in post)
-    return circuit
+    c = Circuit.__new__(Circuit)
+    c._skeleton = _interned(n_qubits, kinds, qubits, params, postselect,
+                            outputs)
+    c._params, c._names, c._literals = params, tuple(names), ()
+    # fresh symbols' values in creation order, as one vector
+    c.symbols = dict(zip(names, np.random.default_rng(cfg.seed).uniform(
+        0.0, 2 * np.pi, len(names)).tolist()))
+    return c
 
 
 def circuit_to_json(c: Circuit) -> dict:
     return {
         "n_qubits": c.n_qubits,
         "gates": [
-            {"name": g.name, "qubits": list(g.qubits),
-             **({"param": g.param} if g.param is not None else {})}
-            for g in c.gates
+            {"name": name, "qubits": list(qubits),
+             **({"param": param} if param is not None else {})}
+            for name, qubits, param in c._rows()
         ],
         "postselect": [list(p) for p in c.postselect],
         "symbols": dict(c.symbols),
@@ -231,18 +358,16 @@ def circuit_from_json(data: dict) -> Circuit:
     if not isinstance(data, dict):
         raise FormatError("a circuit must be a JSON object")
     try:
-        c = Circuit(
-            n_qubits=data["n_qubits"],
-            gates=[Gate(g["name"], tuple(g["qubits"]), g.get("param"))
-                   for g in data["gates"]],
-            postselect=[tuple(p) for p in data.get("postselect", [])],
-            symbols=dict(data.get("symbols", {})),
-            outputs=list(data.get("outputs", [])),
-        )
+        n_qubits = data["n_qubits"]
+        gates = [Gate(g["name"], tuple(g["qubits"]), g.get("param"))
+                 for g in data["gates"]]
+        postselect = [tuple(p) for p in data.get("postselect", [])]
+        symbols = dict(data.get("symbols", {}))
+        outputs = list(data.get("outputs", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed circuit: {exc!r}") from exc
-    if type(c.n_qubits) is not int or c.n_qubits < 0:
-        raise FormatError(f"not a qubit count: {c.n_qubits!r}", "n_qubits")
+    if type(n_qubits) is not int or n_qubits < 0:
+        raise FormatError(f"not a qubit count: {n_qubits!r}", "n_qubits")
 
     def finite(value) -> bool:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -252,18 +377,18 @@ def circuit_from_json(data: dict) -> Circuit:
         except OverflowError:  # an integer beyond the float range
             return False
 
-    for name, value in c.symbols.items():
+    for name, value in symbols.items():
         if not finite(value):
             raise FormatError(f"not a finite number: {value!r}",
                               f"symbols[{name!r}]")
 
     def check_qubits(qubits, where):
         for qb in qubits:
-            if type(qb) is not int or not 0 <= qb < c.n_qubits:
+            if type(qb) is not int or not 0 <= qb < n_qubits:
                 raise FormatError(
-                    f"qubit {qb!r} is not one of 0..{c.n_qubits - 1}", where)
+                    f"qubit {qb!r} is not one of 0..{n_qubits - 1}", where)
 
-    for i, g in enumerate(c.gates):
+    for i, g in enumerate(gates):
         where = f"gates[{i}]"
         if g.name not in GATE_ARITY:
             raise FormatError(f"unknown gate {g.name!r}", where)
@@ -280,7 +405,7 @@ def circuit_from_json(data: dict) -> Circuit:
             raise FormatError(f"parameter {g.param!r} is neither a symbol "
                               "name nor a finite number", where)
     postselected = set()
-    for i, p in enumerate(c.postselect):
+    for i, p in enumerate(postselect):
         if len(p) != 2 or isinstance(p[1], bool) or p[1] not in (0, 1):
             raise FormatError(f"postselect entry {list(p)} is not "
                               "[qubit, 0 or 1]", f"postselect[{i}]")
@@ -289,17 +414,17 @@ def circuit_from_json(data: dict) -> Circuit:
             raise FormatError(f"qubit {p[0]} postselected twice",
                               f"postselect[{i}]")
         postselected.add(p[0])
-    check_qubits(c.outputs, "outputs")
-    return c
+    check_qubits(outputs, "outputs")
+    return Circuit(n_qubits, gates, postselect, symbols, outputs)
 
 
 def dump_circuit(c: Circuit) -> str:
     """Flat text listing, one gate per line, for golden comparisons."""
     lines = [f"qubits {c.n_qubits}"]
-    for g in c.gates:
-        qbs = ",".join(str(qb) for qb in g.qubits)
-        lines.append(f"{g.name} {qbs}" + (f" {g.param}" if g.param is not None
-                                          else ""))
+    for name, qubits, param in c._rows():
+        qbs = ",".join(str(qb) for qb in qubits)
+        lines.append(f"{name} {qbs}" + (f" {param}" if param is not None
+                                        else ""))
     for qb, bit in c.postselect:
         lines.append(f"postselect {qb}={bit}")
     lines.append("outputs " + ",".join(str(qb) for qb in c.outputs))

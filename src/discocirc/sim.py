@@ -34,7 +34,7 @@ import json
 import logging
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -123,43 +123,53 @@ class _Plan:
     """What the circuits of one gate skeleton share; ``gates`` holds each
     gate's (name, qubits, whether it takes a symbol)."""
 
-    def __init__(self, c: Circuit, gates: tuple):
-        if c.n_qubits > QUBIT_CAP:
-            raise CapExceeded(f"{c.n_qubits} qubits exceed the cap of "
-                              f"{QUBIT_CAP}")
-        self.n = n = max(c.n_qubits, 1)
-        self.gates = gates
+    def __init__(self, skeleton):
+        self.n = n = max(skeleton.n_qubits, 1)
+        self.gates = gates = tuple([
+            (name, qubits, symbolic) for (name, qubits), symbolic
+            in zip(skeleton.rows(), skeleton.symbolic.tolist())])
         # each gate's move from |0...0>, then the move back to 0..n-1
         self.moves = _moves(tuple(range(n)), [q for _, q, _ in gates]
                             + [tuple(range(n))])[0]
-        self.symbolic = np.flatnonzero([gate[2] for gate in self.gates])
+        self.symbolic = np.flatnonzero(skeleton.symbolic)
         kinds: dict[str, list[int]] = {}
-        for i, (name, _, _) in enumerate(self.gates):
+        for i, (name, _, _) in enumerate(gates):
             if name in PARAMETRIC_GATES:
                 kinds.setdefault(name, []).append(i)
         self.kinds = {name: np.array(idx) for name, idx in kinds.items()}
+        # whether a parameterised gate takes no symbol, so its circuit
+        # must give it a literal angle
+        self.literal = any(not gates[i][2] for idx in kinds.values()
+                           for i in idx)
         self.fixed = [None if name in PARAMETRIC_GATES else gate_matrix(name)
-                      for name, _, _ in self.gates]
+                      for name, _, _ in gates]
         # the outcome map: the basis states that survive postselection and
         # the outcome of each, output qubits read most significant first
         basis = np.arange(2 ** n)
         keep = np.ones(2 ** n, dtype=bool)
-        for qubit, bit in c.postselect:
+        for qubit, bit in skeleton.postselect:
             keep &= (basis >> (n - 1 - qubit)) & 1 == bit
         outcome = np.zeros(2 ** n, dtype=np.intp)
-        for qubit in c.readout:
+        readout = skeleton.readout
+        for qubit in readout:
             outcome = 2 * outcome + ((basis >> (n - 1 - qubit)) & 1)
         self.kept = np.flatnonzero(keep)
         self.outcome = outcome[self.kept]
-        self.size = 2 ** len(c.readout)
+        self.size = 2 ** len(readout)
 
-    def matrices(self, angles: np.ndarray) -> list[np.ndarray]:
+    def matrices(self, angles: np.ndarray,
+                 shared: bool = False) -> list[np.ndarray]:
         """Every gate's matrix for (G, ...) angles, one row per gate: (d, d)
-        for a fixed gate, else shape angles.shape[1:] + (d, d)."""
+        for a fixed gate, else shape angles.shape[1:] + (d, d).  With
+        ``shared``, for (G, B) angles, a gate whose B angles are equal gets
+        the first one's (d, d) matrix."""
         out = list(self.fixed)
         for name, idx in self.kinds.items():
-            for i, m in zip(idx, gate_matrix(name, angles[idx])):
-                out[i] = m
+            angle = angles[idx]
+            same = (angle == angle[:, :1]).all(1) if shared \
+                else np.zeros(len(idx), dtype=bool)
+            for i, m, one in zip(idx, gate_matrix(name, angle), same):
+                out[i] = m[0] if one else m
         return out
 
     @cached_property
@@ -192,6 +202,27 @@ class _Plan:
                       [q for _, q, _ in reversed(self.gates)])[0]
 
 
+# plans of the last skeletons used; a skeleton is interned, so it hashes
+# once and compares by identity
+_PLAN_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=_PLAN_MEMO_SIZE)
+def _plan(skeleton) -> _Plan:
+    return _Plan(skeleton)
+
+
+def _unbound(c: Circuit, index: dict) -> None:
+    """Raise for the first gate of ``c`` whose symbol has no value in
+    ``index`` (UnboundSymbol) or that is parameterised and has no angle
+    (ValueError), if any."""
+    for name, _, param in c._rows():
+        if isinstance(param, str) and param not in index:
+            raise UnboundSymbol(f"symbol {param!r} has no value")
+        if param is None and name in PARAMETRIC_GATES:
+            raise ValueError(f"{name} gate needs an angle")
+
+
 def _prepare(circuits: list[Circuit], params: dict,
              binary: bool = False) -> tuple:
     """The angle table (the values of ``params`` in its order, NaN, the
@@ -201,31 +232,27 @@ def _prepare(circuits: list[Circuit], params: dict,
     ``binary``, for an outcome of more than one qubit."""
     index = dict(zip(params, range(len(params))))
     table = [*params.values(), np.nan]
-    cache: dict[tuple, _Plan] = {}
     plans, slots = [], []
     for c in circuits:
-        gates = tuple([(g.name, g.qubits, isinstance(g.param, str))
-                       for g in c.gates])
-        key = (c.n_qubits, gates, tuple(c.postselect), tuple(c.outputs))
-        if key not in cache:
-            cache[key] = _Plan(c, gates)
-            if binary and cache[key].size != 2:
-                raise ValueError("a binary label needs a 1-qubit output")
-        plans.append(cache[key])
-        row = []
-        for g in c.gates:
-            if isinstance(g.param, str):
-                if g.param not in index:
-                    raise UnboundSymbol(f"symbol {g.param!r} has no value")
-                row.append(index[g.param])
-            elif g.param is not None:
-                row.append(len(table))
-                table.append(float(g.param))
-            elif g.name in PARAMETRIC_GATES:
-                raise ValueError(f"{g.name} gate needs an angle")
-            else:
-                row.append(len(params))
-        slots.append(np.array(row, dtype=np.intp))
+        if c.n_qubits > QUBIT_CAP:
+            raise CapExceeded(f"{c.n_qubits} qubits exceed the cap of "
+                              f"{QUBIT_CAP}")
+        plan = _plan(c._skeleton)
+        if binary and plan.size != 2:
+            raise ValueError("a binary label needs a 1-qubit output")
+        if plan.literal:
+            _unbound(c, index)
+        try:
+            where = [*map(index.__getitem__, c._names), len(params)]
+        except KeyError:
+            _unbound(c, index)
+        # a gate without a symbol indexes the last entry, the NaN
+        row = np.array(where, dtype=np.intp)[c._params]
+        for i, value in c._literals:
+            row[i] = len(table)
+            table.append(float(value))
+        plans.append(plan)
+        slots.append(row)
     return np.array(table, dtype=float), plans, slots
 
 
@@ -243,7 +270,8 @@ def _forward(plan: _Plan, thetas: np.ndarray) -> _Forward:
     """Run a group of one plan at its (B, G) angles from |0...0> as one
     stacked state and read it out; raises ZeroNorm when a postselected
     branch carries (numerically) no amplitude."""
-    matrices = plan.matrices(thetas.T)
+    # a parameterised gate whose angle every row shares applies one matrix
+    matrices = plan.matrices(thetas.T, shared=True)
     state = np.zeros((len(thetas), 2 ** plan.n), dtype=complex)
     state[:, 0] = 1.0
     for m, move in zip(matrices, plan.moves):
@@ -322,8 +350,7 @@ def gradient(c: Circuit, params: dict, dloss_ddist: np.ndarray,
     grad = dict(zip(params, _gradient(
         plan, slots[None], table, _forward(plan, table[slots][None]), w,
         method)[0].tolist()))
-    return {sym: grad[sym]
-            for sym in sorted({c.gates[i].param for i in plan.symbolic})}
+    return {sym: grad[sym] for sym in sorted(c._names)}
 
 
 def _gradient(plan: _Plan, slots: np.ndarray, table: np.ndarray,
@@ -372,7 +399,7 @@ def _gradient(plan: _Plan, slots: np.ndarray, table: np.ndarray,
             name, qubits, symbolic = plan.gates[i]
             pair = _reorder(pair, move)
             if symbolic:
-                turned = pair[:, 0].reshape(rows, -1, 2 ** len(qubits)) \
+                turned = pair[:, 0].reshape(-1, 2 ** len(qubits)) \
                     @ _GENERATORS[name].T
                 contrib[:, i] = (pair[:, 1].conj()
                                  * turned.reshape(rows, -1)).sum(1).imag
@@ -487,10 +514,13 @@ def train(dataset: list[tuple[Circuit, int]],
         log.warning("no sample held out: the test accuracy is NaN")
     train_set = order[:split]
 
+    # the union in order of first declaration, then each symbol's first
+    # declared value
     symbols: dict[str, float] = {}
     for circuit, _ in dataset:
-        for sym, value in circuit.symbols.items():
-            symbols.setdefault(sym, value)
+        symbols.update(circuit.symbols)
+    for circuit, _ in reversed(dataset):
+        symbols.update(circuit.symbols)
     table, plans, slots = _prepare([c for c, _ in dataset], symbols, True)
     labels = [label for _, label in dataset]
     # a view: Adam's steps write the head of the table

@@ -464,6 +464,63 @@ def test_stacked_batch_matches_single_circuits(amplitudes, monkeypatch):
                        for s in single) < 1e-12
 
 
+def test_a_box_every_row_shares_applies_one_matrix():
+    # the two-topic texts share their merge box's symbols, so its gates
+    # apply one (d, d) matrix to the whole stacked group, and gates whose
+    # symbols differ between rows a (B, d, d) stack
+    batch = [c for c, _ in classification_dataset(6, seed=23)]
+    local = np.random.default_rng(19)
+    params = {sym: float(local.uniform(0, 2 * np.pi))
+              for c in batch for sym in c.symbols}
+    table, plans, slots = _prepare(batch, params)
+    plan = plans[0]
+    assert all(p is plan for p in plans)
+    fwd = _forward(plan, table[np.array(slots)])
+    merge = {i for i, g in enumerate(batch[0].gates)
+             if g.param and g.param.startswith("merge_")}
+    shared = {i for i in plan.symbolic if fwd.matrices[i].ndim == 2}
+    assert merge and merge <= shared < set(plan.symbolic)
+    dl = local.normal(size=fwd.raw.shape)
+    index = {sym: k for k, sym in enumerate(params)}
+    for method in ("adjoint", "parameter_shift"):
+        grads = _gradient(plan, np.array(slots), table, fwd, dl, method)
+        for c, raw, success, w, row in zip(batch, fwd.raw, fwd.success, dl,
+                                           grads):
+            dist, want = simulate(c, params)
+            assert abs(success - want) < 1e-12
+            assert np.max(np.abs(raw / success - dist)) < 1e-12
+            single = gradient(c, params, w, method)
+            assert max(abs(row[index[s]] - single[s]) for s in single) \
+                < 1e-12
+
+
+def test_every_check_runs_on_a_plan_memo_hit():
+    c = fixture_circuit("sim4", 2, 1, seed=3)
+    wide = Circuit(2, c.gates, c.postselect, c.symbols, [0, 1])
+    simulate(wide, c.symbols)  # its plan is now in the memo
+    again = Circuit(2, c.gates, c.postselect, dict(c.symbols), [0, 1])
+    assert again._skeleton is wide._skeleton
+    with pytest.raises(ValueError, match="1-qubit output"):
+        train([(c, 0), (again, 1)], TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="1-qubit output"):
+        evaluate_accuracy([(again, 1)], c.symbols)
+    unbound = dict(c.symbols)
+    unbound.pop(c.gates[-1].param)
+    simulate(c, c.symbols)
+    for run_it in (lambda: simulate(c, unbound),
+                   lambda: evaluate_accuracy([(c, 1)], unbound)):
+        with pytest.raises(UnboundSymbol, match=c.gates[-1].param):
+            run_it()
+    # a circuit over the cap is refused every time, and its plan never
+    # built or stored
+    wide = Circuit(15, [Gate("H", (0,))], outputs=[0])
+    before = sim._plan.cache_info()
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            simulate(wide, {})
+    assert sim._plan.cache_info() == before
+
+
 # --- training ---------------------------------------------------------------
 
 def test_single_sample_overfits():
