@@ -5,8 +5,16 @@ ansatz blocks (IQP or a hardware-efficient Rx/Rz/CRx pattern), spider
 copies and merges become CX pairs with postselection.  Gates find a wire's
 qubits by its id, so wire permutations are relabellings and compile to no
 gates.  Parameters are named "<box>__<arity>__<idx>" so boxes of the
-same word and width share weights; each block with fresh symbols draws
-their values as one vector from the config's seed.
+same word and width share weights; the fresh symbols draw their values,
+in creation order, as one vector from the config's seed.
+
+A circuit is stored as arrays, not as ``Gate`` objects: one interned
+skeleton (width, each gate's kind code and qubits, which gates take a
+symbol, postselection and outputs), shared by every equal circuit and
+hashed once, plus each gate's index into the circuit's symbol order and
+its literal angles.  ``compile`` stamps each block from its width's
+template, kept per process, mapping the template's qubits and symbols
+through the block's; ``Circuit.gates`` is a view built on first read.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import logging
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,21 +54,17 @@ _SKELETONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class _Skeleton:
-    """What the circuits of one gate skeleton share: the width, each
-    gate's kind code, (G, 2) qubits (-1 for a 1-qubit gate's second) and
-    whether it takes a symbol, the postselection and the outputs.  Equal
-    skeletons are one object (``_interned``), hashed once."""
+    """What the circuits of one gate skeleton share: the width, each gate's
+    kind code and two qubits (int32, -1 for none) and whether it takes a
+    symbol, as bytes, the postselection and the outputs.  Equal skeletons
+    are one object (``Circuit._build`` interns them), hashed once."""
 
     __slots__ = ("n_qubits", "kinds", "qubits", "symbolic", "postselect",
                  "outputs", "_hash", "__weakref__")
 
     def __init__(self, key: tuple):
-        self.n_qubits, kinds, qubits, symbolic, self.postselect, \
-            self.outputs, _ = key
-        # views of the key's bytes, which the intern table keeps
-        self.kinds = np.frombuffer(kinds, np.uint8)
-        self.qubits = np.frombuffer(qubits, np.int32).reshape(-1, 2)
-        self.symbolic = np.frombuffer(symbolic, bool)
+        (self.n_qubits, self.kinds, self.qubits, self.symbolic,
+         self.postselect, self.outputs, _) = key
         self._hash = hash(key)
 
     def __hash__(self) -> int:
@@ -68,40 +72,29 @@ class _Skeleton:
 
     @property
     def readout(self) -> list[int]:
+        """The qubits an outcome reads, most significant first: the
+        outputs, by default every qubit not postselected."""
         post = {qubit for qubit, _ in self.postselect}
         return list(self.outputs) or [q for q in range(self.n_qubits)
                                       if q not in post]
 
     def rows(self):
         """Each gate's (name, qubits), in running order."""
-        for code, (a, b) in zip(self.kinds.tolist(), self.qubits.tolist()):
+        pairs = np.frombuffer(self.qubits, np.int32).reshape(-1, 2).tolist()
+        for code, (a, b) in zip(self.kinds, pairs):
             yield _KINDS[code], (a,) if b < 0 else (a, b)
 
 
-def _interned(n_qubits: int, kinds, qubits, params, postselect,
-              outputs) -> _Skeleton:
-    post = tuple(map(tuple, postselect))
-    # a bit read as 0.0 or 1.0 is written back so, from a skeleton of its own
-    exact = all(type(bit) is int for _, bit in post)
-    key = (n_qubits, kinds.tobytes(), qubits.tobytes(), (params >= 0).tobytes(),
-           post, tuple(outputs), exact or object())
-    skeleton = _SKELETONS.get(key)
-    if skeleton is None:
-        skeleton = _SKELETONS[key] = _Skeleton(key)
-    return skeleton
-
-
-def _arrays(gates: list[Gate]) -> tuple:
-    """Gates as arrays: kind codes, (G, 2) qubits (-1 for none) and each
-    gate's ``param``, an index or None, as an index (-1 for none)."""
-    unknown = [g.name for g in gates if g.name not in _CODES]
-    if unknown:
-        raise ValueError(f"unknown gate {unknown[0]!r}")
-    return (np.array([_CODES[g.name] for g in gates], dtype=np.uint8),
-            np.array([tuple(g.qubits) + (-1,) * (2 - len(g.qubits))
-                      for g in gates], dtype=np.int32).reshape(-1, 2),
-            np.array([-1 if g.param is None else g.param for g in gates],
-                     dtype=np.int32))
+def _columns(gates: list[Gate]) -> tuple[list, list, list]:
+    """Each gate's kind code, its two qubits (-1 for none) in a row, and
+    its ``param``, an index or None, as an index (-1 for none)."""
+    for g in gates:
+        if len(g.qubits) != GATE_ARITY.get(g.name):
+            raise ValueError(f"{g.name!r} on {len(g.qubits)} qubit(s) is "
+                             "not a gate")
+    return ([_CODES[g.name] for g in gates],
+            [q for g in gates for q in (*g.qubits, -1)[:2]],
+            [-1 if g.param is None else g.param for g in gates])
 
 
 class Circuit:
@@ -116,26 +109,33 @@ class Circuit:
     def __init__(self, n_qubits: int, gates=(), postselect=(),
                  symbols: dict | None = None, outputs=()):
         gates, index = list(gates), {}
-        kinds, qubits, self._params = _arrays([Gate(
-            g.name, g.qubits, index.setdefault(g.param, len(index))
-            if isinstance(g.param, str) else None) for g in gates])
-        self._skeleton = _interned(n_qubits, kinds, qubits, self._params,
-                                   postselect, outputs)
-        self._names = tuple(index)
-        self._literals = tuple((i, g.param) for i, g in enumerate(gates)
-                               if g.param is not None
-                               and not isinstance(g.param, str))
-        self.symbols = {} if symbols is None else symbols
+        columns = _columns([Gate(g.name, g.qubits, index.setdefault(
+            g.param, len(index)) if isinstance(g.param, str) else None)
+            for g in gates])
+        self._build(n_qubits, *columns, postselect, outputs, tuple(index),
+                    {} if symbols is None else symbols,
+                    tuple((i, g.param) for i, g in enumerate(gates)
+                          if g.param is not None
+                          and not isinstance(g.param, str)))
+
+    def _build(self, n_qubits, kinds, qubits, params, postselect, outputs,
+               names, symbols, literals=()):
+        self._params = np.array(params, dtype=np.int32)
+        post = tuple(map(tuple, postselect))
+        # a bit read as 0.0 or 1.0 is written back so, from its own skeleton
+        exact = all(type(bit) is int for _, bit in post)
+        key = (n_qubits, bytes(kinds), np.array(qubits, np.int32).tobytes(),
+               (self._params >= 0).tobytes(), post, tuple(outputs),
+               exact or object())
+        self._skeleton = _SKELETONS.get(key)
+        if self._skeleton is None:
+            self._skeleton = _SKELETONS[key] = _Skeleton(key)
+        self._names, self._literals, self.symbols = names, literals, symbols
 
     n_qubits = property(lambda self: self._skeleton.n_qubits)
     postselect = property(lambda self: list(self._skeleton.postselect))
     outputs = property(lambda self: list(self._skeleton.outputs))
-
-    @property
-    def readout(self) -> list[int]:
-        """The qubits an outcome reads, most significant first: the
-        outputs, by default every qubit not postselected."""
-        return self._skeleton.readout
+    readout = property(lambda self: self._skeleton.readout)
 
     def _rows(self):
         """Each gate's (name, qubits, param), in running order."""
@@ -228,12 +228,20 @@ def append_merge_box(td: TextDiagram) -> TextDiagram:
     return TextDiagram(td.states, td.layers + [merge])
 
 
+@lru_cache(maxsize=256)
+def _template(kind: str, width: int, layers: int) -> tuple:
+    """A block's gates as ``_columns`` (``itertools.count()`` its symbols),
+    as tuples, and its number of symbols, kept per process."""
+    gates = BLOCKS[kind](width, layers, itertools.count())
+    return (*map(tuple, _columns(gates)),
+            sum(g.param is not None for g in gates))
+
+
 def compile(td: TextDiagram, cfg: AnsatzConfig,
             cap: int = QUBIT_CAP) -> Circuit:
     """Lower an expanded text diagram, every layer a Box, Spider or Perm
     as ``expand_frames`` leaves it, to a parameterised circuit."""
     q = cfg.qubits_per_wire
-    block_fn = BLOCKS[cfg.kind]
     n_qubits = 0
     qubits_of: dict[object, list[int]] = {}
 
@@ -246,39 +254,32 @@ def compile(td: TextDiagram, cfg: AnsatzConfig,
         qubits_of[wire] = qbs
         return qbs
 
-    # the templates, as arrays: each block width's gates (what ``block_fn``
-    # returns given ``itertools.count()`` as its symbols) and a spider's CX;
-    # and each template's stampings: first gate, qubits and first symbol
-    templates = {"CX": _arrays([Gate("CX", (0, 1))])}
-    stamps: dict[object, list[tuple]] = {}
-    names: list[str] = []
-    first: dict[tuple[str, int], int] = {}
+    # each gate's kind code, two qubits (-1 for none) and symbol index (-1
+    # for none), stamped from its block's template; each block's symbol
+    # indices, by (name, arity), followed by -1
+    kinds, qubits, params, names = [], [], [], []
+    symbols_of: dict[tuple[str, int], list[int]] = {}
     occurrences: dict[tuple[str, int], int] = {}
     postselect: list[tuple[int, int]] = []
-    size = 0
-
-    def stamp(key, qbs: list[int], base: int = 0):
-        nonlocal size
-        stamps.setdefault(key, []).append((size, qbs, base))
-        size += len(templates[key][0])
 
     def emit_block(name: str, qbs: list[int]):
-        width = arity = len(qbs)
-        arity //= q
+        arity = len(qbs) // q
         if not cfg.share_parameters:
             occ = occurrences.get((name, arity), 0)
             occurrences[(name, arity)] = occ + 1
             if occ:
                 name = f"{name}.{occ}"
-        if width not in templates:
-            templates[width] = _arrays(
-                block_fn(width, cfg.layers, itertools.count()))
+        t_kinds, t_qubits, t_params, count = _template(
+            cfg.kind, len(qbs), cfg.layers)
         # a block's symbols are all fresh or all known
-        if (name, arity) not in first:
-            first[(name, arity)] = len(names)
-            names.extend(f"{name}__{arity}__{k}"
-                         for k in range(max(templates[width][2]) + 1))
-        stamp(width, qbs, first[(name, arity)])
+        syms = symbols_of.get((name, arity))
+        if syms is None:
+            syms = symbols_of[(name, arity)] = [
+                *range(len(names), len(names) + count), -1]
+            names.extend(f"{name}__{arity}__{k}" for k in range(count))
+        kinds.extend(t_kinds)
+        qubits.extend(map((qbs + [-1]).__getitem__, t_qubits))
+        params.extend(map(syms.__getitem__, t_params))
 
     for state in td.states:
         emit_block(state.word, alloc(state.chain_id))
@@ -298,7 +299,9 @@ def compile(td: TextDiagram, cfg: AnsatzConfig,
             for wire in el.in_wires[1:]:
                 dst = alloc(wire) if el.dagger else qubits_of.pop(wire)
                 for qs, qd in zip(src, dst):
-                    stamp("CX", [qs, qd])
+                    kinds.append(_CODES["CX"])
+                    qubits += (qs, qd)
+                    params.append(-1)
                     if not el.dagger:
                         postselect.append((qd, 0))
         elif isinstance(el, (Frame, Par, Identity)):
@@ -306,27 +309,14 @@ def compile(td: TextDiagram, cfg: AnsatzConfig,
         elif not isinstance(el, Perm):
             raise TypeError(f"cannot compile {el!r}")
 
-    # each template stamped through all of its blocks at once
-    kinds = np.empty(size, dtype=np.uint8)
-    qubits = np.empty((size, 2), dtype=np.int32)
-    params = np.empty(size, dtype=np.int32)
-    for key, rows in stamps.items():
-        t_kinds, t_qubits, t_params = templates[key]
-        at, on, bases = map(np.array, zip(*rows))
-        at = at[:, None] + np.arange(len(t_kinds))
-        kinds[at] = t_kinds
-        qubits[at] = np.where(t_qubits >= 0, on[:, t_qubits], -1)
-        params[at] = np.where(t_params >= 0, bases[:, None] + t_params, -1)
     post = {qb for qb, _ in postselect}
     outputs = sorted(
         qb for qbs in qubits_of.values() for qb in qbs if qb not in post)
     c = Circuit.__new__(Circuit)
-    c._skeleton = _interned(n_qubits, kinds, qubits, params, postselect,
-                            outputs)
-    c._params, c._names, c._literals = params, tuple(names), ()
     # fresh symbols' values in creation order, as one vector
-    c.symbols = dict(zip(names, np.random.default_rng(cfg.seed).uniform(
-        0.0, 2 * np.pi, len(names)).tolist()))
+    c._build(n_qubits, kinds, qubits, params, postselect, outputs,
+             tuple(names), dict(zip(names, np.random.default_rng(
+                 cfg.seed).uniform(0.0, 2 * np.pi, len(names)).tolist())))
     return c
 
 

@@ -4,20 +4,23 @@ Circuits with one gate skeleton (the same width, the same gates on the
 same qubits, symbols in the same places, the same postselection and
 outputs) share one plan: each gate's name, qubits and move, the gates of
 each parameterised kind, the positions of the symbolic gates, the outcome
-map and the shift rule's blocks, all worked out once.  Angles come from
-one table: the parameter vector, then NaN for the fixed gates and the
-literal angles.  A circuit's slots index each gate's angle in the table,
-so a group's (B, G) angles are one gather, ``table[slots]``, a gradient
-is one scatter-add of per-gate terms into the slots, and ``train`` runs
-Adam on the vector.
+map and the shift rule's blocks, all worked out once.  A circuit carries
+its interned skeleton, and the plans of the last 64 skeletons used are
+kept per process, so preparing a circuit is a lookup and one gather of
+its slots.  Angles come from one table: the parameter vector, then NaN
+for the fixed gates and the literal angles.  A circuit's slots index each
+gate's angle in the table, so a group's (B, G) angles are one gather,
+``table[slots]``, a gradient is one scatter-add of per-gate terms into
+the slots, and ``train`` runs Adam on the vector.
 
 A group runs as one stacked state of shape (B, 2^n), one row per circuit,
-in chunks of at most STACK_AMPLITUDES amplitudes.  Each gate leaves its
-qubits last in the state's layout, and the next moves its own there with
-one copy, or none; the state returns to qubit order 0..n-1 (0 the most
-significant bit) once, for readout: postselected qubits are projected
-out, the rest renormalized with the success probability reported, and
-the outputs default to every other qubit.
+in chunks of at most STACK_AMPLITUDES amplitudes; a gate whose angle is
+the same on every row applies one matrix to all of them.  Each gate
+leaves its qubits last in the state's layout, and the next moves its own
+there with one copy, or none; the state returns to qubit order 0..n-1 (0
+the most significant bit) once, for readout: postselected qubits are
+projected out, the rest renormalized with the success probability
+reported, and the outputs default to every other qubit.
 
 Gradients are exact: two-term parameter shifts (each parameterised gate
 here is generated by an involution up to global phase), or one adjoint
@@ -30,6 +33,7 @@ with one of its p parameterised gates shifted either way are built in
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import sys
@@ -127,20 +131,19 @@ class _Plan:
         self.n = n = max(skeleton.n_qubits, 1)
         self.gates = gates = tuple([
             (name, qubits, symbolic) for (name, qubits), symbolic
-            in zip(skeleton.rows(), skeleton.symbolic.tolist())])
+            in zip(skeleton.rows(), skeleton.symbolic)])
         # each gate's move from |0...0>, then the move back to 0..n-1
         self.moves = _moves(tuple(range(n)), [q for _, q, _ in gates]
                             + [tuple(range(n))])[0]
-        self.symbolic = np.flatnonzero(skeleton.symbolic)
+        self.symbolic = np.flatnonzero(list(skeleton.symbolic))
         kinds: dict[str, list[int]] = {}
         for i, (name, _, _) in enumerate(gates):
             if name in PARAMETRIC_GATES:
                 kinds.setdefault(name, []).append(i)
         self.kinds = {name: np.array(idx) for name, idx in kinds.items()}
-        # whether a parameterised gate takes no symbol, so its circuit
-        # must give it a literal angle
-        self.literal = any(not gates[i][2] for idx in kinds.values()
-                           for i in idx)
+        # the parameterised gates a circuit gives a literal angle, if any
+        self.literal = [i for idx in kinds.values() for i in idx
+                        if not gates[i][2]]
         self.fixed = [None if name in PARAMETRIC_GATES else gate_matrix(name)
                       for name, _, _ in gates]
         # the outcome map: the basis states that survive postselection and
@@ -157,19 +160,13 @@ class _Plan:
         self.outcome = outcome[self.kept]
         self.size = 2 ** len(readout)
 
-    def matrices(self, angles: np.ndarray,
-                 shared: bool = False) -> list[np.ndarray]:
+    def matrices(self, angles: np.ndarray) -> list[np.ndarray]:
         """Every gate's matrix for (G, ...) angles, one row per gate: (d, d)
-        for a fixed gate, else shape angles.shape[1:] + (d, d).  With
-        ``shared``, for (G, B) angles, a gate whose B angles are equal gets
-        the first one's (d, d) matrix."""
+        for a fixed gate, else shape angles.shape[1:] + (d, d)."""
         out = list(self.fixed)
         for name, idx in self.kinds.items():
-            angle = angles[idx]
-            same = (angle == angle[:, :1]).all(1) if shared \
-                else np.zeros(len(idx), dtype=bool)
-            for i, m, one in zip(idx, gate_matrix(name, angle), same):
-                out[i] = m[0] if one else m
+            for i, m in zip(idx, gate_matrix(name, angles[idx])):
+                out[i] = m
         return out
 
     @cached_property
@@ -202,25 +199,9 @@ class _Plan:
                       [q for _, q, _ in reversed(self.gates)])[0]
 
 
-# plans of the last skeletons used; a skeleton is interned, so it hashes
+# the plans of the last 64 skeletons used, which are interned: each hashes
 # once and compares by identity
-_PLAN_MEMO_SIZE = 64
-
-
-@lru_cache(maxsize=_PLAN_MEMO_SIZE)
-def _plan(skeleton) -> _Plan:
-    return _Plan(skeleton)
-
-
-def _unbound(c: Circuit, index: dict) -> None:
-    """Raise for the first gate of ``c`` whose symbol has no value in
-    ``index`` (UnboundSymbol) or that is parameterised and has no angle
-    (ValueError), if any."""
-    for name, _, param in c._rows():
-        if isinstance(param, str) and param not in index:
-            raise UnboundSymbol(f"symbol {param!r} has no value")
-        if param is None and name in PARAMETRIC_GATES:
-            raise ValueError(f"{name} gate needs an angle")
+_plan = lru_cache(maxsize=64)(_Plan)
 
 
 def _prepare(circuits: list[Circuit], params: dict,
@@ -232,27 +213,38 @@ def _prepare(circuits: list[Circuit], params: dict,
     ``binary``, for an outcome of more than one qubit."""
     index = dict(zip(params, range(len(params))))
     table = [*params.values(), np.nan]
-    plans, slots = [], []
+    plans = []
     for c in circuits:
         if c.n_qubits > QUBIT_CAP:
             raise CapExceeded(f"{c.n_qubits} qubits exceed the cap of "
                               f"{QUBIT_CAP}")
-        plan = _plan(c._skeleton)
-        if binary and plan.size != 2:
+        plans.append(_plan(c._skeleton))
+        if binary and plans[-1].size != 2:
             raise ValueError("a binary label needs a 1-qubit output")
-        if plan.literal:
-            _unbound(c, index)
-        try:
-            where = [*map(index.__getitem__, c._names), len(params)]
-        except KeyError:
-            _unbound(c, index)
-        # a gate without a symbol indexes the last entry, the NaN
-        row = np.array(where, dtype=np.intp)[c._params]
+    if not circuits:
+        return np.array(table), plans, []
+    counts = [len(c._names) for c in circuits]
+    sizes = [len(c._params) for c in circuits]
+    names = itertools.chain.from_iterable([c._names for c in circuits])
+    try:  # the place in ``params`` of each circuit's symbols, in turn
+        where = np.fromiter(map(index.__getitem__, names), np.intp,
+                            sum(counts))
+    except KeyError as exc:
+        raise UnboundSymbol(f"symbol {exc.args[0]!r} has no value") from None
+    # a gate reads its symbol's place, past its circuit's first, or the NaN
+    local = np.concatenate([c._params for c in circuits])
+    first = np.repeat(np.cumsum(counts) - counts, sizes)
+    rows = np.where(local >= 0, np.append(where, 0)[local + first],
+                    len(params))
+    ends = np.cumsum(sizes).tolist()
+    slots = [rows[end - size:end] for end, size in zip(ends, sizes)]
+    for c, row, plan in zip(circuits, slots, plans):
         for i, value in c._literals:
             row[i] = len(table)
             table.append(float(value))
-        plans.append(plan)
-        slots.append(row)
+        for i in plan.literal:
+            if row[i] == len(params):
+                raise ValueError(f"{plan.gates[i][0]} gate needs an angle")
     return np.array(table, dtype=float), plans, slots
 
 
@@ -270,8 +262,11 @@ def _forward(plan: _Plan, thetas: np.ndarray) -> _Forward:
     """Run a group of one plan at its (B, G) angles from |0...0> as one
     stacked state and read it out; raises ZeroNorm when a postselected
     branch carries (numerically) no amplitude."""
+    matrices = plan.matrices(thetas.T)
     # a parameterised gate whose angle every row shares applies one matrix
-    matrices = plan.matrices(thetas.T, shared=True)
+    for i in np.flatnonzero((thetas == thetas[0]).all(0)):
+        if matrices[i].ndim == 3:
+            matrices[i] = matrices[i][0]
     state = np.zeros((len(thetas), 2 ** plan.n), dtype=complex)
     state[:, 0] = 1.0
     for m, move in zip(matrices, plan.moves):
