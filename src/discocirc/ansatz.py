@@ -78,23 +78,21 @@ class _Skeleton:
         return list(self.outputs) or [q for q in range(self.n_qubits)
                                       if q not in post]
 
-    def rows(self):
+    def rows(self) -> list[tuple[str, tuple]]:
         """Each gate's (name, qubits), in running order."""
         pairs = np.frombuffer(self.qubits, np.int32).reshape(-1, 2).tolist()
-        for code, (a, b) in zip(self.kinds, pairs):
-            yield _KINDS[code], (a,) if b < 0 else (a, b)
+        return [(_KINDS[code], (a,) if b < 0 else (a, b))
+                for code, (a, b) in zip(self.kinds, pairs)]
 
 
-def _columns(gates: list[Gate]) -> tuple[list, list, list]:
-    """Each gate's kind code, its two qubits (-1 for none) in a row, and
-    its ``param``, an index or None, as an index (-1 for none)."""
+def _columns(gates: list[Gate]) -> tuple[list, list]:
+    """Each gate's kind code, and its two qubits (-1 for none) in a row."""
     for g in gates:
         if len(g.qubits) != GATE_ARITY.get(g.name):
             raise ValueError(f"{g.name!r} on {len(g.qubits)} qubit(s) is "
                              "not a gate")
     return ([_CODES[g.name] for g in gates],
-            [q for g in gates for q in (*g.qubits, -1)[:2]],
-            [-1 if g.param is None else g.param for g in gates])
+            [q for g in gates for q in (*g.qubits, -1)[:2]])
 
 
 class Circuit:
@@ -109,14 +107,13 @@ class Circuit:
     def __init__(self, n_qubits: int, gates=(), postselect=(),
                  symbols: dict | None = None, outputs=()):
         gates, index = list(gates), {}
-        columns = _columns([Gate(g.name, g.qubits, index.setdefault(
-            g.param, len(index)) if isinstance(g.param, str) else None)
-            for g in gates])
-        self._build(n_qubits, *columns, postselect, outputs, tuple(index),
-                    {} if symbols is None else symbols,
-                    tuple((i, g.param) for i, g in enumerate(gates)
-                          if g.param is not None
-                          and not isinstance(g.param, str)))
+        params = [index.setdefault(g.param, len(index))
+                  if isinstance(g.param, str) else -1 for g in gates]
+        literals = tuple((i, g.param) for i, g in enumerate(gates)
+                         if params[i] < 0 and g.param is not None)
+        self._build(n_qubits, *_columns(gates), params, postselect, outputs,
+                    tuple(index), {} if symbols is None else symbols,
+                    literals)
 
     def _build(self, n_qubits, kinds, qubits, params, postselect, outputs,
                names, symbols, literals=()):
@@ -137,14 +134,15 @@ class Circuit:
     outputs = property(lambda self: list(self._skeleton.outputs))
     readout = property(lambda self: self._skeleton.readout)
 
-    def _rows(self):
+    def _rows(self) -> list[tuple[str, tuple, object]]:
         """Each gate's (name, qubits, param), in running order."""
-        params = [self._names[i] if i >= 0 else None
-                  for i in self._params.tolist()]
+        # a gate without a symbol indexes the last entry, None
+        params = list(map((*self._names, None).__getitem__,
+                          self._params.tolist()))
         for i, value in self._literals:
             params[i] = value
-        for (name, qubits), param in zip(self._skeleton.rows(), params):
-            yield name, qubits, param
+        return [(*row, param)
+                for row, param in zip(self._skeleton.rows(), params)]
 
     @cached_property
     def gates(self) -> tuple[Gate, ...]:
@@ -230,10 +228,12 @@ def append_merge_box(td: TextDiagram) -> TextDiagram:
 
 @lru_cache(maxsize=256)
 def _template(kind: str, width: int, layers: int) -> tuple:
-    """A block's gates as ``_columns`` (``itertools.count()`` its symbols),
-    as tuples, and its number of symbols, kept per process."""
+    """A block's gates as ``_columns``, then each one's symbol index (-1
+    for none, ``itertools.count()`` its symbols), as tuples, and its
+    number of symbols; kept per process."""
     gates = BLOCKS[kind](width, layers, itertools.count())
     return (*map(tuple, _columns(gates)),
+            tuple(-1 if g.param is None else g.param for g in gates),
             sum(g.param is not None for g in gates))
 
 
