@@ -78,11 +78,11 @@ class _Skeleton:
         return list(self.outputs) or [q for q in range(self.n_qubits)
                                       if q not in post]
 
-    def rows(self) -> list[tuple[str, tuple]]:
-        """Each gate's (name, qubits), in running order."""
-        pairs = np.frombuffer(self.qubits, np.int32).reshape(-1, 2).tolist()
-        return [(_KINDS[code], (a,) if b < 0 else (a, b))
-                for code, (a, b) in zip(self.kinds, pairs)]
+    def columns(self) -> tuple[list[str], list[tuple]]:
+        """Each gate's name, and each gate's qubits, in running order."""
+        flat = iter(np.frombuffer(self.qubits, np.int32).tolist())
+        return (list(map(_KINDS.__getitem__, self.kinds)),
+                [(a,) if b < 0 else (a, b) for a, b in zip(flat, flat)])
 
 
 def _columns(gates: list[Gate]) -> tuple[list, list]:
@@ -141,8 +141,7 @@ class Circuit:
                           self._params.tolist()))
         for i, value in self._literals:
             params[i] = value
-        return [(*row, param)
-                for row, param in zip(self._skeleton.rows(), params)]
+        return list(zip(*self._skeleton.columns(), params))
 
     @cached_property
     def gates(self) -> tuple[Gate, ...]:
@@ -324,8 +323,8 @@ def circuit_to_json(c: Circuit) -> dict:
     return {
         "n_qubits": c.n_qubits,
         "gates": [
-            {"name": name, "qubits": list(qubits),
-             **({"param": param} if param is not None else {})}
+            {"name": name, "qubits": list(qubits)} if param is None
+            else {"name": name, "qubits": list(qubits), "param": param}
             for name, qubits, param in c._rows()
         ],
         "postselect": [list(p) for p in c.postselect],
@@ -412,9 +411,9 @@ def dump_circuit(c: Circuit) -> str:
     """Flat text listing, one gate per line, for golden comparisons."""
     lines = [f"qubits {c.n_qubits}"]
     for name, qubits, param in c._rows():
-        qbs = ",".join(str(qb) for qb in qubits)
-        lines.append(f"{name} {qbs}" + (f" {param}" if param is not None
-                                        else ""))
+        qbs = ",".join(map(str, qubits))
+        lines.append(f"{name} {qbs}" if param is None
+                     else f"{name} {qbs} {param}")
     for qb, bit in c.postselect:
         lines.append(f"postselect {qb}={bit}")
     lines.append("outputs " + ",".join(str(qb) for qb in c.outputs))

@@ -129,9 +129,8 @@ class _Plan:
 
     def __init__(self, skeleton):
         self.n = n = max(skeleton.n_qubits, 1)
-        self.gates = gates = tuple([
-            (name, qubits, symbolic) for (name, qubits), symbolic
-            in zip(skeleton.rows(), skeleton.symbolic)])
+        self.gates = gates = tuple(zip(*skeleton.columns(),
+                                       skeleton.symbolic))
         # each gate's move from |0...0>, then the move back to 0..n-1
         self.moves = _moves(tuple(range(n)), [q for _, q, _ in gates]
                             + [tuple(range(n))])[0]
