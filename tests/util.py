@@ -30,6 +30,7 @@ from functools import reduce
 
 import numpy as np
 
+from discocirc.ansatz import BLOCKS
 from discocirc.compose import TextDiagram
 from discocirc.errors import ChainMismatch
 from discocirc.frames import Box, Frame, Identity, Par, Perm, Spider
@@ -467,8 +468,6 @@ def diagram_distribution(td: TextDiagram, ansatz,
     merge spider keeps i = j, a ``Perm`` changes nothing, and the merge
     box projects all but its last wire onto |0>.  The outcomes read the
     live wires in their order."""
-    from discocirc.ansatz import BLOCKS
-
     q, levels = ansatz.qubits_per_wire, 2 ** ansatz.qubits_per_wire
     state, wires = np.ones((), dtype=complex), []
     occurrences: dict[tuple, int] = {}
