@@ -176,6 +176,28 @@ def test_routing_is_one_perm_pair_per_sentence(lex):
         assert wire_order(td) == [s.chain_id for s in td.states]
 
 
+@pytest.mark.parametrize("sentences, kinds", [
+    # only new chains, each mentioned once: the bodies alone
+    ([["Alice", "reads", "books"], ["Bob", "loves", "music"]],
+     ["Box", "Box"]),
+    # a new chain mentioned twice: a spider pair around its body
+    ([["Alice", "reads", "herself"], ["Bob", "reads", "books"]],
+     ["Spider", "Box", "Spider", "Box"]),
+    # an old chain already at the tail of the wire order: no Perm
+    ([["Alice", "runs"], ["She", "reads", "music"]], ["Box", "Box"]),
+    # an old chain elsewhere: a Perm pair around its body
+    ([["Alice", "reads", "books"], ["She", "reads", "music"]],
+     ["Box", "Perm", "Box", "Perm"]),
+])
+def test_routing_and_spiders_only_where_a_sentence_needs_them(
+        lex, sentences, kinds):
+    doc = parse_text(sentences, lex)
+    cfg = PipelineConfig(lexicon=lex)
+    td = diagrams(doc, treeize(doc, cfg), cfg)
+    assert [type(layer).__name__ for layer in td.layers] == kinds
+    assert wire_order(td) == [s.chain_id for s in td.states]
+
+
 def test_perm_entries_grow_with_mentions_not_wires(lex):
     # one "she" chain and a fresh object per sentence: every sentence
     # after the first is routed, and each Perm names its two chains

@@ -1,13 +1,15 @@
+import random
+
 import pytest
 
 from discocirc.ansatz import AnsatzConfig, append_merge_box, compile
-from discocirc.compose import compose_document
-from discocirc.frames import (Box, Frame, NounState, Perm, SentenceDiagram,
-                              Spider, iter_boxes)
+from discocirc.compose import TextDiagram, compose_document
+from discocirc.frames import (Box, Frame, NounState, Par, Perm,
+                              SentenceDiagram, Spider, iter_boxes)
 from discocirc.ingest import CorefMap, read_json
 from discocirc.pipeline import PipelineConfig, run
 from discocirc.sandwich import SandwichConfig, expand_frames
-from util import wire_order
+from util import expand_oracle, random_element, wire_order
 
 FIXTURES = "tests/fixtures"
 
@@ -117,3 +119,40 @@ def test_documents_expand_to_flat_layers(source, mode):
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         SandwichConfig("layered")
+
+
+def frame_depth(el) -> int:
+    if isinstance(el, Frame):
+        return 1 + max(map(frame_depth, el.components))
+    if isinstance(el, Par):
+        return max(map(frame_depth, el.elements))
+    return 0
+
+
+def typed(layers) -> list:
+    # named tuples of equal fields compare equal across types
+    return [(type(layer).__name__, layer) for layer in layers]
+
+
+@pytest.mark.parametrize("mode", ["shared", "foliated"])
+def test_random_nested_frames_expand_as_the_oracle(mode):
+    rng = random.Random(8)
+    elements = [random_element(rng, rng.randint(3, 5)) for _ in range(250)]
+    frames = [f for el in elements for f in iter_boxes(el)
+              if isinstance(f, Frame)]
+    assert sum(frame_depth(el) >= 3 for el in elements) >= 150
+    assert sum(len(f.components) == 1 for f in frames) >= 300
+    assert sum(len(f.components) > 1 for f in frames) >= 600
+    assert sum(isinstance(c, Par) for f in frames
+               for c in f.components) >= 200
+    states = [NounState(f"n{w}", 0, w, w) for w in range(8)]
+    cfg = SandwichConfig(mode)
+    for el in elements:
+        got = expand_frames(TextDiagram(states, [el]), cfg)
+        assert typed(got.layers) == typed(expand_oracle([el], mode))
+        assert got.states == states
+    # a whole document at once, with the layers composition adds
+    layers = elements + [Perm((3, 1), (6, 7)), Spider((2, (2, 1)), 2, True)]
+    rng.shuffle(layers)
+    got = expand_frames(TextDiagram(states, layers), cfg)
+    assert typed(got.layers) == typed(expand_oracle(layers, mode))

@@ -84,8 +84,9 @@ def shape_key(d: PregroupDiagram) -> tuple:
 
 def token_documents(lex) -> list[list[list[str]]]:
     """The fixtures' parseable sentences, two-topic texts, long chain and
-    entity documents, and documents drawn from a pool of those sentences
-    with words swapped for others of the same lexicon entries."""
+    entity documents, documents drawn from a pool of those sentences
+    with words swapped for others of the same lexicon entries, and four
+    two-sentence documents."""
     docs = []
     for name in DOCUMENTS:
         doc = load_document(read_json(FIXTURES / f"{name}.json"))
@@ -106,6 +107,13 @@ def token_documents(lex) -> list[list[list[str]]]:
                 if rng.random() < 0.5 else w
                 for w in rng.choice(pool)])
         docs.append(doc)
+    # both sides of each short-cut of compose_document: only new chains,
+    # each mentioned once; a new chain mentioned twice; an old chain
+    # already at the tail of the wire order, and one that is not
+    docs += [[["Alice", "reads", "books"], ["Bob", "loves", "music"]],
+             [["Alice", "reads", "herself"], ["Bob", "reads", "books"]],
+             [["Alice", "runs"], ["She", "reads", "music"]],
+             [["Alice", "reads", "books"], ["She", "reads", "music"]]]
     return docs
 
 

@@ -19,6 +19,8 @@ the wires each touches (``element_wires``), to recover its wire order.
 ``block_symbol_count`` is the closed-form symbol count of an ansatz block,
 and ``diagram_distribution`` the semantic oracle for ``compile``: it
 contracts an expanded text diagram wire by wire.
+``expand_oracle`` is frame expansion by its definition, for the random
+sentence bodies of ``random_element``.
 ``parse_type`` reads a pregroup type from its printed form.
 """
 
@@ -517,6 +519,46 @@ def diagram_distribution(td: TextDiagram, ansatz,
     probs = np.abs(state.reshape(-1)) ** 2
     success = float(probs.sum())
     return probs / success, success
+
+
+# --- frame expansion ---------------------------------------------------------
+
+def expand_oracle(elements, mode: str) -> list:
+    """Frame expansion by its definition: per component of a frame, a
+    bottom box on the frame's wires, the expanded component, then a top
+    box (``<frame>_bot``/``_top`` in shared mode, ``<frame>_bot_<i>``/
+    ``_top_<i>`` in foliated mode); a ``Par`` is flattened into its
+    expanded elements, an ``Identity`` dropped, anything else kept."""
+    out = []
+    for el in elements:
+        if isinstance(el, Frame):
+            for i, comp in enumerate(el.components, start=1):
+                tag = "" if mode == "shared" else f"_{i}"
+                out.append(Box(f"{el.name}_bot{tag}", el.wires))
+                out += expand_oracle([comp], mode)
+                out.append(Box(f"{el.name}_top{tag}", el.wires))
+        elif isinstance(el, Par):
+            out += expand_oracle(el.elements, mode)
+        elif not isinstance(el, Identity):
+            out.append(el)
+    return out
+
+
+def random_element(rng: random.Random, depth: int):
+    """A random sentence body element: frames nested ``depth`` deep on its
+    first component, with boxes, identities, pars and shallower frames
+    beside them."""
+    wires = tuple(sorted(rng.sample(range(8), rng.randint(1, 4))))
+    if depth == 0:
+        return rng.choice([Box(f"b{rng.randrange(5)}", wires),
+                           Box(f"b{rng.randrange(5)}", wires),
+                           Identity(wires)])
+    parts = [random_element(rng, depth - 1)] + [
+        random_element(rng, rng.randrange(depth))
+        for _ in range(rng.randrange(3))]
+    if rng.random() < 0.25:
+        return Par(tuple(parts))
+    return Frame(f"f{rng.randrange(5)}", wires, tuple(parts))
 
 
 # --- wire order of a text diagram -------------------------------------------
