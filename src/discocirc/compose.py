@@ -32,6 +32,7 @@ from .frames import (
     map_wires,
 )
 from .ingest import CorefMap
+from .trees import _spell
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +93,7 @@ def compose_document(sentences: list, coref: CorefMap) -> TextDiagram:
             cid = chain_of.get((sentence, token))
             if cid is None or cid not in position:
                 if words is not None:
-                    word = " ".join(map(words.__getitem__, word))
+                    word = _spell(word, words)
                 if cid is None:
                     raise ChainMismatch(f"noun {word!r} at "
                                         f"{(sentence, token)} "
@@ -104,11 +105,14 @@ def compose_document(sentences: list, coref: CorefMap) -> TextDiagram:
             k = counts.get(cid, 0)
             counts[cid] = k + 1
             token_to_wire[token] = cid if k == 0 else (cid, k)
-        local_unique = list(counts)  # first-mention order
         body = map_wires(body, token_to_wire.__getitem__, words)
+        if not shared and len(counts) == len(nouns):
+            layers.append(body)  # new chains, each mentioned once
+            continue
 
         # route this sentence's chains, in local order, to the end of the
         # wire order; new chains already sit there in that order
+        local_unique = list(counts)  # first-mention order
         tail = len(states) - len(local_unique)
         routed = shared and \
             [s.chain_id for s in states[tail:]] != local_unique
@@ -122,7 +126,7 @@ def compose_document(sentences: list, coref: CorefMap) -> TextDiagram:
         layers.append(body)
         layers += [Spider(c.in_wires, c.out_wire) for c in reversed(copies)]
         if routed:
-            layers.append(Perm(wires, tuple(position[c] for c in wires)))
+            layers.append(Perm(wires, tuple([position[c] for c in wires])))
 
     return TextDiagram(states, layers)
 

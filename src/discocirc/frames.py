@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .ingest import CorefMap
-from .trees import TREE_MEMO_SIZE, PregroupTreeNode
+from .trees import TREE_MEMO_SIZE, PregroupTreeNode, _spell
 
 log = logging.getLogger(__name__)
 
@@ -75,14 +75,13 @@ def map_wires(el, fn, words=None):
     spaces."""
     kind = type(el)
     if kind is Box or kind is Frame:
-        name = el.name
+        name, wires, last = el
         if words is not None:
-            name = words[name[0]] if len(name) == 1 \
-                else " ".join(map(words.__getitem__, name))
-        if kind is Box:
-            return Box(name, tuple(map(fn, el.wires)), el.merge)
-        return Frame(name, tuple(map(fn, el.wires)), tuple(
-            [map_wires(c, fn, words) for c in el.components]))
+            name = _spell(name, words)
+        if kind is Frame:
+            last = tuple([map_wires(c, fn, words) for c in last])
+        # built directly: a NamedTuple's own __new__ is a Python call
+        return tuple.__new__(kind, (name, tuple(map(fn, wires)), last))
     if kind is Identity:
         return Identity(tuple(map(fn, el.wires)))
     if kind is Par:
@@ -190,8 +189,7 @@ def _lower_sentence(shape, words, noun_tokens: tuple, remove: tuple):
     ``TREE_MEMO_SIZE`` used; each call logs its own zero-wire boxes."""
     nouns, body, dropped = _lower_shape(shape, noun_tokens, remove)
     for name in dropped:
-        log.warning("dropping zero-wire box %r",
-                    " ".join(map(words.__getitem__, name)))
+        log.warning("dropping zero-wire box %r", _spell(name, words))
     return nouns, body
 
 

@@ -116,7 +116,7 @@ class PregroupDiagram:
 
     @property
     def types(self) -> tuple[PregroupType, ...]:
-        return tuple(ty for _, ty in self.tokens)
+        return tuple([ty for _, ty in self.tokens])
 
     @cached_property
     def wire_types(self) -> tuple[SimpleType, ...]:
@@ -135,7 +135,7 @@ class PregroupDiagram:
 
     @property
     def words(self) -> tuple[str, ...]:
-        return tuple(w for w, _ in self.tokens)
+        return tuple([w for w, _ in self.tokens])
 
 
 def _crossing_free(cups) -> bool:

@@ -8,7 +8,6 @@ resolver stand in for an external parser and coreference model.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
@@ -40,13 +39,14 @@ class CorefMap:
     chains: list[list[Mention]] = field(default_factory=list)
 
     def __post_init__(self):
-        seen = set()
-        for ci, chain in enumerate(self.chains):
-            self.chains[ci] = sorted(chain)
-            for m in chain:
+        mentions = itertools.chain.from_iterable(self.chains)
+        if len(set(mentions)) < sum(map(len, self.chains)):
+            seen = set()  # name the first repeat
+            for m in itertools.chain.from_iterable(self.chains):
                 if m in seen:
                     raise FormatError(f"mention {m} appears in two chains")
                 seen.add(m)
+        self.chains[:] = map(sorted, self.chains)
 
     def mentions(self) -> set[Mention]:
         return {m for chain in self.chains for m in chain}
@@ -256,11 +256,11 @@ def lexicon_parse(tokens: list[str], lex: Lexicon,
         raise NoParse(
             f"sentence has {len(tokens)} tokens; the mini parser caps at "
             f"{PARSER_TOKEN_CAP}")
-    missing = [w for w in tokens if w not in lex.entries]
-    if missing:
-        raise NoParse(f"words not in lexicon: {missing}")
-
-    entries = tuple(tuple(lex.entries[w]) for w in tokens)
+    try:
+        entries = tuple([tuple(lex.entries[w]) for w in tokens])
+    except KeyError:
+        missing = [w for w in tokens if w not in lex.entries]
+        raise NoParse(f"words not in lexicon: {missing}") from None
     if all_parses:
         solutions = list(dict.fromkeys(
             PregroupDiagram(zip(tokens, types), cups)
@@ -268,9 +268,11 @@ def lexicon_parse(tokens: list[str], lex: Lexicon,
         if solutions:
             return solutions
     else:
-        with contextlib.suppress(StopIteration):  # nothing reduces
+        try:
             types, cups = _first_parse(entries)
             return PregroupDiagram(zip(tokens, types), cups)
+        except StopIteration:  # nothing reduces
+            pass
     raise NoParse(f"no type assignment of {tokens} reduces to a sentence")
 
 
@@ -315,23 +317,22 @@ def resolve_pronouns(doc: Document, lex: Lexicon) -> CorefMap:
     """
     chains: list[list[Mention]] = []
     latest: dict[tuple, int] = {}  # feature class -> chain of its last noun
+    pronouns, nouns, features = lex.pronouns, lex.nouns, lex.features
     for si, sent in enumerate(doc.sentences):
-        for ti, (word, ty) in enumerate(sent.tokens):
-            mention = (si, ti)
-            if word in lex.pronouns:
-                gender, number = _feature_class(lex.features.get(word, {}))
+        for ti, (word, _) in enumerate(sent.tokens):
+            if word in pronouns:
+                gender, number = _feature_class(features.get(word, {}))
                 ci = max((c for (g, n), c in latest.items()
                           if _accepts(gender, g) and _accepts(number, n)),
                          default=None)
                 if ci is None:
-                    log.warning("unresolved pronoun %r at %s", word, mention)
-                    chains.append([mention])
+                    log.warning("unresolved pronoun %r at %s", word, (si, ti))
+                    chains.append([(si, ti)])
                 else:
-                    chains[ci].append(mention)
-            elif word in lex.nouns:
-                latest[_feature_class(lex.features.get(word, {}))] = \
-                    len(chains)
-                chains.append([mention])
+                    chains[ci].append((si, ti))
+            elif word in nouns:
+                latest[_feature_class(features.get(word, {}))] = len(chains)
+                chains.append([(si, ti)])
     return CorefMap(chains)
 
 

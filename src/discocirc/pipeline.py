@@ -137,10 +137,11 @@ def diagrams(doc: Document, reports: list[TreeBuildReport],
     for si, ti in removed:
         removed_in.setdefault(si, set()).add(ti)
     sentences = []
-    is_noun = cfg.lexicon.is_noun
+    # Lexicon.is_noun, inlined
+    noun_words, pronoun_words = cfg.lexicon.nouns, cfg.lexicon.pronouns
     for si, (sent, report) in enumerate(zip(doc.sentences, reports)):
         nouns = tuple([ti for ti, (word, _) in enumerate(sent.tokens)
-                       if is_noun(word)])
+                       if word in noun_words or word in pronoun_words])
         remove = tuple(sorted(removed_in[si])) if si in removed_in else ()
         if report._shape is None:
             sentences.append(sentence_diagram(

@@ -24,18 +24,21 @@ class SandwichConfig:
             raise ValueError(f"unknown sandwich mode {self.mode!r}")
 
 
-def _expand(elements, cfg: SandwichConfig) -> list:
-    """The flat layers replacing a sequence of elements."""
-    layers = []
+def _expand(elements, cfg: SandwichConfig, layers: list) -> list:
+    """Append the flat layers replacing a sequence of elements to
+    ``layers``, and return it."""
     for el in elements:
         if isinstance(el, Frame):
             for i, comp in enumerate(el.components, start=1):
-                tag = "" if cfg.mode == "shared" else f"_{i}"
-                layers.append(Box(f"{el.name}_bot{tag}", el.wires))
-                layers += _expand((comp,), cfg)
-                layers.append(Box(f"{el.name}_top{tag}", el.wires))
+                if i == 1 or cfg.mode != "shared":  # one pair when shared
+                    tag = "" if cfg.mode == "shared" else f"_{i}"
+                    bot = Box(f"{el.name}_bot{tag}", el.wires)
+                    top = Box(f"{el.name}_top{tag}", el.wires)
+                layers.append(bot)
+                _expand((comp,), cfg, layers)
+                layers.append(top)
         elif isinstance(el, Par):
-            layers += _expand(el.elements, cfg)
+            _expand(el.elements, cfg, layers)
         elif not isinstance(el, Identity):
             layers.append(el)
     return layers
@@ -47,4 +50,4 @@ def expand_frames(td: TextDiagram, cfg: SandwichConfig) -> TextDiagram:
     Wire count and chain order are untouched; the result is flat, every
     layer a Box, a Spider or a Perm.
     """
-    return TextDiagram(td.states, _expand(td.layers, cfg))
+    return TextDiagram(td.states, _expand(td.layers, cfg, []))

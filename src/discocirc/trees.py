@@ -161,9 +161,15 @@ def relabel(node: PregroupTreeNode, words) -> PregroupTreeNode:
     """The word-free tree ``node`` named in ``words``, with the same token
     indices, output types and child order: one new node per node."""
     return PregroupTreeNode(
-        " ".join(map(words.__getitem__, node.word)), node.token_index,
-        node.out_type, tuple([relabel(child, words)
-                              for child in node.children]))
+        _spell(node.word, words), node.token_index, node.out_type,
+        tuple([relabel(child, words) for child in node.children]))
+
+
+def _spell(name: tuple, words) -> str:
+    """A word-free name, a tuple of token indices, as their words joined
+    by spaces."""
+    return words[name[0]] if len(name) == 1 \
+        else " ".join(map(words.__getitem__, name))
 
 
 def compound_type(node: PregroupTreeNode) -> PregroupType:
