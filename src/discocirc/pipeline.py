@@ -154,9 +154,8 @@ def diagrams(doc: Document, reports: list[TreeBuildReport],
 
 
 def circuit(td: TextDiagram, cfg: PipelineConfig) -> Circuit:
-    expanded = expand_frames(td, cfg.sandwich)
-    merged = append_merge_box(expanded)
-    return compile(merged, cfg.ansatz, cap=cfg.max_qubits)
+    return compile(append_merge_box(expand_frames(td, cfg.sandwich)),
+                   cfg.ansatz, cap=cfg.max_qubits)
 
 
 def run(source, cfg: PipelineConfig, stage: str = "circuit"):
@@ -170,6 +169,7 @@ def run(source, cfg: PipelineConfig, stage: str = "circuit"):
     if stage == "tree":
         return reports
     td = diagrams(doc, reports, cfg)
+    del doc, reports  # no later stage reads them
     if stage == "diagram":
         return td
     if stage == "circuit":
