@@ -13,7 +13,8 @@ from discocirc.ingest import (CorefMap, Lexicon, load_document, parse_text,
                               read_json)
 from discocirc.pipeline import PipelineConfig, diagrams, ingest, run, treeize
 from discocirc.trees import build_trees
-from util import apply_layer, element_wires, replay, wire_order
+from util import (apply_layer, compose_oracle, element_wires, replay,
+                  wire_order)
 
 FIXTURES = "tests/fixtures"
 
@@ -196,6 +197,24 @@ def test_routing_and_spiders_only_where_a_sentence_needs_them(
     td = diagrams(doc, treeize(doc, cfg), cfg)
     assert [type(layer).__name__ for layer in td.layers] == kinds
     assert wire_order(td) == [s.chain_id for s in td.states]
+
+
+def test_compose_document_equals_the_reference_composer(lex, monkeypatch):
+    """On the corpus inputs under every rule set and noun filter, and on
+    the memo tests' token documents, with the sentences lowered through
+    no memo and then composed by ``compose_document`` and by
+    ``util.compose_oracle``."""
+    import test_shape_memo
+    cases = test_shape_memo.corpus_cases(lex) + [
+        (parse_text(tokens, lex), PipelineConfig(lexicon=lex))
+        for tokens in test_shape_memo.token_documents(lex)]
+    got = [test_shape_memo.oracle_diagram(doc, cfg) for doc, cfg in cases]
+    monkeypatch.setattr(test_shape_memo, "compose_document", compose_oracle)
+    assert [test_shape_memo.oracle_diagram(doc, cfg)
+            for doc, cfg in cases] == got
+    # the memo path composes the same
+    assert [text_diagram_to_json(diagrams(doc, treeize(doc, cfg), cfg))
+            for doc, cfg in cases] == got
 
 
 def test_perm_entries_grow_with_mentions_not_wires(lex):

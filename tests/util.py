@@ -19,7 +19,8 @@ the wires each touches (``element_wires``), to recover its wire order.
 ``block_symbol_count`` is the closed-form symbol count of an ansatz block,
 and ``diagram_distribution`` the semantic oracle for ``compile``: it
 contracts an expanded text diagram wire by wire.
-``expand_oracle`` is frame expansion by its definition, for the random
+``compose_oracle`` is document composition with no short-cut, and
+``expand_oracle`` frame expansion by its definition, for the random
 sentence bodies of ``random_element``.
 ``parse_type`` reads a pregroup type from its printed form.
 """
@@ -35,7 +36,8 @@ import numpy as np
 from discocirc.ansatz import BLOCKS
 from discocirc.compose import TextDiagram
 from discocirc.errors import ChainMismatch
-from discocirc.frames import Box, Frame, Identity, Par, Perm, Spider
+from discocirc.frames import (Box, Frame, Identity, Par, Perm, Spider,
+                              map_wires)
 from discocirc.grammar import (PregroupDiagram, PregroupType, SimpleType,
                                can_contract)
 from discocirc.ingest import CorefMap, Document, Lexicon, Mention
@@ -519,6 +521,40 @@ def diagram_distribution(td: TextDiagram, ansatz,
     probs = np.abs(state.reshape(-1)) ** 2
     success = float(probs.sum())
     return probs / success, success
+
+
+# --- document composition ----------------------------------------------------
+
+def compose_oracle(sentences, coref: CorefMap) -> TextDiagram:
+    """``compose_document`` on ``SentenceDiagram``s by its definition,
+    with no short-cut: a chain's state is its first mention; a chain's
+    k-th further mention in a sentence is wire (chain, k), copied from
+    the chain before the body and merged back after it; and a sentence's
+    chains, in first-mention order, are moved to the end of the wire
+    order and back unless they already end it in that order."""
+    chain_of = {m: ci for ci, chain in enumerate(coref.chains) for m in chain}
+    states, layers = [], []
+    for sd in sentences:
+        before = {s.chain_id for s in states}
+        counts, wire_of = {}, {}
+        for n in sd.nouns:
+            cid = chain_of[n.sentence_index, n.token_index]
+            if cid not in before and cid not in counts:
+                states.append(n._replace(chain_id=cid))
+            k = counts[cid] = counts.get(cid, 0) + 1
+            wire_of[n.token_index] = cid if k == 1 else (cid, k - 1)
+        if not counts:
+            continue
+        order, chains = [s.chain_id for s in states], tuple(counts)
+        tail = len(order) - len(chains)
+        routed = tuple(order[tail:]) != chains
+        copies = [Spider((c,) + tuple((c, k) for k in range(1, n)), c, True)
+                  for c, n in counts.items() if n > 1]
+        layers += [Perm(chains, tuple(range(tail, len(order))))] * routed
+        layers += copies + [map_wires(sd.body, wire_of.__getitem__)]
+        layers += [Spider(c.in_wires, c.out_wire) for c in reversed(copies)]
+        layers += [Perm(chains, tuple(map(order.index, chains)))] * routed
+    return TextDiagram(states, layers)
 
 
 # --- frame expansion ---------------------------------------------------------
