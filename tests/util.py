@@ -581,14 +581,14 @@ def expand_oracle(elements, mode: str) -> list:
 
 
 def random_element(rng: random.Random, depth: int):
-    """A random sentence body element: frames nested ``depth`` deep on its
-    first component, with boxes, identities, pars and shallower frames
-    beside them."""
+    """A random sentence body element nested ``depth`` deep through its
+    first part: a frame, or one time in four a par, whose further parts
+    are shallower; a leaf is a box, or one time in three an identity."""
     wires = tuple(sorted(rng.sample(range(8), rng.randint(1, 4))))
     if depth == 0:
-        return rng.choice([Box(f"b{rng.randrange(5)}", wires),
-                           Box(f"b{rng.randrange(5)}", wires),
-                           Identity(wires)])
+        if rng.random() < 1 / 3:
+            return Identity(wires)
+        return Box(f"b{rng.randrange(5)}", wires)
     parts = [random_element(rng, depth - 1)] + [
         random_element(rng, rng.randrange(depth))
         for _ in range(rng.randrange(3))]
