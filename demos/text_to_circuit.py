@@ -7,9 +7,10 @@ import numpy as np
 
 from discocirc.ansatz import AnsatzConfig, append_merge_box, compile, \
     dump_circuit
-from discocirc.compose import compose_document, wire_box_sequences
+from discocirc.compose import wire_box_sequences
 from discocirc.frames import dump_element, sentence_diagram
 from discocirc.ingest import Lexicon, parse_text
+from discocirc.pipeline import PipelineConfig, diagrams, treeize
 from discocirc.sandwich import SandwichConfig, expand_frames
 from discocirc.sim import simulate
 from discocirc.trees import build_trees, dump_tree
@@ -36,17 +37,16 @@ for forest in forests:
     print()
 
 print("=== 3. sentence diagrams (nouns dragged to the top) ===")
-diagrams = []
 for si, (d, forest) in enumerate(zip(doc.sentences, forests)):
     nouns = frozenset(ti for ti, (w, _) in enumerate(d.tokens)
                       if lex.is_noun(w))
     sd = sentence_diagram(forest, frozenset(), nouns, si)
-    diagrams.append(sd)
     print(" ", [n.word for n in sd.nouns])
     print(dump_element(sd.body, depth=1))
 
 print("\n=== 4. document composition along chains ===")
-td = compose_document(diagrams, doc.corefs)
+cfg = PipelineConfig(lexicon=lex)
+td = diagrams(doc, treeize(doc, cfg), cfg)
 print("states:", [s.word for s in td.states])
 for wire, boxes in sorted(wire_box_sequences(td).items()):
     word = td.states[wire].word

@@ -26,7 +26,6 @@ from .frames import (
     NounState,
     Par,
     Perm,
-    SentenceDiagram,
     Spider,
     iter_boxes,
     map_wires,
@@ -53,12 +52,11 @@ class TextDiagram:
 def compose_document(sentences: list, coref: CorefMap) -> TextDiagram:
     """Fold sentence diagrams into a document diagram along chains.
 
-    A sentence is a ``SentenceDiagram`` or, as ``pipeline.diagrams``
-    passes it, a (word-free diagram, words, sentence index) triple, whose
-    words go on its noun states and names in the same walk that puts
-    chain ids on its wires.  A sentence with no nouns (all removed by
-    filtering) is skipped.  Every noun state must belong to a chain of
-    ``coref``.
+    A sentence is the (word-free diagram, words, sentence index) triple
+    that ``pipeline.diagrams`` passes: its words go on its noun states and
+    names in the same walk that puts chain ids on its wires.  A sentence
+    with no nouns (all removed by filtering) is skipped.  Every noun state
+    must belong to a chain of ``coref``.
     """
     chain_of = {}
     for ci, chain in enumerate(coref.chains):
@@ -69,14 +67,7 @@ def compose_document(sentences: list, coref: CorefMap) -> TextDiagram:
     position: dict[int, int] = {}  # chain id -> introduction position
     layers: list = []
 
-    for si, sd in enumerate(sentences):
-        if isinstance(sd, SentenceDiagram):
-            nouns = [(n.word, n.sentence_index, n.token_index)
-                     for n in sd.nouns]
-            body, words = sd.body, None
-        else:
-            (leaves, body), words, at = sd
-            nouns = [(n.word, at, n.token_index) for n in leaves]
+    for si, ((nouns, body), words, at) in enumerate(sentences):
         if not nouns:
             log.info("sentence %d empty after filtering", si)
             continue
@@ -89,17 +80,16 @@ def compose_document(sentences: list, coref: CorefMap) -> TextDiagram:
         token_to_wire = {}
         before = len(states)
         shared = False  # whether a chain of an earlier sentence is here
-        for word, sentence, token in nouns:
-            cid = chain_of.get((sentence, token))
+        for leaf in nouns:
+            token = leaf.token_index
+            cid = chain_of.get((at, token))
             if cid is None or cid not in position:
-                if words is not None:
-                    word = _spell(word, words)
+                word = _spell(leaf.word, words)
                 if cid is None:
-                    raise ChainMismatch(f"noun {word!r} at "
-                                        f"{(sentence, token)} "
+                    raise ChainMismatch(f"noun {word!r} at {(at, token)} "
                                         "belongs to no coreference chain")
                 position[cid] = len(states)
-                states.append(NounState(word, sentence, token, cid))
+                states.append(NounState(word, at, token, cid))
             elif position[cid] < before:
                 shared = True
             k = counts.get(cid, 0)

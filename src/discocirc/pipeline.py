@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from .ansatz import (QUBIT_CAP, AnsatzConfig, Circuit, append_merge_box,
                      compile)
 from .compose import TextDiagram, compose_document
-from .frames import _lower_sentence, min_frequency_filter, sentence_diagram
+from .frames import _lower_sentence, min_frequency_filter
 from .ingest import (CorefMap, Document, Lexicon, check_tokens,
                      load_document, parse_text)
-from .rewrite import (RewriteRule, _rewrite_shape, builtin_rule,
-                      coordination_rewrite, load_rule, rewrite_tree)
+from .rewrite import (RewriteRule, _rewrite_shape, _spaced, builtin_rule,
+                      coordination_rewrite, load_rule)
 from .sandwich import SandwichConfig, expand_frames
 from .trees import TreeBuildReport, build_trees
 
@@ -86,24 +86,19 @@ def apply_coordination(doc: Document, cfg: PipelineConfig) -> Document:
 def treeize(doc: Document, cfg: PipelineConfig) -> list[TreeBuildReport]:
     """Build (``build_trees``) and rewrite one tree forest per sentence:
     the rules rewrite the word-free forest of the sentence's shape, and
-    the sentence's own forest is built when read.  A sentence where a
-    rule with words would read a merged word is rewritten on its own."""
+    the sentence's own forest is built when read."""
     rules = tuple(cfg.rewrites)
-    worded = [r.match_words for r in rules if r.match_words is not None]
+    worded = [(r.match_words, _spaced(r)) for r in rules
+              if r.match_words is not None]
     reports = []
     for sent in doc.sentences:
         report = build_trees(sent)
         if rules:
             words = report._words
-            shape = _rewrite_shape(report._shape, rules, tuple(
-                tuple([i for i, w in enumerate(words) if w in match])
-                for match in worded))
-            if shape is not None:
-                report._shape = shape
-            else:
-                for rule in rules:
-                    report.forest = [rewrite_tree(root, rule).tree
-                                     for root in report.forest]
+            report._shape = _rewrite_shape(report._shape, rules, tuple([
+                words if spaced
+                else tuple([i for i, w in enumerate(words) if w in match])
+                for match, spaced in worded]))
         reports.append(report)
     return reports
 
@@ -143,13 +138,9 @@ def diagrams(doc: Document, reports: list[TreeBuildReport],
         nouns = tuple([ti for ti, (word, _) in enumerate(sent.tokens)
                        if word in noun_words or word in pronoun_words])
         remove = tuple(sorted(removed_in[si])) if si in removed_in else ()
-        if report._shape is None:
-            sentences.append(sentence_diagram(
-                report.forest, frozenset(remove), frozenset(nouns), si))
-        else:
-            words = report._words
-            sentences.append((_lower_sentence(report._shape, words, nouns,
-                                              remove), words, si))
+        words = report._words
+        sentences.append((_lower_sentence(report._shape, words, nouns,
+                                          remove), words, si))
     return compose_document(sentences, coref)
 
 

@@ -16,7 +16,8 @@ from .errors import FormatError
 from .grammar import (N, S, PregroupDiagram, PregroupType, SimpleType, Ty,
                       can_contract)
 from .ingest import CorefMap, Mention, read_json
-from .trees import TREE_MEMO_SIZE, PregroupTreeNode, TreeBuildReport
+from .trees import (TREE_MEMO_SIZE, PregroupTreeNode, TreeBuildReport,
+                    _spell)
 
 WORD_MERGERS = ("merge", "first", "last")
 
@@ -109,35 +110,38 @@ def _rewrite(root, rule, matches, join) -> RewriteReport:
     return RewriteReport(tree, total)
 
 
-class _MergedWord(Exception):
-    """A rule with words was asked about a word merged from tokens."""
+def _spaced(rule: RewriteRule) -> bool:
+    """Whether a word of the rule holds a space, as every merged name does."""
+    return any(" " in word for word in rule.match_words)
 
 
 def _token_matches(tokens: frozenset, name: tuple) -> bool:
-    if len(name) > 1:
-        raise _MergedWord
-    return name[0] in tokens
+    return len(name) == 1 and name[0] in tokens
+
+
+def _spelled_matches(match_words, words, name: tuple) -> bool:
+    return _spell(name, words) in match_words
 
 
 @lru_cache(maxsize=TREE_MEMO_SIZE)
 def _rewrite_shape(shape: TreeBuildReport, rules: tuple,
-                   hits: tuple) -> TreeBuildReport | None:
+                   keys: tuple) -> TreeBuildReport:
     """The word-free report ``shape`` rewritten by ``rules`` in turn.
-    ``hits`` holds, for each rule with ``match_words``, the tokens whose
-    word it matches; None when such a rule would be asked about a word
-    merged from several tokens, which only the words answer.  Kept once
-    per process for each (shape, rules, hits), the last
-    ``TREE_MEMO_SIZE`` used."""
+    ``keys`` holds, for each rule with ``match_words``, the sentence's
+    words if the rule is ``_spaced``, else the tokens whose word it
+    matches.  Kept once per process for each (shape, rules, keys), the
+    last ``TREE_MEMO_SIZE`` used."""
     forest = shape.forest
-    hits = iter(hits)
-    try:
-        for rule in rules:
-            matches = (rule.matches_word if rule.match_words is None
-                       else partial(_token_matches, frozenset(next(hits))))
-            forest = tuple(_rewrite(root, rule, matches, tuple.__add__).tree
-                           for root in forest)
-    except _MergedWord:
-        return None
+    keys = iter(keys)
+    for rule in rules:
+        if rule.match_words is None:
+            matches = rule.matches_word
+        elif _spaced(rule):
+            matches = partial(_spelled_matches, rule.match_words, next(keys))
+        else:
+            matches = partial(_token_matches, frozenset(next(keys)))
+        forest = tuple(_rewrite(root, rule, matches, tuple.__add__).tree
+                       for root in forest)
     return TreeBuildReport(forest, shape.removed_cups)
 
 

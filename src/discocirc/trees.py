@@ -43,7 +43,7 @@ class TreeBuildReport:
     """A sentence's forest and the cups removed to build it.  A report may
     hold instead the word-free report of its shape and its words: its
     forest is then built on first read, and ``pipeline.diagrams`` lowers
-    the shape.  Assigning a forest drops the shape."""
+    the shape."""
 
     _shape: TreeBuildReport | None = None
     _words: tuple[str, ...] = ()
@@ -57,10 +57,6 @@ class TreeBuildReport:
             self._forest = [relabel(root, self._words)
                             for root in self._shape.forest]
         return self._forest
-
-    @forest.setter
-    def forest(self, forest):
-        self._forest, self._shape = forest, None
 
 
 def build_trees(d: PregroupDiagram) -> TreeBuildReport:

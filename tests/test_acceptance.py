@@ -17,7 +17,7 @@ import pytest
 
 from discocirc.ansatz import (AnsatzConfig, Circuit, append_merge_box,
                               compile, iqp_block, sim4_block)
-from discocirc.compose import compose_document, wire_box_sequences
+from discocirc.compose import wire_box_sequences
 from discocirc.frames import (Box, Perm, Spider, iter_boxes,
                               min_frequency_filter, sentence_diagram)
 from discocirc.ingest import (CorefMap, Lexicon, load_document, parse_text,
@@ -28,8 +28,8 @@ from discocirc.sandwich import SandwichConfig, expand_frames
 from discocirc.sim import TrainConfig, gradient, train
 from discocirc.trees import build_trees, compound_type
 from util import (block_symbol_count, chain_document, circuit_unitary,
-                  classification_dataset, fd_gradient, random_diagram,
-                  wire_order, wires_of)
+                  classification_dataset, compose_spelled, fd_gradient,
+                  random_diagram, wire_order, wires_of)
 
 FIXTURES = "tests/fixtures"
 
@@ -48,7 +48,7 @@ def lower_document(doc, lex, rules=()):
         nouns = frozenset(ti for ti, (w, _) in enumerate(d.tokens)
                           if lex.is_noun(w))
         sds.append(sentence_diagram(forest, frozenset(), nouns, si))
-    return compose_document(sds, doc.corefs)
+    return compose_spelled(sds, doc.corefs)
 
 
 def assert_round_trip(diagram):
@@ -141,7 +141,7 @@ def test_6_sandwich_counts(lex):
     body = Frame("f", (0, 1, 2), (Box("g", (1,)), Box("h", (2,))))
     sd = SentenceDiagram([NounState(w, 0, i) for i, w in enumerate("abc")],
                          body)
-    two = compose_document([sd], CorefMap([[(0, 0)], [(0, 1)], [(0, 2)]]))
+    two = compose_spelled([sd], CorefMap([[(0, 0)], [(0, 1)], [(0, 2)]]))
     shared = expand_frames(two, SandwichConfig("shared"))
     foliated = expand_frames(two, SandwichConfig("foliated"))
 

@@ -6,22 +6,22 @@ import pytest
 from discocirc.ansatz import (AnsatzConfig, Circuit, Gate, append_merge_box,
                               circuit_from_json, circuit_to_json, compile,
                               dump_circuit, iqp_block, sim4_block)
-from discocirc.compose import TextDiagram, compose_document
+from discocirc.compose import TextDiagram
 from discocirc.errors import CapExceeded, FormatError, UnexpandedFrame
 from discocirc.frames import (Box, Frame, Identity, NounState, Par,
                               SentenceDiagram)
 from discocirc.ingest import CorefMap
 from discocirc.pipeline import PipelineConfig, run
 from discocirc.sandwich import expand_frames
-from util import block_symbol_count
+from util import block_symbol_count, compose_spelled
 
 
 def simple_diagram(n_wires=2, box_name="loves"):
     nouns = [NounState(f"w{i}", 0, i) for i in range(n_wires)]
     body = Box(box_name, tuple(range(n_wires)))
     sd = SentenceDiagram(nouns, body)
-    return compose_document([sd], CorefMap([[(0, i)]
-                                           for i in range(n_wires)]))
+    return compose_spelled([sd], CorefMap([[(0, i)]
+                                          for i in range(n_wires)]))
 
 
 def symbols(gates):
@@ -83,7 +83,7 @@ def test_shared_parameters_reuse_symbols():
     body = Box("f", (0,))
     sd = SentenceDiagram(nouns, body)
     sd2 = SentenceDiagram([NounState("w", 1, 0)], Box("f", (0,)))
-    td = compose_document(
+    td = compose_spelled(
         [sd, sd2], CorefMap([[(0, 0)], [(1, 0)]]))
     shared = compile(td, AnsatzConfig("sim4", 1, 1, share_parameters=True))
     solo = compile(td, AnsatzConfig("sim4", 1, 1, share_parameters=False))
@@ -99,8 +99,8 @@ def test_shared_symbols_follow_name_and_width(kind, q):
            SentenceDiagram([NounState("b", 1, 0), NounState("c", 1, 1)],
                            Box("f", (0, 1))),
            SentenceDiagram([NounState("a", 2, 0)], Box("f", (0,)))]
-    td = compose_document(sds, CorefMap([[(0, 0), (2, 0)], [(1, 0)],
-                                         [(1, 1)]]))
+    td = compose_spelled(sds, CorefMap([[(0, 0), (2, 0)], [(1, 0)],
+                                        [(1, 1)]]))
     c = compile(td, AnsatzConfig(kind, q, 2, seed=3))
     blocks = [("a", 1), ("b", 1), ("c", 1), ("f", 1), ("f", 2), ("f", 1)]
     names = [f"{name}__{width}__{i}" for name, width in blocks
@@ -146,8 +146,8 @@ def test_qubit_cap_enforced():
 def test_frames_rejected():
     nouns = [NounState("a", 0, 0)]
     body = Frame("f", (0,), (Box("g", (0,)),))
-    td = compose_document([SentenceDiagram(nouns, body)],
-                          CorefMap([[(0, 0)]]))
+    td = compose_spelled([SentenceDiagram(nouns, body)],
+                         CorefMap([[(0, 0)]]))
     with pytest.raises(UnexpandedFrame):
         compile(td, AnsatzConfig())
 

@@ -13,8 +13,8 @@ from discocirc.ingest import (CorefMap, Lexicon, load_document, parse_text,
                               read_json)
 from discocirc.pipeline import PipelineConfig, diagrams, ingest, run, treeize
 from discocirc.trees import build_trees
-from util import (apply_layer, compose_oracle, element_wires, replay,
-                  wire_order)
+from util import (apply_layer, compose_oracle, compose_spelled,
+                  element_wires, replay, wire_order)
 
 FIXTURES = "tests/fixtures"
 
@@ -33,7 +33,7 @@ def document_diagram(path, lex):
         forest = build_trees(d).forest
         diagrams.append(sentence_diagram(forest, frozenset(), noun_tokens,
                                          si))
-    return compose_document(diagrams, doc.corefs)
+    return compose_spelled(diagrams, doc.corefs)
 
 
 def test_three_sentences_share_chains(lex):
@@ -69,7 +69,7 @@ def test_permutations_come_in_cancelling_pairs(lex):
 def test_within_sentence_duplicate_uses_spiders():
     nouns = [NounState("Bob", 0, 0), NounState("Bob", 0, 2)]
     sd = SentenceDiagram(nouns, Box("saw", (0, 2)))
-    td = compose_document([sd], CorefMap([[(0, 0), (0, 2)]]))
+    td = compose_spelled([sd], CorefMap([[(0, 0), (0, 2)]]))
     assert len(td.states) == 1
     kinds = [type(l).__name__ for l in td.layers]
     assert kinds == ["Spider", "Box", "Spider"]
@@ -81,7 +81,7 @@ def test_within_sentence_duplicate_uses_spiders():
 def test_unchained_noun_rejected():
     sd = SentenceDiagram([NounState("Alice", 0, 0)], Box("runs", (0,)))
     with pytest.raises(ChainMismatch):
-        compose_document([sd], CorefMap([]))
+        compose_spelled([sd], CorefMap([]))
 
 
 def test_empty_sentences_skipped(lex, caplog):
@@ -92,7 +92,7 @@ def test_empty_sentences_skipped(lex, caplog):
     sd = sentence_diagram(build_trees(d).forest, frozenset(), noun_tokens, 0)
     empty = SentenceDiagram([], Identity(()))
     with caplog.at_level("INFO", logger="discocirc.compose"):
-        td = compose_document([empty, sd, empty], doc.corefs)
+        td = compose_spelled([empty, sd, empty], doc.corefs)
     assert len(td.states) == 2
     assert caplog.messages == ["sentence 0 empty after filtering",
                                "sentence 2 empty after filtering"]
@@ -209,7 +209,7 @@ def test_compose_document_equals_the_reference_composer(lex, monkeypatch):
         (parse_text(tokens, lex), PipelineConfig(lexicon=lex))
         for tokens in test_shape_memo.token_documents(lex)]
     got = [test_shape_memo.oracle_diagram(doc, cfg) for doc, cfg in cases]
-    monkeypatch.setattr(test_shape_memo, "compose_document", compose_oracle)
+    monkeypatch.setattr(test_shape_memo, "compose_spelled", compose_oracle)
     assert [test_shape_memo.oracle_diagram(doc, cfg)
             for doc, cfg in cases] == got
     # the memo path composes the same

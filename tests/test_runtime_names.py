@@ -150,3 +150,17 @@ def test_every_public_name_has_a_runtime_caller():
     assert sorted(set(unused) - listed) == []
     # a listed name that has gained a caller leaves the list
     assert sorted(listed - set(unused)) == []
+
+
+def test_every_traced_function_resolves():
+    """The benchmark's tracer looks each of its ``TRACED`` (layer, module,
+    function) up with ``getattr`` and no default, so a renamed or deleted
+    function breaks the traced run."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text("utf-8"))
+    traced = next(ast.literal_eval(stmt.value) for stmt in tree.body
+                  if isinstance(stmt, ast.Assign)
+                  and [t.id for t in stmt.targets] == ["TRACED"])
+    assert traced
+    missing = [f"{module}.{name}" for _, module, name in traced
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

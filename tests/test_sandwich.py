@@ -3,13 +3,14 @@ import random
 import pytest
 
 from discocirc.ansatz import AnsatzConfig, append_merge_box, compile
-from discocirc.compose import TextDiagram, compose_document
+from discocirc.compose import TextDiagram
 from discocirc.frames import (Box, Frame, NounState, Par, Perm,
                               SentenceDiagram, Spider, iter_boxes)
 from discocirc.ingest import CorefMap, read_json
 from discocirc.pipeline import PipelineConfig, run
 from discocirc.sandwich import SandwichConfig, expand_frames
-from util import expand_oracle, random_element, wire_order
+from util import (compose_spelled, expand_oracle, random_element,
+                  wire_order)
 
 FIXTURES = "tests/fixtures"
 
@@ -18,7 +19,7 @@ def two_component_frame():
     body = Frame("frame", (0, 1, 2), (Box("left", (1,)), Box("right", (2,))))
     nouns = [NounState("a", 0, 0), NounState("b", 0, 1), NounState("c", 0, 2)]
     sd = SentenceDiagram(nouns, body)
-    return compose_document([sd], CorefMap([[(0, 0)], [(0, 1)], [(0, 2)]]))
+    return compose_spelled([sd], CorefMap([[(0, 0)], [(0, 1)], [(0, 2)]]))
 
 
 def expanded_box_names(td, suffix=("_top", "_bot")):
@@ -65,7 +66,7 @@ def test_component_order_is_layer_order():
 def test_single_component_covering_all_wires_needs_no_swaps():
     body = Frame("f", (0,), (Box("g", (0,)),))
     sd = SentenceDiagram([NounState("a", 0, 0)], body)
-    td = compose_document([sd], CorefMap([[(0, 0)]]))
+    td = compose_spelled([sd], CorefMap([[(0, 0)]]))
     out = expand_frames(td, SandwichConfig("shared"))
     assert not any(isinstance(l, Perm) for l in out.layers)
     names = [b.name for l in out.layers for b in iter_boxes(l)]
@@ -76,7 +77,7 @@ def test_nested_frames_expand_inside_out():
     body = Frame("outer", (0, 1),
                  (Frame("inner", (1,), (Box("leaf", (1,)),)),))
     sd = SentenceDiagram([NounState("a", 0, 0), NounState("b", 0, 1)], body)
-    td = compose_document([sd], CorefMap([[(0, 0)], [(0, 1)]]))
+    td = compose_spelled([sd], CorefMap([[(0, 0)], [(0, 1)]]))
     out = expand_frames(td, SandwichConfig("shared"))
     assert all(isinstance(l, (Box, Spider, Perm)) for l in out.layers)
     names = [b.name for l in out.layers for b in iter_boxes(l)]
@@ -89,7 +90,7 @@ def test_gapped_component_needs_no_routing():
     body = Frame("f", (0, 1, 2), (Box("g", (0, 2)),))
     sd = SentenceDiagram(
         [NounState(w, 0, i) for i, w in enumerate("abc")], body)
-    td = compose_document([sd], CorefMap([[(0, 0)], [(0, 1)], [(0, 2)]]))
+    td = compose_spelled([sd], CorefMap([[(0, 0)], [(0, 1)], [(0, 2)]]))
     out = expand_frames(td, SandwichConfig("shared"))
     assert not any(isinstance(l, Perm) for l in out.layers)
     assert [b.wires for l in out.layers for b in iter_boxes(l)

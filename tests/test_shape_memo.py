@@ -9,8 +9,8 @@ rewritten, per rule set and tokens each rule's words match; and
 through none of the memos: the first solution of
 ``lexicon_parse(..., all_parses=True)``, which always searches, the raw
 builder ``trees._build``, called on the sentence's own diagram, and
-``rewrite_tree``, ``sentence_diagram`` and ``compose_document`` on the
-forests it builds.
+``rewrite_tree``, ``sentence_diagram`` and ``compose_document`` (through
+``util.compose_spelled``) on the forests it builds.
 """
 
 import json
@@ -22,7 +22,7 @@ import pytest
 
 from discocirc import frames, ingest, rewrite, trees
 from discocirc.ansatz import AnsatzConfig, circuit_to_json
-from discocirc.compose import compose_document, text_diagram_to_json
+from discocirc.compose import text_diagram_to_json
 from discocirc.errors import DiscocircError, InvalidDiagram, NoParse
 from discocirc.grammar import PregroupDiagram, PregroupType, SimpleType
 from discocirc.ingest import (CorefMap, Document, Lexicon, lexicon_parse,
@@ -36,8 +36,8 @@ from discocirc.rewrite import builtin_rule, load_rule, rewrite_tree
 from discocirc.sandwich import SandwichConfig
 from discocirc.trees import PregroupTreeNode, build_trees, forest_to_json
 from test_snapshots import CONFIGS, STORY_SEEDS, pronoun_story
-from util import (chain_document, entity_document, parse_type,
-                  random_loopy_diagram, topic_dataset)
+from util import (chain_document, compose_spelled, entity_document,
+                  parse_type, random_loopy_diagram, topic_dataset)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOCUMENTS = ["bike_pruning", "bike_rewrites", "corpus", "hard_reading",
@@ -438,7 +438,7 @@ def oracle_diagram(doc, cfg) -> dict:
                           if cfg.lexicon.is_noun(word))
         remove = frozenset(ti for s, ti in removed if s == si)
         sentences.append(sentence_diagram(forest, remove, nouns, si))
-    return text_diagram_to_json(compose_document(sentences, coref))
+    return text_diagram_to_json(compose_spelled(sentences, coref))
 
 
 def piped_diagram(doc, cfg) -> dict:
@@ -505,31 +505,39 @@ def test_edited_noun_tags_give_the_new_diagram():
     assert seen[0] != seen[1] != seen[2] != seen[0] == seen[3]
 
 
+def noun_rule(tmp_path, name, words, merger):
+    """The rule on type n of this name, words and merger, read from a
+    rule file."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "name": name, "match_words": words, "match_types": [[["n", 0]]],
+        "word_merger": merger}), encoding="utf-8")
+    return load_rule(path)
+
+
 def test_a_rule_asked_about_a_merged_word_rewrites_the_sentence_alone(
         lex, tmp_path):
-    """Only ``merge`` names a node with several tokens; a rule with words
-    asked about such a name needs the words, so that sentence is
-    rewritten with its own and no lowering of it is kept."""
-    pair, the_large = tmp_path / "pair.json", tmp_path / "the_large.json"
-    pair.write_text(json.dumps({
-        "name": "pair", "match_words": None, "match_types": [[["n", 0]]],
-        "word_merger": "merge"}), encoding="utf-8")
-    the_large.write_text(json.dumps({
-        "name": "the_large", "match_words": ["the large"],
-        "match_types": [[["n", 0]]], "word_merger": "first"}),
-        encoding="utf-8")
-    cfg = PipelineConfig(lexicon=lex,
-                         rewrites=[load_rule(pair), load_rule(the_large)])
+    """Only ``merge`` names a node with several tokens, and such a name
+    holds a space; a rule with a word that holds one spells each name
+    in the sentence's own words, and its rewrite and lowering are kept
+    like any other: a warm second pass adds no entry to either memo."""
+    cfg = PipelineConfig(lexicon=lex, rewrites=[
+        noun_rule(tmp_path, "pair", None, "merge"),
+        noun_rule(tmp_path, "the_large", ["the large"], "first")])
     merged = [["Alice", "reads", "the", "large", "blue", "books"],
               ["Bob", "loves", "a", "fast", "blue", "bike"]]
     doc = parse_text(merged + [["Alice", "reads", "books"]] + merged, lex)
     clear_memos()
+    added = []
     for _ in range(2):
         reports = treeize(doc, cfg)
         assert [(forest_to_json(r.forest), r.removed_cups)
                 for r in reports] == per_sentence_trees(doc, cfg.rewrites)
         assert piped_diagram(doc, cfg) == oracle_diagram(doc, cfg)
-        assert frames._lower_shape.cache_info().currsize == 1
+        added.append([(memo.cache_info().misses, memo.cache_info().currsize)
+                      for memo in (rewrite._rewrite_shape,
+                                   frames._lower_shape)])
+    assert added[1] == added[0]
     words = [n["word"] for n in piped_diagram(doc, cfg)["states"]]
     assert "the large" in words and "blue bike" in words
     # without the rule with words, the merged names are lowered once per
@@ -542,19 +550,32 @@ def test_a_rule_asked_about_a_merged_word_rewrites_the_sentence_alone(
 
 
 def test_a_warm_sentence_builds_no_tree_node_and_runs_no_rule(
-        lex, monkeypatch):
+        lex, monkeypatch, tmp_path):
     """Once a sentence's shape, rule matches, nouns and removed tokens
     were lowered, another sentence of the same builds no tree node, runs
-    no rule and lowers nothing; its diagram is the oracle's."""
-    cfg = PipelineConfig(lexicon=lex, remove_nouns=["music"],
-                         rewrites=[builtin_rule("determiner"),
-                                   builtin_rule("noun_modification")])
-    warm = parse_text([["Alice", "reads", "the", "large", "books"],
-                       ["Bob", "loves", "the", "music"]], lex)
-    doc = parse_text([["Bob", "writes", "the", "good", "code"],
-                      ["Alice", "likes", "the", "music"]], lex)
-    want = oracle_diagram(doc, cfg)
-    piped_diagram(warm, cfg)
+    no rule and lowers nothing; its diagram is the oracle's.  So does a
+    sentence where a rule with a single word is asked about a merged
+    name, which it never matches."""
+    stock = PipelineConfig(lexicon=lex, remove_nouns=["music"],
+                           rewrites=[builtin_rule("determiner"),
+                                     builtin_rule("noun_modification")])
+    paired = PipelineConfig(lexicon=lex, rewrites=[
+        noun_rule(tmp_path, "pair", None, "merge"),
+        noun_rule(tmp_path, "the", ["the"], "first")])
+    cases = [
+        (stock, [["Alice", "reads", "the", "large", "books"],
+                 ["Bob", "loves", "the", "music"]],
+         [["Bob", "writes", "the", "good", "code"],
+          ["Alice", "likes", "the", "music"]]),
+        (paired, [["Alice", "reads", "the", "large", "blue", "books"],
+                  ["Bob", "loves", "the", "fast", "new", "bike"]],
+         [["Bob", "writes", "the", "good", "fresh", "code"],
+          ["Alice", "likes", "the", "tasty", "fresh", "soup"]])]
+    cases = [(cfg, parse_text(warm, lex), parse_text(doc, lex))
+             for cfg, warm, doc in cases]
+    want = [oracle_diagram(doc, cfg) for cfg, _, doc in cases]
+    for cfg, warm, _ in cases:
+        piped_diagram(warm, cfg)
     calls = []
 
     def counted(fn):
@@ -567,9 +588,11 @@ def test_a_warm_sentence_builds_no_tree_node_and_runs_no_rule(
                         staticmethod(counted(PregroupTreeNode.__new__)))
     monkeypatch.setattr(rewrite, "_rewrite", counted(rewrite._rewrite))
     monkeypatch.setattr(frames, "_lower", counted(frames._lower))
-    got = piped_diagram(doc, cfg)
+    got = [piped_diagram(doc, cfg) for cfg, _, doc in cases]
     assert calls == []
     assert got == want
+    # the single-word rule was asked about the merged name "the good"
+    assert '"name": "the good"' in json.dumps(got[1])
 
 
 def test_mutating_reports_or_a_diagram_leaves_later_diagrams(lex):
@@ -588,15 +611,3 @@ def test_mutating_reports_or_a_diagram_leaves_later_diagrams(lex):
         td.layers.append(Box("x", (0,)))
         td.layers[0] = Box("z", (1,))
         td.states.reverse()
-
-
-def test_an_assigned_forest_is_what_diagrams_lowers(lex):
-    rule = builtin_rule("determiner")
-    doc = parse_text(entity_document(random.Random(3), 6), lex)
-    cfg = PipelineConfig(lexicon=lex)
-    reports = treeize(doc, cfg)
-    for report in reports:
-        report.forest = [rewrite_tree(root, rule).tree
-                         for root in report.forest]
-    assert text_diagram_to_json(diagrams(doc, reports, cfg)) == \
-        oracle_diagram(doc, PipelineConfig(lexicon=lex, rewrites=[rule]))

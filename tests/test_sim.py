@@ -7,7 +7,6 @@ import pytest
 from discocirc import sim
 from discocirc.ansatz import (AnsatzConfig, Circuit, Gate, append_merge_box,
                               compile)
-from discocirc.compose import compose_document
 from discocirc.errors import (CapExceeded, FormatError, UnboundSymbol,
                               ZeroNorm)
 from discocirc.frames import Box, NounState, SentenceDiagram
@@ -18,7 +17,8 @@ from discocirc.sim import (TrainConfig, _evaluate, _forward, _gradient,
                            gate_matrix, gradient, load_dataset, simulate,
                            train)
 from util import (bce_ddist, circuit_unitary, classification_dataset,
-                  fd_gradient, shift_rule_oracle, train_oracle)
+                  compose_spelled, fd_gradient, shift_rule_oracle,
+                  train_oracle)
 
 rng = np.random.default_rng(42)
 
@@ -26,7 +26,7 @@ rng = np.random.default_rng(42)
 def fixture_circuit(kind="sim4", n_wires=2, layers=1, seed=0):
     nouns = [NounState(f"w{i}", 0, i) for i in range(n_wires)]
     body = Box("act", tuple(range(n_wires)))
-    td = compose_document(
+    td = compose_spelled(
         [SentenceDiagram(nouns, body)],
         CorefMap([[(0, i)] for i in range(n_wires)]))
     td = append_merge_box(td)

@@ -20,13 +20,14 @@ import numpy as np
 import pytest
 
 from discocirc.ansatz import AnsatzConfig
-from discocirc.compose import TextDiagram, compose_document
+from discocirc.compose import TextDiagram
 from discocirc.frames import Box, Frame, NounState, SentenceDiagram, Spider
 from discocirc.ingest import CorefMap, read_json
 from discocirc.pipeline import (PipelineConfig, apply_coordination, circuit,
                                 diagrams, ingest, resolve_rewrites, treeize)
 from discocirc.sandwich import SandwichConfig
 from discocirc.sim import simulate
+from util import compose_spelled
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SNAPSHOTS = FIXTURES / "snapshots.json"
@@ -93,8 +94,8 @@ def document_diagram(source, cfg) -> TextDiagram:
 def frame_diagram(body, cfg) -> TextDiagram:
     wires = body.wires
     nouns = [NounState("abcd"[w], 0, w) for w in wires]
-    return compose_document([SentenceDiagram(nouns, body)],
-                            CorefMap([[(0, w)] for w in wires]))
+    return compose_spelled([SentenceDiagram(nouns, body)],
+                           CorefMap([[(0, w)] for w in wires]))
 
 
 def sources() -> dict[str, tuple]:

@@ -19,9 +19,10 @@ the wires each touches (``element_wires``), to recover its wire order.
 ``block_symbol_count`` is the closed-form symbol count of an ansatz block,
 and ``diagram_distribution`` the semantic oracle for ``compile``: it
 contracts an expanded text diagram wire by wire.
-``compose_oracle`` is document composition with no short-cut, and
-``expand_oracle`` frame expansion by its definition, for the random
-sentence bodies of ``random_element``.
+``compose_spelled`` passes spelled ``SentenceDiagram``s to
+``compose_document``, ``compose_oracle`` is document composition with no
+short-cut, and ``expand_oracle`` frame expansion by its definition, for
+the random sentence bodies of ``random_element``.
 ``parse_type`` reads a pregroup type from its printed form.
 """
 
@@ -34,7 +35,7 @@ from functools import reduce
 import numpy as np
 
 from discocirc.ansatz import BLOCKS
-from discocirc.compose import TextDiagram
+from discocirc.compose import TextDiagram, compose_document
 from discocirc.errors import ChainMismatch
 from discocirc.frames import (Box, Frame, Identity, Par, Perm, Spider,
                               map_wires)
@@ -524,6 +525,35 @@ def diagram_distribution(td: TextDiagram, ansatz,
 
 
 # --- document composition ----------------------------------------------------
+
+def compose_spelled(sentences, coref: CorefMap) -> TextDiagram:
+    """``compose_document`` on spelled ``SentenceDiagram``s, each passed as
+    the (word-free diagram, words, sentence index) triple that
+    ``pipeline.diagrams`` builds: every noun and name is replaced by its
+    index into the sentence's words."""
+    triples = []
+    for si, sd in enumerate(sentences):
+        words = []
+
+        def name(word) -> tuple:
+            words.append(word)
+            return (len(words) - 1,)
+
+        def unspell(el):
+            if isinstance(el, Par):
+                return Par(tuple(map(unspell, el.elements)))
+            if isinstance(el, Frame):
+                return Frame(name(el.name), el.wires,
+                             tuple(map(unspell, el.components)))
+            if isinstance(el, Box):
+                return el._replace(name=name(el.name))
+            return el
+
+        leaves = [n._replace(word=name(n.word)) for n in sd.nouns]
+        at = sd.nouns[0].sentence_index if sd.nouns else si
+        triples.append(((leaves, unspell(sd.body)), tuple(words), at))
+    return compose_document(triples, coref)
+
 
 def compose_oracle(sentences, coref: CorefMap) -> TextDiagram:
     """``compose_document`` on ``SentenceDiagram``s by its definition,
