@@ -8,13 +8,13 @@ gates.  Parameters are named "<box>__<arity>__<idx>" so boxes of the
 same word and width share weights; the fresh symbols draw their values,
 in creation order, as one vector from the config's seed.
 
-A circuit is stored as arrays, not as ``Gate`` objects: one interned
-skeleton (width, each gate's kind code and qubits, which gates take a
-symbol, postselection and outputs), shared by every equal circuit and
-hashed once, plus each gate's index into the circuit's symbol order and
-its literal angles.  ``compile`` stamps each block from its width's
-template, kept per process, mapping the template's qubits and symbols
-through the block's; ``Circuit.gates`` is a view built on first read.
+A circuit is stored as arrays, not as ``Gate`` objects: its skeleton, a
+plain value (width, each gate's kind code and qubits, which gates take a
+symbol, postselection and outputs) that equal circuits hold equal, plus
+each gate's index into the circuit's symbol order and its literal
+angles.  ``compile`` stamps each block from its width's template, kept
+per process, mapping the template's qubits and symbols through the
+block's; ``Circuit.gates`` is a view built on first read.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,25 +50,20 @@ class Gate:
 
 _KINDS = tuple(GATE_ARITY)  # a gate kind's code is its index
 _CODES = {name: code for code, name in enumerate(_KINDS)}
-_SKELETONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-class _Skeleton:
-    """What the circuits of one gate skeleton share: the width, each gate's
-    kind code and two qubits (int32, -1 for none) and whether it takes a
-    symbol, as bytes, the postselection and the outputs.  Equal skeletons
-    are one object (``Circuit._build`` interns them), hashed once."""
+class _Skeleton(NamedTuple):
+    """A circuit's gate skeleton: the width, each gate's kind code and two
+    qubits (int32, -1 for none) and whether it takes a symbol, as bytes,
+    the postselection and the outputs.  Equal skeletons compare and hash
+    equal, so ``sim`` finds one plan for them by value."""
 
-    __slots__ = ("n_qubits", "kinds", "qubits", "symbolic", "postselect",
-                 "outputs", "_hash", "__weakref__")
-
-    def __init__(self, key: tuple):
-        (self.n_qubits, self.kinds, self.qubits, self.symbolic,
-         self.postselect, self.outputs, _) = key
-        self._hash = hash(key)
-
-    def __hash__(self) -> int:
-        return self._hash
+    n_qubits: int
+    kinds: bytes
+    qubits: bytes
+    symbolic: bytes
+    postselect: tuple
+    outputs: tuple
 
     @property
     def readout(self) -> list[int]:
@@ -96,13 +91,11 @@ def _columns(gates: list[Gate]) -> tuple[list, list]:
 
 
 class Circuit:
-    """A parameterised circuit, kept as its interned skeleton, each gate's
+    """A parameterised circuit, kept as its own skeleton, each gate's
     index into ``_names`` (the distinct symbols in order of first use, -1
     for none), the literal angles as (gate, value) pairs, and ``symbols``,
     the declared values.  ``gates`` is a view of ``Gate`` values, built on
     first read.  A circuit is not changed once built."""
-
-    __hash__ = None
 
     def __init__(self, n_qubits: int, gates=(), postselect=(),
                  symbols: dict | None = None, outputs=()):
@@ -118,15 +111,10 @@ class Circuit:
     def _build(self, n_qubits, kinds, qubits, params, postselect, outputs,
                names, symbols, literals=()):
         self._params = np.array(params, dtype=np.int32)
-        post = tuple(map(tuple, postselect))
-        # a bit read as 0.0 or 1.0 is written back so, from its own skeleton
-        exact = all(type(bit) is int for _, bit in post)
-        key = (n_qubits, bytes(kinds), np.array(qubits, np.int32).tobytes(),
-               (self._params >= 0).tobytes(), post, tuple(outputs),
-               exact or object())
-        self._skeleton = _SKELETONS.get(key)
-        if self._skeleton is None:
-            self._skeleton = _SKELETONS[key] = _Skeleton(key)
+        self._skeleton = _Skeleton(
+            n_qubits, bytes(kinds), np.array(qubits, np.int32).tobytes(),
+            (self._params >= 0).tobytes(), tuple(map(tuple, postselect)),
+            tuple(outputs))
         self._names, self._literals, self.symbols = names, literals, symbols
 
     n_qubits = property(lambda self: self._skeleton.n_qubits)

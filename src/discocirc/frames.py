@@ -212,14 +212,14 @@ def min_frequency_filter(coref: CorefMap, k: int) -> set:
 
 # --- dumps ------------------------------------------------------------------
 
-def dump_element(el, depth: int = 0, indent: str = "  ") -> str:
-    pad = indent * depth
+def dump_element(el, depth: int = 0) -> str:
+    pad = "  " * depth
     if isinstance(el, Box):
         tag = "merge-box" if el.merge else "box"
         return f"{pad}{tag} {el.name} {list(el.wires)}"
     if isinstance(el, Frame):
         lines = [f"{pad}frame {el.name} {list(el.wires)}"]
-        lines += [dump_element(c, depth + 1, indent) for c in el.components]
+        lines += [dump_element(c, depth + 1) for c in el.components]
         return "\n".join(lines)
     if isinstance(el, Identity):
         return f"{pad}id {list(el.wires)}"
@@ -230,6 +230,6 @@ def dump_element(el, depth: int = 0, indent: str = "  ") -> str:
         return f"{pad}spider-{arrow} {list(el.in_wires)} ~ {el.out_wire}"
     if isinstance(el, Par):
         lines = [f"{pad}par"]
-        lines += [dump_element(c, depth + 1, indent) for c in el.elements]
+        lines += [dump_element(c, depth + 1) for c in el.elements]
         return "\n".join(lines)
     raise TypeError(f"not a diagram element: {el!r}")

@@ -5,13 +5,14 @@ same qubits, symbols in the same places, the same postselection and
 outputs) share one plan: each gate's name, qubits and move, the gates of
 each parameterised kind, the positions of the symbolic gates, the outcome
 map and the shift rule's blocks, all worked out once.  A circuit carries
-its interned skeleton, and the plans of the last 64 skeletons used are
-kept per process, so preparing a circuit is a lookup and one gather of
-its slots.  Angles come from one table: the parameter vector, then NaN
-for the fixed gates and the literal angles.  A circuit's slots index each
-gate's angle in the table, so a group's (B, G) angles are one gather,
-``table[slots]``, a gradient is one scatter-add of per-gate terms into
-the slots, and ``train`` runs Adam on the vector.
+its skeleton as a plain value, and the plans of the last 64 skeletons
+used are kept per process and found by value, so preparing a circuit is
+a lookup and one gather of its slots.  Angles come from one table: the
+parameter vector, then NaN for the fixed gates and the literal angles.
+A circuit's slots index each gate's angle in the table, so a group's
+(B, G) angles are one gather, ``table[slots]``, a gradient is one
+scatter-add of per-gate terms into the slots, and ``train`` runs Adam on
+the vector.
 
 A group runs as one stacked state of shape (B, 2^n), one row per circuit,
 in chunks of at most STACK_AMPLITUDES amplitudes; a gate whose angle is
@@ -198,8 +199,8 @@ class _Plan:
                       [q for _, q, _ in reversed(self.gates)])[0]
 
 
-# the plans of the last 64 skeletons used, which are interned: each hashes
-# once and compares by identity
+# the plans of the last 64 skeletons used, found by value: equal, copied
+# and unpickled circuits share one
 _plan = lru_cache(maxsize=64)(_Plan)
 
 

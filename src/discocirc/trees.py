@@ -186,12 +186,12 @@ def compound_type(node: PregroupTreeNode) -> PregroupType:
     return result
 
 
-def dump_tree(root: PregroupTreeNode, indent: str = "  ") -> str:
+def dump_tree(root: PregroupTreeNode) -> str:
     """Indented text dump, one node per line as ``index:word [type]``."""
     lines = []
 
     def visit(node, depth):
-        lines.append(f"{indent * depth}{node.token_index}:{node.word} "
+        lines.append(f"{'  ' * depth}{node.token_index}:{node.word} "
                      f"[{node.out_type}]")
         for child in node.children:
             visit(child, depth + 1)

@@ -187,6 +187,39 @@ def test_circuit_json_round_trip():
     assert again == c
 
 
+@pytest.mark.parametrize("post, outputs", [
+    ([(0, 0)], np.array([1])),
+    ([(np.int64(0), 0)], [1]),
+], ids=["numpy-outputs", "numpy-postselect-qubit"])
+def test_an_equal_circuit_built_before_changes_nothing_written(post,
+                                                               outputs):
+    # a circuit of plain integers writes what it holds, whatever equal
+    # circuit, here one of numpy integers, is alive when it is built
+    gates = [Gate("H", (0,)), Gate("CX", (0, 1))]
+
+    def written():
+        return json.dumps(
+            circuit_to_json(Circuit(2, gates, [(0, 0)], {}, [1])))
+
+    alone = written()
+    before = Circuit(2, gates, post, {}, outputs)
+    assert before == Circuit(2, gates, [(0, 0)], {}, [1])
+    assert written() == alone
+
+
+@pytest.mark.parametrize("bits", [(1, 1.0), (1.0, 1)])
+def test_a_postselect_bit_is_written_as_it_was_read(bits):
+    # equal circuits alive together each write back their own bit
+    def data(bit):
+        return {"n_qubits": 2, "gates": [{"name": "H", "qubits": [0]}],
+                "postselect": [[0, bit]], "symbols": {}, "outputs": [1]}
+
+    circuits = [circuit_from_json(data(bit)) for bit in bits]
+    assert circuits[0] == circuits[1]
+    for bit, c in zip(bits, circuits):
+        assert json.dumps(circuit_to_json(c)) == json.dumps(data(bit))
+
+
 @pytest.mark.parametrize("change", [
     {"gates": [{"name": "Foo", "qubits": [0]}]},
     {"gates": [{"name": "Rx", "qubits": [0, 1], "param": 1.0}]},

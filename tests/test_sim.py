@@ -1,5 +1,7 @@
+import copy
 import itertools
 import logging
+import pickle
 
 import numpy as np
 import pytest
@@ -494,12 +496,20 @@ def test_a_box_every_row_shares_applies_one_matrix():
                 < 1e-12
 
 
+def test_a_copied_circuit_gets_the_original_plan():
+    c = fixture_circuit("sim4", 2, 1, seed=3)
+    copies = [c, copy.deepcopy(c), pickle.loads(pickle.dumps(c))]
+    _, plans, _ = _prepare(copies, c.symbols)
+    assert plans[0] is plans[1] is plans[2]
+
+
 def test_every_check_runs_on_a_plan_memo_hit():
     c = fixture_circuit("sim4", 2, 1, seed=3)
     wide = Circuit(2, c.gates, c.postselect, c.symbols, [0, 1])
     simulate(wide, c.symbols)  # its plan is now in the memo
     again = Circuit(2, c.gates, c.postselect, dict(c.symbols), [0, 1])
-    assert again._skeleton is wide._skeleton
+    assert again._skeleton == wide._skeleton
+    assert sim._plan(again._skeleton) is sim._plan(wide._skeleton)
     with pytest.raises(ValueError, match="1-qubit output"):
         train([(c, 0), (again, 1)], TrainConfig(epochs=1))
     with pytest.raises(ValueError, match="1-qubit output"):
