@@ -111,10 +111,12 @@ class Circuit:
     def _build(self, n_qubits, kinds, qubits, params, postselect, outputs,
                names, symbols, literals=()):
         self._params = np.array(params, dtype=np.int32)
+        # the width and qubits as plain ints, which JSON can write
         self._skeleton = _Skeleton(
-            n_qubits, bytes(kinds), np.array(qubits, np.int32).tobytes(),
-            (self._params >= 0).tobytes(), tuple(map(tuple, postselect)),
-            tuple(outputs))
+            int(n_qubits), bytes(kinds), np.array(qubits, np.int32).tobytes(),
+            (self._params >= 0).tobytes(),
+            tuple([(int(q), bit) for q, bit in postselect]),
+            tuple(map(int, outputs)))
         self._names, self._literals, self.symbols = names, literals, symbols
 
     n_qubits = property(lambda self: self._skeleton.n_qubits)

@@ -16,7 +16,6 @@ mentions use (chain_id, k) copy ids.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 from .errors import ChainMismatch
 from .frames import (
@@ -36,12 +35,31 @@ from .trees import _spell
 log = logging.getLogger(__name__)
 
 
-@dataclass
 class TextDiagram:
-    """Document-level diagram: one state per chain plus stacked layers."""
+    """Document-level diagram: one state per chain plus stacked layers.
 
-    states: list[NounState]
-    layers: list
+    ``compose_document`` gives it its parts instead: each sentence body
+    as a row, the plain tuple (word-free body, the wire of each token,
+    words) that ``map_wires`` takes, and every other layer as it is.  The
+    layers are built from the parts on first read, and replace them."""
+
+    def __init__(self, states: list[NounState], layers: list, _parts=None):
+        self.states, self._layers, self._parts = states, layers, _parts
+
+    @property
+    def layers(self) -> list:
+        if self._parts is not None:
+            self._layers = [map_wires(*p) if type(p) is tuple else p
+                            for p in self._parts]
+            self._parts = None
+        return self._layers
+
+    def __eq__(self, other):
+        return (self.states, self.layers) == (other.states, other.layers) \
+            if type(other) is TextDiagram else NotImplemented
+
+    def __repr__(self):
+        return f"TextDiagram({self.states!r}, {self.layers!r})"
 
     @property
     def chain_order(self) -> dict[int, int]:
@@ -53,10 +71,10 @@ def compose_document(sentences: list, coref: CorefMap) -> TextDiagram:
     """Fold sentence diagrams into a document diagram along chains.
 
     A sentence is the (word-free diagram, words, sentence index) triple
-    that ``pipeline.diagrams`` passes: its words go on its noun states and
-    names in the same walk that puts chain ids on its wires.  A sentence
-    with no nouns (all removed by filtering) is skipped.  Every noun state
-    must belong to a chain of ``coref``.
+    that ``pipeline.diagrams`` passes: its words go on its noun states,
+    and its body goes in a row.  A sentence with no nouns (all removed by
+    filtering) is skipped.  Every noun state must belong to a chain of
+    ``coref``.
     """
     chain_of = {}
     for ci, chain in enumerate(coref.chains):
@@ -65,7 +83,7 @@ def compose_document(sentences: list, coref: CorefMap) -> TextDiagram:
 
     states: list[NounState] = []
     position: dict[int, int] = {}  # chain id -> introduction position
-    layers: list = []
+    parts: list = []
 
     for si, ((nouns, body), words, at) in enumerate(sentences):
         if not nouns:
@@ -89,15 +107,15 @@ def compose_document(sentences: list, coref: CorefMap) -> TextDiagram:
                     raise ChainMismatch(f"noun {word!r} at {(at, token)} "
                                         "belongs to no coreference chain")
                 position[cid] = len(states)
-                states.append(NounState(word, at, token, cid))
+                states.append(tuple.__new__(NounState, (word, at, token, cid)))
             elif position[cid] < before:
                 shared = True
             k = counts.get(cid, 0)
             counts[cid] = k + 1
             token_to_wire[token] = cid if k == 0 else (cid, k)
-        body = map_wires(body, token_to_wire.__getitem__, words)
+        row = (body, token_to_wire.__getitem__, words)
         if not shared and len(counts) == len(nouns):
-            layers.append(body)  # new chains, each mentioned once
+            parts.append(row)  # new chains, each mentioned once
             continue
 
         # route this sentence's chains, in local order, to the end of the
@@ -108,17 +126,17 @@ def compose_document(sentences: list, coref: CorefMap) -> TextDiagram:
             [s.chain_id for s in states[tail:]] != local_unique
         wires = tuple(local_unique)
         if routed:
-            layers.append(Perm(wires, tuple(range(tail, len(states)))))
+            parts.append(Perm(wires, tuple(range(tail, len(states)))))
         copies = [Spider((cid,) + tuple((cid, k) for k in range(1, n)), cid,
                          dagger=True)
                   for cid, n in counts.items() if n > 1]
-        layers += copies
-        layers.append(body)
-        layers += [Spider(c.in_wires, c.out_wire) for c in reversed(copies)]
+        parts += copies
+        parts.append(row)
+        parts += [Spider(c.in_wires, c.out_wire) for c in reversed(copies)]
         if routed:
-            layers.append(Perm(wires, tuple([position[c] for c in wires])))
+            parts.append(Perm(wires, tuple([position[c] for c in wires])))
 
-    return TextDiagram(states, layers)
+    return TextDiagram(states, None, parts)
 
 
 def wire_box_sequences(td: TextDiagram) -> dict[int, list[str]]:

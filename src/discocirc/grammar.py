@@ -114,6 +114,14 @@ class PregroupDiagram:
         object.__setattr__(self, "cups", tuple(sorted(
             [(i, j) if i <= j else (j, i) for i, j in cups])))
 
+    @classmethod
+    def _normal(cls, tokens: tuple, cups: tuple) -> "PregroupDiagram":
+        """The diagram of a tuple of (word, type) pairs and cups that
+        ``__init__`` has normalised: nothing is copied or sorted."""
+        d = object.__new__(cls)
+        d.__dict__.update(tokens=tokens, cups=cups)
+        return d
+
     @property
     def types(self) -> tuple[PregroupType, ...]:
         return tuple([ty for _, ty in self.tokens])

@@ -270,7 +270,7 @@ def lexicon_parse(tokens: list[str], lex: Lexicon,
     else:
         try:
             types, cups = _first_parse(entries)
-            return PregroupDiagram(zip(tokens, types), cups)
+            return PregroupDiagram._normal(tuple(zip(tokens, types)), cups)
         except StopIteration:  # nothing reduces
             pass
     raise NoParse(f"no type assignment of {tokens} reduces to a sentence")
@@ -293,7 +293,8 @@ def _parses(entries):
 
 @functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
 def _first_parse(entries):
-    return next(_parses(entries))  # lru_cache stores no StopIteration
+    types, cups = next(_parses(entries))  # lru_cache stores no StopIteration
+    return types, PregroupDiagram((), cups).cups  # as __init__ sorts them
 
 
 def _feature_class(feats: dict) -> tuple:
@@ -317,6 +318,7 @@ def resolve_pronouns(doc: Document, lex: Lexicon) -> CorefMap:
     """
     chains: list[list[Mention]] = []
     latest: dict[tuple, int] = {}  # feature class -> chain of its last noun
+    classes: dict[str, tuple] = {}  # noun -> its feature class
     pronouns, nouns, features = lex.pronouns, lex.nouns, lex.features
     for si, sent in enumerate(doc.sentences):
         for ti, (word, _) in enumerate(sent.tokens):
@@ -331,7 +333,9 @@ def resolve_pronouns(doc: Document, lex: Lexicon) -> CorefMap:
                 else:
                     chains[ci].append((si, ti))
             elif word in nouns:
-                latest[_feature_class(features.get(word, {}))] = len(chains)
+                if word not in classes:
+                    classes[word] = _feature_class(features.get(word, {}))
+                latest[classes[word]] = len(chains)
                 chains.append([(si, ti)])
     return CorefMap(chains)
 

@@ -16,8 +16,8 @@ from .compose import TextDiagram, compose_document
 from .frames import _lower_sentence, min_frequency_filter
 from .ingest import (CorefMap, Document, Lexicon, check_tokens,
                      load_document, parse_text)
-from .rewrite import (RewriteRule, _rewrite_shape, _spaced, builtin_rule,
-                      coordination_rewrite, load_rule)
+from .rewrite import (RewriteRule, _rewrite_shape, _Rules, _spaced,
+                      builtin_rule, coordination_rewrite, load_rule)
 from .sandwich import SandwichConfig, expand_frames
 from .trees import TreeBuildReport, build_trees
 
@@ -87,7 +87,7 @@ def treeize(doc: Document, cfg: PipelineConfig) -> list[TreeBuildReport]:
     """Build (``build_trees``) and rewrite one tree forest per sentence:
     the rules rewrite the word-free forest of the sentence's shape, and
     the sentence's own forest is built when read."""
-    rules = tuple(cfg.rewrites)
+    rules = _Rules(cfg.rewrites)
     worded = [(r.match_words, _spaced(r)) for r in rules
               if r.match_words is not None]
     reports = []

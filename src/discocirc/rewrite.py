@@ -123,6 +123,16 @@ def _spelled_matches(match_words, words, name: tuple) -> bool:
     return _spell(name, words) in match_words
 
 
+class _Rules(tuple):
+    """Rules as a memo key that each sentence looks up: hashed once."""
+
+    def __init__(self, rules):
+        self._hash = tuple.__hash__(self)
+
+    def __hash__(self):
+        return self._hash
+
+
 @lru_cache(maxsize=TREE_MEMO_SIZE)
 def _rewrite_shape(shape: TreeBuildReport, rules: tuple,
                    keys: tuple) -> TreeBuildReport:

@@ -207,6 +207,19 @@ def test_an_equal_circuit_built_before_changes_nothing_written(post,
     assert written() == alone
 
 
+@pytest.mark.parametrize("n_qubits, post, outputs", [
+    (2, [(0, 0)], np.array([1])),
+    (2, [(np.int64(0), 0)], [1]),
+    (np.int64(2), [(0, 0)], [1]),
+], ids=["numpy-outputs", "numpy-postselect-qubit", "numpy-width"])
+def test_a_circuit_of_numpy_integers_is_written_as_plain_ones(n_qubits, post,
+                                                              outputs):
+    gates = [Gate("H", (0,)), Gate("CX", (0, 1))]
+    c = Circuit(n_qubits, gates, post, {}, outputs=outputs)
+    assert json.dumps(circuit_to_json(c)) == json.dumps(
+        circuit_to_json(Circuit(2, gates, [(0, 0)], {}, [1])))
+
+
 @pytest.mark.parametrize("bits", [(1, 1.0), (1.0, 1)])
 def test_a_postselect_bit_is_written_as_it_was_read(bits):
     # equal circuits alive together each write back their own bit

@@ -8,7 +8,7 @@ from discocirc.compose import (compose_document, text_diagram_to_dot,
 from discocirc.errors import ChainMismatch
 from discocirc.frames import (Box, Identity, NounState, Par, Perm,
                               SentenceDiagram, Spider, dump_element,
-                              sentence_diagram)
+                              map_wires, sentence_diagram)
 from discocirc.ingest import (CorefMap, Lexicon, load_document, parse_text,
                               read_json)
 from discocirc.pipeline import PipelineConfig, diagrams, ingest, run, treeize
@@ -138,6 +138,35 @@ def test_sentence_emptied_by_filtering_adds_no_layer(lex):
 def test_empty_document():
     td = compose_document([], CorefMap([]))
     assert td.states == [] and td.layers == []
+
+
+def test_composed_layers_are_built_once_when_first_read(lex, monkeypatch):
+    """Composing relabels no body; the first read of ``layers`` relabels
+    each sentence body once, and later reads and ``expand_frames``
+    none.  The diagram equals one built by hand from its layers."""
+    from discocirc import compose
+    from discocirc.sandwich import SandwichConfig, expand_frames
+    doc = parse_text([["Alice", "reads", "books"], ["Bob", "loves", "music"],
+                      ["She", "reads", "herself"]], lex)
+    cfg = PipelineConfig(lexicon=lex)
+    reports = treeize(doc, cfg)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return map_wires(*args)
+
+    monkeypatch.setattr(compose, "map_wires", counted)
+    td = diagrams(doc, reports, cfg)
+    expand_frames(td, SandwichConfig())
+    assert calls == []
+    layers = td.layers
+    assert len(calls) == 3 and td.layers is layers
+    expand_frames(td, SandwichConfig())
+    assert len(calls) == 3
+    hand_built = compose.TextDiagram(td.states, list(layers))
+    assert hand_built == td and hand_built.layers == layers
+    assert hand_built != compose.TextDiagram(td.states, layers[:-1])
 
 
 def test_routing_is_one_perm_pair_per_sentence(lex):

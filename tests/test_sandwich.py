@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -6,8 +7,8 @@ from discocirc.ansatz import AnsatzConfig, append_merge_box, compile
 from discocirc.compose import TextDiagram
 from discocirc.frames import (Box, Frame, NounState, Par, Perm,
                               SentenceDiagram, Spider, iter_boxes)
-from discocirc.ingest import CorefMap, read_json
-from discocirc.pipeline import PipelineConfig, run
+from discocirc.ingest import CorefMap, Lexicon, read_json
+from discocirc.pipeline import PipelineConfig, diagrams, run, treeize
 from discocirc.sandwich import SandwichConfig, expand_frames
 from util import (compose_spelled, expand_oracle, random_element,
                   wire_order)
@@ -38,7 +39,7 @@ def test_shared_mode_reuses_one_pair():
     # each pair appears once per component
     tops = [b for l in td.layers for b in iter_boxes(l)
             if b.name == "frame_top"]
-    assert len(tops) == 2
+    assert len(tops) == 2 and tops[0] is tops[1]
 
 
 def test_foliated_mode_mints_pairs_per_layer():
@@ -112,9 +113,46 @@ def test_documents_expand_to_flat_layers(source, mode):
     if isinstance(source, str):
         source = read_json(source)
     td = run(source, PipelineConfig(), stage="diagram")
-    out = expand_frames(td, SandwichConfig(mode))
+    out = expand_frames(td, SandwichConfig(mode))  # stamped from its rows
     assert out.states == td.states
     assert all(isinstance(l, (Box, Spider, Perm)) for l in out.layers)
+    hand_built = TextDiagram(td.states, list(td.layers))
+    assert typed(out.layers) == typed(
+        expand_frames(hand_built, SandwichConfig(mode)).layers) == typed(
+        expand_oracle(td.layers, mode))
+
+
+@pytest.mark.parametrize("mode", ["shared", "foliated"])
+def test_a_composed_diagram_expands_as_its_layers_do(mode, caplog):
+    """On the corpus inputs under every rule set and noun filter, a
+    composed diagram's rows stamp what its layers, read before
+    expansion or after it, and a hand-built copy of them expand to, and
+    what the oracle expands them to.  The cases hold spiders, two-root
+    sentences, nested frames and sentences emptied by a filter."""
+    import test_shape_memo
+    cases = test_shape_memo.corpus_cases(Lexicon.builtin())
+    assert any(cfg.remove_nouns for _, cfg in cases)
+    assert any(cfg.min_noun_frequency for _, cfg in cases)
+    cfg = SandwichConfig(mode)
+    seen = {kind: 0 for kind in ("Spider", "Par", "nested")}
+    caplog.set_level(logging.INFO, logger="discocirc.compose")
+    for doc, pipeline_cfg in cases:
+        after = diagrams(doc, treeize(doc, pipeline_cfg), pipeline_cfg)
+        stamped = expand_frames(after, cfg)
+        before = diagrams(doc, treeize(doc, pipeline_cfg), pipeline_cfg)
+        layers = before.layers
+        assert after.layers == layers
+        want = typed(expand_oracle(layers, mode))
+        assert typed(stamped.layers) == want
+        assert typed(expand_frames(before, cfg).layers) == want
+        hand_built = TextDiagram(before.states, list(layers))
+        assert typed(expand_frames(hand_built, cfg).layers) == want
+        assert stamped.states == before.states
+        for kind in ("Spider", "Par"):
+            seen[kind] += any(type(l).__name__ == kind for l in layers)
+        seen["nested"] += any(frame_depth(l) >= 2 for l in layers)
+    emptied = sum("empty after filtering" in m for m in caplog.messages)
+    assert min(seen.values()) >= 10 and emptied >= 100
 
 
 def test_bad_mode_rejected():
@@ -157,3 +195,17 @@ def test_random_nested_frames_expand_as_the_oracle(mode):
     rng.shuffle(layers)
     got = expand_frames(TextDiagram(states, layers), cfg)
     assert typed(got.layers) == typed(expand_oracle(layers, mode))
+    # the elements as the bodies of a composed document, on 40 chains
+    # that its sentences share and mention more than once each
+    sentences = [SentenceDiagram([NounState(f"n{w}", si, w)
+                                  for w in range(8)], el)
+                 for si, el in enumerate(elements)]
+    chains = [[] for _ in range(40)]
+    for si in range(len(sentences)):
+        for w in range(8):
+            chains[rng.randrange(40)].append((si, w))
+    td = compose_spelled(sentences, CorefMap(chains))
+    stamped = expand_frames(td, cfg)
+    assert typed(stamped.layers) == typed(expand_oracle(td.layers, mode))
+    for kind in (Perm, Spider):
+        assert sum(isinstance(l, kind) for l in td.layers) >= 200

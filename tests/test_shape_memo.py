@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from discocirc import frames, ingest, rewrite, trees
+from discocirc import frames, ingest, rewrite, sandwich, trees
 from discocirc.ansatz import AnsatzConfig, circuit_to_json
 from discocirc.compose import text_diagram_to_json
 from discocirc.errors import DiscocircError, InvalidDiagram, NoParse
@@ -53,7 +53,8 @@ def lex():
 MEMOS = ((ingest._first_parse, ingest.PARSE_MEMO_SIZE),
          (trees._shape_trees, trees.TREE_MEMO_SIZE),
          (rewrite._rewrite_shape, trees.TREE_MEMO_SIZE),
-         (frames._lower_shape, trees.TREE_MEMO_SIZE))
+         (frames._lower_shape, trees.TREE_MEMO_SIZE),
+         (sandwich._template, trees.TREE_MEMO_SIZE))
 
 
 def clear_memos():
@@ -293,13 +294,19 @@ def test_a_warm_memo_builds_only_the_sentence_and_no_wire_layout(
     tokens = ["Bob", "loves", "the", "music"]
     want = build_trees(oracle_parse(tokens, lex))
     built = []
-    init = PregroupDiagram.__init__
+    init, normal = PregroupDiagram.__init__, PregroupDiagram._normal
 
     def record(self, *args):
         init(self, *args)
         built.append(self)
 
+    def record_normal(cls, *args):
+        built.append(normal(*args))
+        return built[-1]
+
+    # both constructors: the normalising one and a parse hit's
     monkeypatch.setattr(PregroupDiagram, "__init__", record)
+    monkeypatch.setattr(PregroupDiagram, "_normal", classmethod(record_normal))
     misses = (ingest._first_parse.cache_info().misses,
               trees._shape_trees.cache_info().misses)
     d = lexicon_parse(tokens, lex)
@@ -310,6 +317,38 @@ def test_a_warm_memo_builds_only_the_sentence_and_no_wire_layout(
     assert d.words == tuple(tokens)
     assert set(vars(d)) == {"tokens", "cups"}
     assert forest_to_json(report.forest) == forest_to_json(want.forest)
+
+
+def test_a_warm_diagram_equals_a_cold_one(lex, monkeypatch):
+    """A parse hit, on the sentence's own words or on others of the same
+    entries, gives the diagram that the normalising constructor builds:
+    equal, of equal hash, its cups normalised and sorted.  So it does
+    when the search yields each parse's cups reversed and back to
+    front."""
+    search = ingest._parses
+
+    def scrambled(entries):
+        for types, cups in search(entries):
+            yield types, tuple((j, i) for i, j in reversed(cups))
+
+    pairs = [(["Alice", "reads", "the", "books"],
+              ["Bob", "loves", "the", "music"]),
+             (["Alice", "reads", "herself"], ["Bob", "reads", "herself"]),
+             (["She", "reads", "music"], ["She", "loves", "books"])]
+    for parses in (search, scrambled):
+        monkeypatch.setattr(ingest, "_parses", parses)
+        ingest._first_parse.cache_clear()
+        for tokens, other in pairs:
+            assert entry_key(tokens, lex) == entry_key(other, lex)
+            _, found = next(parses(tuple(
+                tuple(lex.entries[w]) for w in tokens)))
+            assert len(found) >= 2
+            for words in (tokens, tokens, other):  # a miss, then two hits
+                got, want = lexicon_parse(words, lex), oracle_parse(words, lex)
+                assert got == want and hash(got) == hash(want)
+                assert got.cups == want.cups == \
+                    tuple(sorted((min(c), max(c)) for c in found))
+    ingest._first_parse.cache_clear()
 
 
 @pytest.mark.parametrize("names", RULE_SETS)
