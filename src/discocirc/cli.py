@@ -150,11 +150,10 @@ def diagram(input_path, lexicon_path, fmt, out, rewrites, min_noun_frequency,
             remove_nouns):
     """Compose the document-level diagram and dump it."""
     cfg = _config(lexicon_path, rewrites, min_noun_frequency, remove_nouns)
-    td = run(read_json(input_path), cfg, stage="diagram")
-    if fmt == "dot":
-        text = text_diagram_to_dot(td)
-    else:
-        text = json.dumps(text_diagram_to_json(td), indent=1)
+    dump = text_diagram_to_dot if fmt == "dot" else text_diagram_to_json
+    text = dump(run(read_json(input_path), cfg, stage="diagram"))
+    if fmt != "dot":  # encoded once nothing holds the diagram
+        text = json.dumps(text, indent=1)
     _emit(text, out)
 
 

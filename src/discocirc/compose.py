@@ -38,20 +38,21 @@ log = logging.getLogger(__name__)
 class TextDiagram:
     """Document-level diagram: one state per chain plus stacked layers.
 
-    ``compose_document`` gives it its parts instead: each sentence body
-    as a row, the plain tuple (word-free body, the wire of each token,
-    words) that ``map_wires`` takes, and every other layer as it is.  The
-    layers are built from the parts on first read, and replace them."""
+    ``expand_frames`` walks its parts: a composed diagram's sentence
+    bodies as rows, the (word-free body, wire of each token, words) that
+    ``map_wires`` takes, and its other layers as they are; a hand-built
+    one's layers.  The layers are built on first read, beside the parts:
+    editing them does not change the parts."""
 
     def __init__(self, states: list[NounState], layers: list, _parts=None):
-        self.states, self._layers, self._parts = states, layers, _parts
+        self.states, self._layers = states, layers
+        self._parts = layers if _parts is None else _parts
 
     @property
     def layers(self) -> list:
-        if self._parts is not None:
+        if self._layers is None:
             self._layers = [map_wires(*p) if type(p) is tuple else p
                             for p in self._parts]
-            self._parts = None
         return self._layers
 
     def __eq__(self, other):

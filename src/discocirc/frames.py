@@ -68,20 +68,18 @@ class Spider(NamedTuple):
     dagger: bool = False
 
 
-def map_wires(el, fn, words=None):
-    """Relabel every wire id of a sentence body element (Box, Frame,
-    Identity or Par) through ``fn``.  With ``words``, ``el`` is word-free:
-    each name, a tuple of token indices, becomes their words joined by
-    spaces."""
+def map_wires(el, fn, words):
+    """Relabel every wire id of a word-free sentence body element (Box,
+    Frame, Identity or Par) through ``fn``, and spell each name, a tuple
+    of token indices, as their ``words`` joined by spaces."""
     kind = type(el)
     if kind is Box or kind is Frame:
         name, wires, last = el
-        if words is not None:
-            name = _spell(name, words)
         if kind is Frame:
             last = tuple([map_wires(c, fn, words) for c in last])
         # built directly: a NamedTuple's own __new__ is a Python call
-        return tuple.__new__(kind, (name, tuple(map(fn, wires)), last))
+        return tuple.__new__(kind, (_spell(name, words), tuple(map(fn, wires)),
+                                    last))
     if kind is Identity:
         return Identity(tuple(map(fn, el.wires)))
     if kind is Par:

@@ -164,5 +164,6 @@ def run(source, cfg: PipelineConfig, stage: str = "circuit"):
     if stage == "diagram":
         return td
     if stage == "circuit":
-        return circuit(td, cfg)
+        td = append_merge_box(expand_frames(td, cfg.sandwich))
+        return compile(td, cfg.ansatz, cap=cfg.max_qubits)
     raise ValueError(f"unknown stage {stage!r}")

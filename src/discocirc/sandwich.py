@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .compose import TextDiagram
-from .frames import Box, Frame, Identity, Par
+from .frames import Box, Frame, Identity, Par, Perm, Spider
 from .trees import TREE_MEMO_SIZE, _spell
 
 
@@ -70,26 +70,27 @@ def expand_frames(td: TextDiagram, cfg: SandwichConfig) -> TextDiagram:
     """Expand every frame of a text diagram into sandwich layers.
 
     Wire count and chain order are untouched; the result is flat, every
-    layer a Box, a Spider or a Perm.  A composed diagram whose layers
-    were not read stamps each row from its body's template, with the
-    row's words and wires.
+    layer a Box, a Spider or a Perm.  A row of the diagram's parts is
+    stamped from its body's template, with the row's words and wires; a
+    Perm or a Spider is kept, and any other part goes through ``_expand``.
     """
-    if td._parts is None:
-        return TextDiagram(td.states, _expand(td.layers, cfg.mode, []))
     layers: list = []
     for part in td._parts:
-        if type(part) is not tuple:  # a Perm or a Spider
+        kind = type(part)
+        if kind is Perm or kind is Spider:
             layers.append(part)
-            continue
-        body, wire, words = part
-        tokens, entries = _template(body, cfg.mode)
-        wires, start = tuple(map(wire, tokens)), len(layers)
-        for entry in entries:
-            if type(entry) is int:
-                layers.append(layers[start + entry])
-                continue
-            name, tag, i, j = entry
-            # built directly: a NamedTuple's own __new__ is a Python call
-            layers.append(tuple.__new__(
-                Box, (_spell(name, words) + tag, wires[i:j], False)))
+        elif kind is not tuple:
+            _expand((part,), cfg.mode, layers)
+        else:
+            body, wire, words = part
+            tokens, entries = _template(body, cfg.mode)
+            wires, start = tuple(map(wire, tokens)), len(layers)
+            for entry in entries:
+                if type(entry) is int:
+                    layers.append(layers[start + entry])
+                    continue
+                name, tag, i, j = entry
+                # built directly: a NamedTuple's own __new__ is a Python call
+                layers.append(tuple.__new__(
+                    Box, (_spell(name, words) + tag, wires[i:j], False)))
     return TextDiagram(td.states, layers)

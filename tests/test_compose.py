@@ -13,8 +13,9 @@ from discocirc.ingest import (CorefMap, Lexicon, load_document, parse_text,
                               read_json)
 from discocirc.pipeline import PipelineConfig, diagrams, ingest, run, treeize
 from discocirc.trees import build_trees
-from util import (apply_layer, compose_oracle, compose_spelled,
-                  element_wires, replay, wire_order)
+from util import (apply_layer, chain_document, compose_oracle,
+                  compose_spelled, element_wires, entity_document, replay,
+                  wire_order)
 
 FIXTURES = "tests/fixtures"
 
@@ -244,6 +245,47 @@ def test_compose_document_equals_the_reference_composer(lex, monkeypatch):
     # the memo path composes the same
     assert [text_diagram_to_json(diagrams(doc, treeize(doc, cfg), cfg))
             for doc, cfg in cases] == got
+
+
+def mixed_document(rng: random.Random, n: int) -> list[list[str]]:
+    """Alice, then ``n`` sentences drawn from a "she" chain sentence,
+    an entity sentence and "she reads herself"."""
+    return chain_document(rng, 1) + [
+        rng.choice([chain_document(rng, 2)[1], entity_document(rng, 1)[0],
+                    ["she", "reads", "herself"]]) for _ in range(n)]
+
+
+def test_a_prefix_of_a_document_composes_to_a_prefix(lex):
+    """Composing the first k sentences of a token document gives states
+    and layers that begin the whole document's, and the same wire order
+    after them (Coecke, arXiv:1904.03478: a text's circuit is its
+    sentences' circuits composed)."""
+    cfg = PipelineConfig(lexicon=lex)
+
+    def composed(tokens):
+        return run({"tokens": tokens}, cfg, stage="diagram")
+
+    def assert_prefix(part, whole):
+        assert whole.states[:len(part.states)] == part.states
+        assert whole.layers[:len(part.layers)] == part.layers
+
+    rng = random.Random(11)
+    seen = {Perm: 0, Spider: 0}
+    for _ in range(200):
+        tokens = mixed_document(rng, rng.randint(1, 8))
+        whole = composed(tokens)
+        steps, _ = replay(whole)
+        for k in range(1, len(tokens)):
+            part = composed(tokens[:k])
+            assert_prefix(part, whole)
+            assert steps[len(part.layers) - 1][1] == wire_order(part)
+        for kind in seen:
+            seen[kind] += any(type(l) is kind for l in whole.layers)
+    assert min(seen.values()) >= 100
+    tokens = chain_document(random.Random(2), 6400)
+    whole = composed(tokens)
+    for k in (1, 3200, 6399):
+        assert_prefix(composed(tokens[:k]), whole)
 
 
 def test_perm_entries_grow_with_mentions_not_wires(lex):

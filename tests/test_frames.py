@@ -100,11 +100,13 @@ def test_prune_matches_direct_generation(lex):
 
 
 def test_map_wires_relabels_everything():
-    el = Par((Frame("f", (0, 1), (Box("g", (1,)),)), Identity((2,))))
-    mapped = map_wires(el, lambda w: w + 10)
+    """A word-free element's wires go through the map, and its names,
+    token-index tuples, are spelled in the words."""
+    el = Par((Frame((0,), (0, 1), (Box((1, 2), (1,)),)), Identity((2,))))
+    mapped = map_wires(el, lambda w: w + 10, ("f", "g", "h"))
     assert element_wires(mapped) == (10, 11, 12)
     names = [b.name for b in iter_boxes(mapped)]
-    assert names == ["f", "g"]
+    assert names == ["f", "g h"]
 
 
 def test_dumps_render(lex):

@@ -7,7 +7,7 @@ from discocirc.ansatz import AnsatzConfig, append_merge_box, compile
 from discocirc.compose import TextDiagram
 from discocirc.frames import (Box, Frame, NounState, Par, Perm,
                               SentenceDiagram, Spider, iter_boxes)
-from discocirc.ingest import CorefMap, Lexicon, read_json
+from discocirc.ingest import CorefMap, Lexicon, parse_text, read_json
 from discocirc.pipeline import PipelineConfig, diagrams, run, treeize
 from discocirc.sandwich import SandwichConfig, expand_frames
 from util import (compose_spelled, expand_oracle, random_element,
@@ -153,6 +153,33 @@ def test_a_composed_diagram_expands_as_its_layers_do(mode, caplog):
         seen["nested"] += any(frame_depth(l) >= 2 for l in layers)
     emptied = sum("empty after filtering" in m for m in caplog.messages)
     assert min(seen.values()) >= 10 and emptied >= 100
+
+
+def test_reading_layers_does_not_change_how_a_diagram_expands(monkeypatch):
+    """A composed diagram keeps its rows once its layers are read:
+    expansion looks each row's template up once either way, and stamps
+    the same layers."""
+    from discocirc import sandwich
+    lex = Lexicon.builtin()
+    doc = parse_text([["Alice", "reads", "books"], ["Bob", "loves", "music"],
+                      ["She", "reads", "herself"]], lex)
+    cfg = PipelineConfig(lexicon=lex)
+    lookups, template = [], sandwich._template
+
+    def counted(*args):
+        lookups.append(args)
+        return template(*args)
+
+    monkeypatch.setattr(sandwich, "_template", counted)
+    unread = expand_frames(diagrams(doc, treeize(doc, cfg), cfg),
+                           cfg.sandwich)
+    assert len(lookups) == 3
+    td = diagrams(doc, treeize(doc, cfg), cfg)
+    assert len(td.layers) == 7  # Perm and spider pairs round the third row
+    read = expand_frames(td, cfg.sandwich)
+    assert len(lookups) == 6 and lookups[3:] == lookups[:3]
+    assert typed(read.layers) == typed(unread.layers) == typed(
+        expand_oracle(td.layers, cfg.sandwich.mode))
 
 
 def test_bad_mode_rejected():

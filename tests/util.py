@@ -21,7 +21,8 @@ and ``diagram_distribution`` the semantic oracle for ``compile``: it
 contracts an expanded text diagram wire by wire.
 ``compose_spelled`` passes spelled ``SentenceDiagram``s to
 ``compose_document``, ``compose_oracle`` is document composition with no
-short-cut, and ``expand_oracle`` frame expansion by its definition, for
+short-cut (relabelling each body by its own walk, ``relabel``), and
+``expand_oracle`` frame expansion by its definition, for
 the random sentence bodies of ``random_element``.
 ``parse_type`` reads a pregroup type from its printed form.
 """
@@ -37,8 +38,7 @@ import numpy as np
 from discocirc.ansatz import BLOCKS
 from discocirc.compose import TextDiagram, compose_document
 from discocirc.errors import ChainMismatch
-from discocirc.frames import (Box, Frame, Identity, Par, Perm, Spider,
-                              map_wires)
+from discocirc.frames import Box, Frame, Identity, Par, Perm, Spider
 from discocirc.grammar import (PregroupDiagram, PregroupType, SimpleType,
                                can_contract)
 from discocirc.ingest import CorefMap, Document, Lexicon, Mention
@@ -581,10 +581,25 @@ def compose_oracle(sentences, coref: CorefMap) -> TextDiagram:
         copies = [Spider((c,) + tuple((c, k) for k in range(1, n)), c, True)
                   for c, n in counts.items() if n > 1]
         layers += [Perm(chains, tuple(range(tail, len(order))))] * routed
-        layers += copies + [map_wires(sd.body, wire_of.__getitem__)]
+        layers += copies + [relabel(sd.body, wire_of)]
         layers += [Spider(c.in_wires, c.out_wire) for c in reversed(copies)]
         layers += [Perm(chains, tuple(map(order.index, chains)))] * routed
     return TextDiagram(states, layers)
+
+
+def relabel(el, wire_of: dict):
+    """A spelled sentence body element with every wire id ``w`` replaced
+    by ``wire_of[w]``, built field by field."""
+    if isinstance(el, Par):
+        return Par(tuple(relabel(c, wire_of) for c in el.elements))
+    wires = tuple(wire_of[w] for w in el.wires)
+    if isinstance(el, Frame):
+        return Frame(el.name, wires,
+                     tuple(relabel(c, wire_of) for c in el.components))
+    if isinstance(el, Box):
+        return Box(el.name, wires, el.merge)
+    assert isinstance(el, Identity), el
+    return Identity(wires)
 
 
 # --- frame expansion ---------------------------------------------------------
